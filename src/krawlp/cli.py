@@ -70,7 +70,6 @@ def _cache_dir(args) -> str | None:
 
 
 def cmd_configs(args) -> int:
-    start = time.perf_counter()
     configs = enumerate_configs(args.n, args.l)
     record = {"command": "configs", "n": args.n, "l": args.l, "count": len(configs)}
     if args.out:
@@ -80,12 +79,10 @@ def cmd_configs(args) -> int:
     if not args.count and not args.out:
         record["configs"] = [json.loads(config_to_json(g, args.n)) for g in configs]
     _emit(record)
-    _timing("configs", time.perf_counter() - start)
     return EXIT_OK
 
 
 def cmd_krawtchouk(args) -> int:
-    start = time.perf_counter()
     cache = _cache_dir(args)
     table = load_table(args.n, args.l, cache) if cache else None
     if table is None:
@@ -99,7 +96,6 @@ def cmd_krawtchouk(args) -> int:
     else:
         record["values"] = [list(row) for row in table.values]
     _emit(record)
-    _timing("krawtchouk", time.perf_counter() - start)
     return EXIT_OK
 
 
@@ -112,7 +108,6 @@ def _build_program(args):
 
 
 def cmd_build_lp(args) -> int:
-    start = time.perf_counter()
     lp = _build_program(args)
     data = export_lp(lp, args.format)
     record = {
@@ -132,12 +127,10 @@ def cmd_build_lp(args) -> int:
     else:
         sys.stdout.write(data.decode("ascii"))
     _emit(record)
-    _timing("build-lp", time.perf_counter() - start)
     return EXIT_OK
 
 
 def cmd_solve(args) -> int:
-    start = time.perf_counter()
     lp = _build_program(args)
     result = solve_float(lp) if args.float else solve_exact(lp)
     record = {
@@ -162,12 +155,10 @@ def cmd_solve(args) -> int:
         _write(args.out, (result.to_json() + "\n").encode("ascii"))
         record["output"] = args.out
     _emit(record)
-    _timing("solve", time.perf_counter() - start)
     return EXIT_OK
 
 
 def cmd_oracle(args) -> int:
-    start = time.perf_counter()
     if args.linear:
         size, witness = max_linear_code(args.n, args.d)
     else:
@@ -184,7 +175,6 @@ def cmd_oracle(args) -> int:
         _write(args.out, (witness.to_json() + "\n").encode("ascii"))
         record["output"] = args.out
     _emit(record)
-    _timing("oracle", time.perf_counter() - start)
     return EXIT_OK
 
 
@@ -213,7 +203,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_table(args) -> int:
-    start = time.perf_counter()
     lines = ["n,d,l,flag,value,root"]
     for n in range(1, args.n + 1):
         for d in range(1, n + 1):
@@ -237,7 +226,6 @@ def cmd_table(args) -> int:
     else:
         sys.stdout.write(csv)
     _emit(record)
-    _timing("table", time.perf_counter() - start)
     return EXIT_OK
 
 
@@ -327,14 +315,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    start = time.perf_counter()
     try:
-        return args.fn(args)
+        code = args.fn(args)
     except (ParameterError, InvalidInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMS
     except CapacityError as exc:
         print(f"capacity: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
+    _timing(args.command, time.perf_counter() - start)
+    return code
 
 
 if __name__ == "__main__":

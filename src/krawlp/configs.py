@@ -43,8 +43,6 @@ from .errors import (
 
 # Dense 2^l vectors and composition counts stay small only for small l.
 MAX_SUBSET_ELL = 6
-# Subset bitmasks of [l] must fit one machine word.
-MAX_WORDS_ELL = 64
 # Cap on C(n + 2^l - 1, 2^l - 1) for a single enumeration.
 MAX_CONFIG_COUNT = 2_000_000
 
@@ -123,8 +121,9 @@ class WordTuple:
 
     def __post_init__(self) -> None:
         ell = len(self.words)
-        if not 1 <= ell <= MAX_WORDS_ELL:
-            raise InvalidInputError(f"tuple length {ell} outside 1..{MAX_WORDS_ELL}")
+        # config_of_tuple and venn_of_tuple allocate dense 2^l vectors.
+        if not 1 <= ell <= MAX_SUBSET_ELL:
+            raise InvalidInputError(f"tuple length {ell} outside 1..{MAX_SUBSET_ELL}")
         if self.n < 1:
             raise InvalidInputError("blocklength must be positive")
         top = 1 << self.n
@@ -288,12 +287,6 @@ def enumerate_configs(n: int, ell: int) -> tuple[SDConfig, ...]:
 def config_index(n: int, ell: int) -> dict[SDConfig, int]:
     """Config -> position in the canonical enumeration.  Treat as read-only."""
     return {g: i for i, g in enumerate(enumerate_configs(n, ell))}
-
-
-@lru_cache(maxsize=None)
-def _entries_index(n: int, ell: int) -> dict[tuple[int, ...], int]:
-    # Same map keyed by raw entry tuples, for hot loops.
-    return {g.entries: i for i, g in enumerate(enumerate_configs(n, ell))}
 
 
 def orbit_size(g: SDConfig, n: int) -> int:

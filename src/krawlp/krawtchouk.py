@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import gzip
 import json
-import time
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -50,10 +49,9 @@ from .configs import (
 )
 from .errors import CapacityError, InvalidInputError, ParameterError
 
-# 2^(n*l) tuples enumerated by the direct route at most.
-DIRECT_ENUM_BUDGET = 1 << 24
-# Bucket partitions of tuple space are cached only below this size.
-_BUCKET_CACHE_LIMIT = 1 << 20
+# 2^(n*l) tuples enumerated by the direct route at most; their partition
+# by configuration is cached, so this also bounds that cache.
+DIRECT_ENUM_BUDGET = 1 << 20
 # Full tables are limited to this many cells.
 TABLE_CELL_BUDGET = 4_000_000
 # Full LP builds keep l small; see configs.MAX_SUBSET_ELL for pure config work.
@@ -97,32 +95,20 @@ def _char_sum(x_words: tuple[int, ...], tuples: list[tuple[int, ...]]) -> int:
     return acc
 
 
-def eval_direct(h: SDConfig, g: SDConfig, n: int, budget: int = DIRECT_ENUM_BUDGET) -> int:
+def eval_direct(h: SDConfig, g: SDConfig, n: int) -> int:
     """K_h(g) by brute-force enumeration of all tuples with configuration h."""
     if h.ell != g.ell:
         raise InvalidInputError(f"mixed levels l={h.ell} and l={g.ell}")
     ell = h.ell
     total = 1 << (n * ell)
-    if total > budget:
+    if total > DIRECT_ENUM_BUDGET:
         raise CapacityError(
-            f"2^(n*l) = {total} tuples exceed the direct enumeration budget {budget}"
+            f"2^(n*l) = {total} tuples exceed the direct enumeration budget "
+            f"{DIRECT_ENUM_BUDGET}"
         )
     x = representative_tuple(g, n).words
     sd_to_venn(h, n)  # validates h for this blocklength
-    if total <= _BUCKET_CACHE_LIMIT:
-        bucket = _tuples_by_config(n, ell).get(h.entries, [])
-        return _char_sum(x, bucket)
-    mask = (1 << n) - 1
-    acc = 0
-    for p in range(total):
-        words = tuple((p >> (n * j)) & mask for j in range(ell))
-        if _sd_entries(words) != h.entries:
-            continue
-        parity = 0
-        for xj, yj in zip(x, words):
-            parity ^= (xj & yj).bit_count()
-        acc += 1 - ((parity & 1) << 1)
-    return acc
+    return _char_sum(x, _tuples_by_config(n, ell).get(h.entries, []))
 
 
 # ---------------------------------------------------------------------------
@@ -413,29 +399,3 @@ def load_table(n: int, ell: int, cache_dir: str | Path) -> KrawtchoukTable | Non
     return KrawtchoukTable(
         payload["n"], payload["l"], tuple(tuple(row) for row in payload["values"])
     )
-
-
-def measure_eval_paths(n: int, ell: int) -> dict[str, float | int]:
-    """Time a full table via the explicit formula against the recursion.
-
-    The asymptotic advantage of the recursion is known; where the crossover
-    sits in practice is not, so we measure instead of assuming.
-    """
-    count = _check_table_budget(n, ell)
-    configs = enumerate_configs(n, ell)
-    venns = [sd_to_venn(c, n).entries for c in configs]
-    t0 = time.perf_counter()
-    for vh in venns:
-        for vg in venns:
-            _explicit_from_venn(vg, vh)
-    t1 = time.perf_counter()
-    memo: dict = {}
-    for vh in venns:
-        for vg in venns:
-            _table_rec(n, vg, vh, memo)
-    t2 = time.perf_counter()
-    return {
-        "cells": count * count,
-        "explicit_seconds": t1 - t0,
-        "recursion_seconds": t2 - t1,
-    }

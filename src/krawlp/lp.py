@@ -57,6 +57,14 @@ class LPRow:
         if self.relation not in (">=", "=", "<="):
             raise InvalidInputError(f"unsupported relation {self.relation!r}")
 
+    def holds(self, lhs: Fraction, tolerance: Fraction = ZERO) -> bool:
+        """Whether ``lhs (relation) rhs`` holds up to ``tolerance`` (>= 0)."""
+        if self.relation == "=":
+            return abs(lhs - self.rhs) <= tolerance
+        if self.relation == ">=":
+            return lhs >= self.rhs - tolerance
+        return lhs <= self.rhs + tolerance
+
 
 @dataclass(frozen=True)
 class LinearProgram:
@@ -205,7 +213,8 @@ def _check_words(words: Iterable[int], n: int) -> tuple[int, ...]:
     return ws
 
 
-def is_xor_closed(words: Sequence[int]) -> bool:
+def is_xor_closed(words: Iterable[int]) -> bool:
+    """Whether a word set contains 0 and the XOR of any two of its words."""
     wset = set(words)
     if 0 not in wset:
         return False
@@ -302,10 +311,7 @@ def check_feasibility(
     objective = sum((c * v for c, v in zip(lp.objective, x)), ZERO)
     for row in lp.rows:
         lhs = sum((c * v for c, v in zip(row.coeffs, x)), ZERO)
-        ok = abs(lhs - row.rhs) <= tolerance if row.relation == "=" else (
-            lhs >= row.rhs - tolerance if row.relation == ">=" else lhs <= row.rhs + tolerance
-        )
-        if not ok:
+        if not row.holds(lhs, tolerance):
             return FeasibilityVerdict(
                 False,
                 "row-violation",

@@ -29,10 +29,10 @@ from functools import lru_cache
 from math import inf
 from typing import Iterator
 
-from .configs import _entries_index, _sd_entries
+from .configs import _sd_entries, config_index
 from .errors import CapacityError, InvalidInputError, NotLinearError, ParameterError
 from .krawtchouk import cached_table
-from .lp import ONE, ZERO, LinearProgram, LPRow, profile_of_code
+from .lp import ONE, ZERO, LinearProgram, LPRow, is_xor_closed, profile_of_code
 
 # Independent-set search budget: 2^n graph vertices.
 MAX_BB_VERTICES = 128
@@ -58,10 +58,7 @@ class CodeSet:
         top = 1 << self.n
         if any(w < 0 or w >= top for w in self.words):
             raise InvalidInputError(f"words must be {self.n}-bit integers")
-        is_linear = 0 in self.words and all(
-            a ^ b in self.words for a, b in itertools.combinations(self.words, 2)
-        )
-        object.__setattr__(self, "linear", is_linear)
+        object.__setattr__(self, "linear", is_xor_closed(self.words))
 
     @property
     def size(self) -> int:
@@ -303,22 +300,13 @@ class MacWilliamsReport:
         return not self.violations
 
 
-def _scaled_general_profile(c: CodeSet, ell: int) -> dict[int, int]:
-    # Pair counts per config index: |C|^l times the general-formula profile.
-    idx = _entries_index(c.n, ell)
-    prof = profile_of_code(sorted(c.words), c.n, ell, linear=False)
-    scale = c.size**ell
-    out = {}
-    for cfg, val in prof.entries.items():
-        num = val * scale
-        out[idx[cfg.entries]] = int(num)
-    return out
-
-
-def _span_profile(c: CodeSet, ell: int) -> dict[int, int]:
-    idx = _entries_index(c.n, ell)
-    prof = profile_of_code(sorted(c.words), c.n, ell, linear=True)
-    return {idx[cfg.entries]: int(val) for cfg, val in prof.entries.items()}
+def _profile_counts(c: CodeSet, ell: int, linear: bool) -> dict[int, int]:
+    # Integer counts per config index: the span formula already counts
+    # tuples; the general formula is scaled by |C|^l into pair counts.
+    idx = config_index(c.n, ell)
+    prof = profile_of_code(sorted(c.words), c.n, ell, linear=linear)
+    scale = 1 if linear else c.size**ell
+    return {idx[cfg]: int(val * scale) for cfg, val in prof.entries.items()}
 
 
 def verify_macwilliams(c: CodeSet, ell: int) -> MacWilliamsReport:
@@ -332,8 +320,8 @@ def verify_macwilliams(c: CodeSet, ell: int) -> MacWilliamsReport:
     violations = []
     identity_checked = 0
     if c.linear:
-        prof = _span_profile(c, ell)
-        dual_prof = _span_profile(dual_code(c), ell)
+        prof = _profile_counts(c, ell, linear=True)
+        dual_prof = _profile_counts(dual_code(c), ell, linear=True)
         scale = c.size**ell
         for h_idx in range(table.size):
             row = table.values[h_idx]
@@ -344,7 +332,7 @@ def verify_macwilliams(c: CodeSet, ell: int) -> MacWilliamsReport:
                 violations.append(
                     f"identity at h={h_idx}: {lhs} != {rhs} (|C|={c.size}, l={ell})"
                 )
-    pair_prof = _scaled_general_profile(c, ell)
+    pair_prof = _profile_counts(c, ell, linear=False)
     inequality_checked = 0
     for h_idx in range(table.size):
         row = table.values[h_idx]

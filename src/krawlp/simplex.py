@@ -31,8 +31,8 @@ from .lp import LinearProgram
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-DEFAULT_MAX_PIVOTS = 200_000
-DEFAULT_DANTZIG_PIVOTS = 2_000
+MAX_PIVOTS = 200_000
+DANTZIG_PIVOTS = 2_000
 
 
 @dataclass(frozen=True)
@@ -119,11 +119,11 @@ def _objective_row(tab: _Tableau, cost):
     return obj, val
 
 
-def _run_phase(tab, obj, allowed, max_pivots, dantzig_pivots):
+def _run_phase(tab, obj, allowed):
     # Pivot until optimal (all reduced costs >= 0) or unbounded.
     while True:
         enter = -1
-        if tab.pivots < dantzig_pivots:
+        if tab.pivots < DANTZIG_PIVOTS:
             best = ZERO
             for j in range(tab.ncols):
                 if allowed[j] and obj[j] < best:
@@ -151,8 +151,8 @@ def _run_phase(tab, obj, allowed, max_pivots, dantzig_pivots):
                     leave = i
         if leave < 0:
             return "unbounded"
-        if tab.pivots >= max_pivots:
-            raise IterationLimitError(f"pivot cap {max_pivots} exceeded")
+        if tab.pivots >= MAX_PIVOTS:
+            raise IterationLimitError(f"pivot cap {MAX_PIVOTS} exceeded")
         delta_obj = obj[enter]
         tab.pivot(leave, enter)
         # The pivot row is normalized now, so the reduced-cost update is
@@ -164,12 +164,13 @@ def _run_phase(tab, obj, allowed, max_pivots, dantzig_pivots):
         obj[enter] = ZERO
 
 
-def solve_exact(
-    lp: LinearProgram,
-    max_pivots: int = DEFAULT_MAX_PIVOTS,
-    dantzig_pivots: int = DEFAULT_DANTZIG_PIVOTS,
-) -> SolveResult:
-    """Exact rational optimum of a maximization LP with x >= 0."""
+def solve_exact(lp: LinearProgram) -> SolveResult:
+    """Exact rational optimum of a maximization LP with x >= 0.
+
+    The pivot rule is fixed: largest coefficient for the first
+    ``DANTZIG_PIVOTS`` pivots, then Bland's rule.  More than ``MAX_PIVOTS``
+    pivots over both phases raise ``IterationLimitError``.
+    """
     nv = lp.num_vars
     objective = list(lp.objective)
 
@@ -184,14 +185,8 @@ def solve_exact(
             for j, c in enumerate(row.coeffs):
                 if c:
                     used[j] = True
-        else:
-            ok = (
-                row.rhs == 0
-                if row.relation == "="
-                else (ZERO >= row.rhs if row.relation == ">=" else ZERO <= row.rhs)
-            )
-            if not ok:
-                return SolveResult("infeasible", None, None, 0, True)
+        elif not row.holds(ZERO):
+            return SolveResult("infeasible", None, None, 0, True)
     keep_cols = [j for j in range(nv) if used[j]]
     # A variable outside every row can grow freely, but that only makes the
     # program unbounded if the rest is feasible; decide after phase 1.
@@ -251,7 +246,7 @@ def solve_exact(
                 cost1[c] = -ONE
         obj1, _ = _objective_row(tab, cost1)
         allowed = [True] * ncols
-        status = _run_phase(tab, obj1, allowed, max_pivots, dantzig_pivots)
+        status = _run_phase(tab, obj1, allowed)
         if status != "optimal":
             raise SelfCheckError("phase 1 cannot be unbounded")
         art_set = set(c for c in art_col if c is not None)
@@ -289,7 +284,7 @@ def solve_exact(
             ncols,
         )
         obj2, _ = _objective_row(tab, cost2)
-    status = _run_phase(tab, obj2, allowed, max_pivots, dantzig_pivots)
+    status = _run_phase(tab, obj2, allowed)
     if status == "unbounded":
         return SolveResult("unbounded", None, None, tab.pivots, True)
 
@@ -303,12 +298,7 @@ def solve_exact(
     # Re-verification: primal feasibility against the original rows ...
     for row in lp.rows:
         lhs = sum((c * v for c, v in zip(row.coeffs, x)), ZERO)
-        ok = (
-            lhs == row.rhs
-            if row.relation == "="
-            else (lhs >= row.rhs if row.relation == ">=" else lhs <= row.rhs)
-        )
-        if not ok:
+        if not row.holds(lhs):
             raise SelfCheckError(f"optimal point violates row {row.name}")
     if any(v < 0 for v in x):
         raise SelfCheckError("optimal point violates a variable bound")

@@ -1,9 +1,12 @@
 """Command-line surface: records, artifacts, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import krawlp
 from krawlp import cli
 from krawlp.suites import SuiteResult
 
@@ -162,15 +165,24 @@ def test_table_sweep(tmp_path, capsys):
 def test_timings_go_to_stderr_not_stdout(capsys):
     code, records, out = _run(capsys, ["configs", "--n", "3", "--l", "1", "--count"])
     assert code == 0
-    assert "[timing]" in out.err
+    assert out.err.count("[timing] configs: ") == 1
     assert "[timing]" not in out.out
+    # verify times each suite and then the whole command
+    code, _, out = _run(capsys, ["verify", "--suite", "census", "--n", "2", "--l", "1"])
+    assert code == 0
+    lines = [line.split(": ")[0] for line in out.err.splitlines()]
+    assert lines == ["[timing] verify:census", "[timing] verify"]
 
 
 def test_installed_entry_point():
+    # The child imports the same krawlp as this process, installed or not.
+    pkg_root = str(Path(krawlp.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [pkg_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "krawlp.cli", "configs", "--n", "4", "--l", "2", "--count"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout.splitlines()[-1])["count"] == 35

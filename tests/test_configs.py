@@ -70,6 +70,9 @@ def test_mismatched_word_lengths_rejected():
 def test_word_out_of_range_rejected():
     with pytest.raises(InvalidInputError):
         WordTuple((4,), 2)
+    # seven words would need dense vectors of 2^7 subsets
+    with pytest.raises(InvalidInputError):
+        WordTuple((0,) * 7, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from krawlp import krawtchouk
 from krawlp.configs import (
     SDConfig,
     WordTuple,
@@ -21,7 +22,6 @@ from krawlp.krawtchouk import (
     eval_direct,
     eval_explicit,
     load_table,
-    measure_eval_paths,
     save_table,
     table_to_csv,
     verify_orthogonality,
@@ -113,10 +113,17 @@ def test_explicit_classical_specialization():
             )
 
 
-def test_direct_capacity_budget():
+def test_direct_capacity_budget(monkeypatch):
+    def no_enumeration(n, ell):
+        raise AssertionError("tuples enumerated past the budget")
+
+    monkeypatch.setattr(krawtchouk, "_tuples_by_config", no_enumeration)
     h = SDConfig((0, 1))
     with pytest.raises(CapacityError):
         eval_direct(h, h, 30)
+    # n*l = 21 is the first size past the 2^20-tuple budget
+    with pytest.raises(CapacityError):
+        eval_direct(h, h, 21)
 
 
 @pytest.mark.parametrize("n,ell", [(1, 1), (2, 1), (3, 1), (4, 1), (1, 2), (2, 2), (3, 2), (4, 2)])
@@ -230,13 +237,6 @@ def test_cache_roundtrip(tmp_path):
     first = path.read_bytes()
     save_table(table, tmp_path)
     assert path.read_bytes() == first
-
-
-def test_measure_eval_paths_reports_both_routes():
-    stats = measure_eval_paths(2, 2)
-    assert stats["cells"] == 100
-    assert stats["explicit_seconds"] >= 0.0
-    assert stats["recursion_seconds"] >= 0.0
 
 
 def test_representative_is_valid_for_eval():

@@ -8,6 +8,9 @@ import pytest
 from krawlp.configs import SDConfig, enumerate_configs
 from krawlp.errors import InvalidInputError, NotLinearError, ParameterError
 from krawlp.lp import (
+    ONE,
+    LinearProgram,
+    LPRow,
     build_delsarte,
     build_hierarchy_lp,
     check_feasibility,
@@ -168,6 +171,42 @@ def test_feasibility_unit_profile_on_hierarchy():
             lp = build_hierarchy_lp(4, d, 2, linear)
             verdict = check_feasibility(lp, prof)
             assert verdict.feasible and verdict.objective == 1
+
+
+def _one_row_program(relation, rhs):
+    # Variables are the two (n=1, l=1) configurations.
+    row = LPRow("R", (ONE, ONE), relation, Fraction(rhs))
+    return LinearProgram("krawtchouk", 1, 1, 1, False, (0, 1), (ONE, ONE), (row,))
+
+
+@pytest.mark.parametrize(
+    "relation,rhs,inside",
+    [
+        ("=", Fraction(21, 10), True),
+        ("=", Fraction(39, 20), True),
+        ("=", Fraction(43, 20), False),
+        ("=", Fraction(37, 20), False),
+        (">=", Fraction(41, 20), True),
+        (">=", Fraction(43, 20), False),
+        ("<=", Fraction(39, 20), True),
+        ("<=", Fraction(37, 20), False),
+    ],
+)
+def test_feasibility_tolerance(relation, rhs, inside):
+    # The profile of {0, 1} at n=1 puts mass 1 on both variables: lhs = 2.
+    prof = profile_of_code([0, 1], 1, 1)
+    lp = _one_row_program(relation, rhs)
+    assert not check_feasibility(lp, prof).feasible
+    verdict = check_feasibility(lp, prof, Fraction(1, 10))
+    assert verdict.feasible == inside
+    assert verdict.status == ("feasible" if inside else "row-violation")
+    assert verdict.objective == 2
+
+
+def test_feasibility_negative_tolerance_rejected():
+    prof = profile_of_code([0, 1], 1, 1)
+    with pytest.raises(ParameterError):
+        check_feasibility(_one_row_program("=", 2), prof, Fraction(-1, 10))
 
 
 def test_feasibility_index_mismatch_errors():
