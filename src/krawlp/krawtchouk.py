@@ -74,9 +74,10 @@ def classical_krawtchouk(i: int, j: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=1)
 def _tuples_by_config(n: int, ell: int) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
-    # Partition of all 2^(n*l) tuples by configuration entries.
+    # Partition of all 2^(n*l) tuples by configuration entries.  Only the
+    # latest (n, l) is kept: one partition at n*l = 18 holds about 24 MB.
     mask = (1 << n) - 1
     buckets: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for p in range(1 << (n * ell)):

@@ -1,12 +1,18 @@
 """Exact and floating-point linear program solvers.
 
-The exact path is a two-phase primal simplex with every tableau entry a
-`fractions.Fraction`.  The pivot rule is largest-coefficient for a bounded
-number of pivots, then Bland's rule, so termination is guaranteed.  Every
-optimal answer is re-verified before it is returned: the primal point is
-checked against all original rows, and a dual vector recovered from the
-final tableau must be dual-feasible with matching objective value.  A
-failed re-verification raises instead of returning a wrong answer.
+The exact path is a two-phase primal simplex over a fraction-free integer
+tableau: each row is scaled to integers once, the tableau keeps one common
+denominator (the previous pivot), and every update is an exact integer
+division (Bareiss elimination), so no `fractions.Fraction` is formed while
+pivoting.  Rows ``>= 0`` are negated to ``<= 0`` first, so their slacks
+start basic and phase 1 needs artificials only for ``=`` rows and for
+``>=`` rows with a positive rhs.
+The pivot rule is largest-coefficient for a bounded number of pivots, then
+Bland's rule, so termination is guaranteed.  Every optimal answer is
+re-verified in rational arithmetic before it is returned: the primal point
+is checked against all original rows, and a dual vector recovered from the
+final reduced costs must be dual-feasible with matching objective value.
+A failed re-verification raises instead of returning a wrong answer.
 
 The floating-point path wraps scipy's HiGHS solver and is only a fast
 screen; its results carry ``exact=False`` and are never used alone to
@@ -29,7 +35,6 @@ from .errors import (
 from .lp import LinearProgram
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 MAX_PIVOTS = 200_000
 DANTZIG_PIVOTS = 2_000
@@ -74,102 +79,121 @@ class SolveResult:
 
 
 class _Tableau:
-    def __init__(self, rows, b, basis, ncols):
-        self.rows = rows          # list[list[Fraction]], constraint rows
-        self.b = b                # list[Fraction]
-        self.basis = basis        # basic variable (column) per row
-        self.ncols = ncols
+    """Fraction-free tableau: the true tableau is ``rows / den``.
+
+    Each row holds integer coefficients with its rhs as the last entry.
+    A pivot on entry p = rows[r][c] replaces every other row by
+    ``(p*row - row[c]*rows[r]) // den`` and sets ``den = p`` (Bareiss
+    elimination); every entry stays den times a basis-system minor, so
+    the divisions are exact and ``den`` stays positive.
+    """
+
+    def __init__(self, rows, basis):
+        self.rows = rows      # list[list[int]], constraint rows with rhs last
+        self.basis = basis    # basic variable (column) per row
+        self.den = 1
         self.pivots = 0
 
-    def pivot(self, r: int, c: int) -> None:
-        rows, b = self.rows, self.b
+    def pivot(self, r: int, c: int, obj=None) -> None:
+        """Pivot on (r, c), carrying the reduced-cost row ``obj`` along."""
+        rows, den = self.rows, self.den
         prow = rows[r]
-        piv = prow[c]
-        inv = 1 / piv
-        for j in range(self.ncols):
-            prow[j] *= inv
-        b[r] *= inv
-        prow[c] = ONE
+        p = prow[c]
         for i, row in enumerate(rows):
-            if i == r:
-                continue
-            f = row[c]
-            if f:
-                for j in range(self.ncols):
-                    if prow[j]:
-                        row[j] -= f * prow[j]
-                row[c] = ZERO
-                b[i] -= f * b[r]
+            if i != r:
+                rows[i] = _eliminate(row, prow, p, c, den)
+        if obj is not None:
+            obj[:] = _eliminate(obj, prow, p, c, den)
+        if p < 0:
+            # Only a zero-level artificial leaves on a negative entry;
+            # flipping every sign keeps rows / den and makes den positive.
+            for i, row in enumerate(rows):
+                rows[i] = [-a for a in row]
+            if obj is not None:
+                obj[:] = [-a for a in obj]
+            p = -p
+        self.den = p
         self.basis[r] = c
         self.pivots += 1
 
 
+def _eliminate(row, prow, p, c, den):
+    f = row[c]
+    if f:
+        return [(p * a - f * q) // den for a, q in zip(row, prow)]
+    if p == den:
+        return row
+    return [p * a // den for a in row]
+
+
 def _objective_row(tab: _Tableau, cost):
-    # Reduced costs z_j - c_j and current objective value for the basis.
-    obj = [-cj for cj in cost]
-    val = ZERO
+    # den times the reduced costs z_j - c_j of the integer costs ``cost``,
+    # with den times the objective value in the rhs slot.
+    den = tab.den
+    obj = [-den * cj for cj in cost] + [0]
     for i, bi in enumerate(tab.basis):
         cb = cost[bi]
         if cb:
-            row = tab.rows[i]
-            for j in range(tab.ncols):
-                if row[j]:
-                    obj[j] += cb * row[j]
-            val += cb * tab.b[i]
-    return obj, val
+            obj = [o + cb * a for o, a in zip(obj, tab.rows[i])]
+    return obj
 
 
 def _run_phase(tab, obj, allowed):
-    # Pivot until optimal (all reduced costs >= 0) or unbounded.
+    # Pivot until optimal (all reduced costs >= 0) or unbounded.  Every
+    # reduced cost and every ratio shares the denominator den, so costs
+    # compare directly and ratios b_i / a_i by cross-multiplying.
+    ncols = len(allowed)
     while True:
         enter = -1
         if tab.pivots < DANTZIG_PIVOTS:
-            best = ZERO
-            for j in range(tab.ncols):
+            best = 0
+            for j in range(ncols):
                 if allowed[j] and obj[j] < best:
                     best = obj[j]
                     enter = j
         else:
-            for j in range(tab.ncols):
+            for j in range(ncols):
                 if allowed[j] and obj[j] < 0:
                     enter = j
                     break
         if enter < 0:
             return "optimal"
         leave = -1
-        best_ratio = None
+        best_b = best_a = 0
         for i, row in enumerate(tab.rows):
             a = row[enter]
             if a > 0:
-                ratio = tab.b[i] / a
+                lhs, rhs = row[-1] * best_a, best_b * a
                 if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and tab.basis[i] < tab.basis[leave])
+                    leave < 0
+                    or lhs < rhs
+                    or (lhs == rhs and tab.basis[i] < tab.basis[leave])
                 ):
-                    best_ratio = ratio
+                    best_b, best_a = row[-1], a
                     leave = i
         if leave < 0:
             return "unbounded"
         if tab.pivots >= MAX_PIVOTS:
             raise IterationLimitError(f"pivot cap {MAX_PIVOTS} exceeded")
-        delta_obj = obj[enter]
-        tab.pivot(leave, enter)
-        # The pivot row is normalized now, so the reduced-cost update is
-        # r <- r - r_enter * (normalized pivot row).
-        prow = tab.rows[leave]
-        for j in range(tab.ncols):
-            if prow[j]:
-                obj[j] -= delta_obj * prow[j]
-        obj[enter] = ZERO
+        tab.pivot(leave, enter, obj)
 
 
 def solve_exact(lp: LinearProgram) -> SolveResult:
     """Exact rational optimum of a maximization LP with x >= 0.
 
+    Rows are normalized to a non-negative rhs, and a ``>=`` row with rhs 0
+    is negated into a ``<= 0`` row, so its slack starts basic and feasible;
+    phase 1 runs only if an ``=`` row or a ``>=`` row with positive rhs
+    remains.  Each row is scaled by the lcm of its denominators and
+    pivoted in an integer tableau with one common denominator (see
+    ``_Tableau``), so no ``Fraction`` is formed until the optimum is read
+    off.  The reported pivot count covers both phases.
+
     The pivot rule is fixed: largest coefficient for the first
     ``DANTZIG_PIVOTS`` pivots, then Bland's rule.  More than ``MAX_PIVOTS``
-    pivots over both phases raise ``IterationLimitError``.
+    pivots over both phases raise ``IterationLimitError``.  The primal
+    point and a dual vector read from the final reduced costs are checked
+    against the original rows in exact arithmetic before returning.
     """
     nv = lp.num_vars
     objective = list(lp.objective)
@@ -192,11 +216,12 @@ def solve_exact(lp: LinearProgram) -> SolveResult:
     # program unbounded if the rest is feasible; decide after phase 1.
     free_profit = any(not used[j] and objective[j] > 0 for j in range(nv))
 
-    # Normalize to b >= 0 (flip >= to <= and vice versa when negating).
+    # Normalize to b >= 0 (flip >= to <= and vice versa when negating);
+    # a ">= 0" row becomes "<= 0" so its slack is a feasible basic variable.
     rows = []
     for coeffs, rel, rhs in norm_rows:
         cs = [coeffs[j] for j in keep_cols]
-        if rhs < 0:
+        if rhs < 0 or (rhs == 0 and rel == ">="):
             cs = [-c for c in cs]
             rhs = -rhs
             rel = {">=": "<=", "<=": ">=", "=": "="}[rel]
@@ -218,39 +243,40 @@ def solve_exact(lp: LinearProgram) -> SolveResult:
             art_col[i] = ncols
             ncols += 1
 
+    # Each row times the lcm of its denominators, rhs included, is integer.
+    scale = [
+        math.lcm(rhs.denominator, *(c.denominator for c in cs)) for cs, _, rhs in rows
+    ]
     T = []
-    b = []
     basis = []
     for i, (cs, rel, rhs) in enumerate(rows):
-        row = [ZERO] * ncols
-        for k, c in enumerate(cs):
-            row[k] = Fraction(c)
+        s = scale[i]
+        row = [c.numerator * (s // c.denominator) for c in cs]
+        row += [0] * (ncols - ns)
+        row.append(rhs.numerator * (s // rhs.denominator))
         if slack_col[i] is not None:
-            row[slack_col[i]] = ONE if rel == "<=" else -ONE
+            row[slack_col[i]] = 1 if rel == "<=" else -1
         if art_col[i] is not None:
-            row[art_col[i]] = ONE
+            row[art_col[i]] = 1
             basis.append(art_col[i])
         else:
             basis.append(slack_col[i])
         T.append(row)
-        b.append(Fraction(rhs))
-    tab = _Tableau(T, b, basis, ncols)
+    tab = _Tableau(T, basis)
 
     # Phase 1: drive the artificials to zero.
     have_art = any(c is not None for c in art_col)
     row_deleted = [False] * m
     if have_art:
-        cost1 = [ZERO] * ncols
+        cost1 = [0] * ncols
         for c in art_col:
             if c is not None:
-                cost1[c] = -ONE
-        obj1, _ = _objective_row(tab, cost1)
-        allowed = [True] * ncols
-        status = _run_phase(tab, obj1, allowed)
+                cost1[c] = -1
+        status = _run_phase(tab, _objective_row(tab, cost1), [True] * ncols)
         if status != "optimal":
             raise SelfCheckError("phase 1 cannot be unbounded")
         art_set = set(c for c in art_col if c is not None)
-        if any(tab.b[i] != 0 for i in range(m) if tab.basis[i] in art_set):
+        if any(tab.rows[i][-1] != 0 for i in range(m) if tab.basis[i] in art_set):
             return SolveResult("infeasible", None, None, tab.pivots, True)
         # Pivot remaining zero-level artificials out, or mark rows redundant.
         for i in range(m):
@@ -268,31 +294,29 @@ def solve_exact(lp: LinearProgram) -> SolveResult:
     if free_profit:
         return SolveResult("unbounded", None, None, tab.pivots, True)
 
-    # Phase 2 on the real objective; artificial columns may not re-enter.
-    cost2 = [ZERO] * ncols
-    for k, j in enumerate(keep_cols):
-        cost2[k] = objective[j]
-    obj2, _ = _objective_row(tab, cost2)
-    allowed = [j < art_start for j in range(ncols)]
+    # Drop redundant rows in place, so the pivot count carries over.
     live_rows = [i for i in range(m) if not row_deleted[i]]
     if len(live_rows) != m:
-        # Rebuild the tableau without redundant rows.
-        tab = _Tableau(
-            [tab.rows[i] for i in live_rows],
-            [tab.b[i] for i in live_rows],
-            [tab.basis[i] for i in live_rows],
-            ncols,
-        )
-        obj2, _ = _objective_row(tab, cost2)
-    status = _run_phase(tab, obj2, allowed)
+        tab.rows = [tab.rows[i] for i in live_rows]
+        tab.basis = [tab.basis[i] for i in live_rows]
+
+    # Phase 2 on the real objective, scaled by L to integers; artificial
+    # columns may not re-enter.
+    cost_scale = math.lcm(*(objective[j].denominator for j in keep_cols))
+    cost2 = [0] * ncols
+    for k, j in enumerate(keep_cols):
+        cost2[k] = int(objective[j] * cost_scale)
+    obj2 = _objective_row(tab, cost2)
+    status = _run_phase(tab, obj2, [j < art_start for j in range(ncols)])
     if status == "unbounded":
         return SolveResult("unbounded", None, None, tab.pivots, True)
 
-    # Extract the primal point in original variable space.
+    # Extract the primal point (b_i / den) in original variable space.
+    den = tab.den
     x = [ZERO] * nv
-    for i, bi in enumerate(tab.basis):
+    for row, bi in zip(tab.rows, tab.basis):
         if bi < ns:
-            x[keep_cols[bi]] = tab.b[i]
+            x[keep_cols[bi]] = Fraction(row[-1], den)
     value = sum((c * v for c, v in zip(lp.objective, x)), ZERO)
 
     # Re-verification: primal feasibility against the original rows ...
@@ -303,20 +327,22 @@ def solve_exact(lp: LinearProgram) -> SolveResult:
     if any(v < 0 for v in x):
         raise SelfCheckError("optimal point violates a variable bound")
 
-    # ... and optimality through the dual recovered from reduced costs.
-    obj_final, _ = _objective_row(tab, cost2)
+    # ... and optimality through the dual read from the final reduced
+    # costs (over den * L), rescaled by each row's integer scale.
     y = [ZERO] * m
     for i in range(m):
         if row_deleted[i]:
             continue
         if slack_col[i] is not None:
-            red = obj_final[slack_col[i]]
-            y[i] = red if rows[i][1] == "<=" else -red
+            red = obj2[slack_col[i]]
+            if rows[i][1] == ">=":
+                red = -red
         else:
-            y[i] = obj_final[art_col[i]]
-    for k in range(ns):
+            red = obj2[art_col[i]]
+        y[i] = Fraction(red * scale[i], den * cost_scale)
+    for k, j in enumerate(keep_cols):
         covered = sum((y[i] * rows[i][0][k] for i in range(m)), ZERO)
-        if covered < cost2[k]:
+        if covered < objective[j]:
             raise SelfCheckError("dual certificate fails dual feasibility")
     for i in range(m):
         if rows[i][1] == "<=" and y[i] < 0:

@@ -84,6 +84,96 @@ def test_exact_result_json():
     assert data["exact"] is True
 
 
+def _row(name, coeffs, rel, rhs):
+    return LPRow(name, tuple(Fraction(c) for c in coeffs), rel, Fraction(rhs))
+
+
+def test_exact_pivots_survive_redundant_row():
+    # x0 + x1 = 1, max x0 + 2*x1: one phase-1 and one phase-2 pivot.  The
+    # duplicated row is found redundant after phase 1 and dropped; its
+    # phase-1 pivot must still be counted.
+    row = _row("R", (1, 1), "=", 1)
+    single = solve_exact(_custom([0, 1], [1, 2], [row]))
+    double = solve_exact(_custom([0, 1], [1, 2], [row, row]))
+    for res in (single, double):
+        assert res.status == "optimal" and res.value == 2
+        assert res.primal == (0, 1)
+        assert res.pivots == 2
+
+
+def test_exact_rational_coefficients():
+    # (1/3) x0 + (2/5) x1 <= 1, x0 <= 3/2, x1 >= 1/7, max x0 + x1.
+    # x0 earns 3 per unit of the first row and x1 earns 5/2, so x0 goes to
+    # its bound 3/2 and x1 takes the remaining 1/2: x1 = 5/4, value 11/4.
+    # Dual: y = (5/2, 1/6, 0), and 5/2 + (1/6)(3/2) = 11/4.
+    rows = [
+        _row("A", (Fraction(1, 3), Fraction(2, 5)), "<=", 1),
+        _row("B", (1, 0), "<=", Fraction(3, 2)),
+        _row("C", (0, 1), ">=", Fraction(1, 7)),
+    ]
+    res = solve_exact(_custom([0, 1], [1, 1], rows))
+    assert res.status == "optimal"
+    assert res.value == Fraction(11, 4)
+    assert res.primal == (Fraction(3, 2), Fraction(5, 4))
+
+
+def test_exact_rational_objective():
+    # x0 + x1 <= 1, max (2/3) x0 + (3/7) x1: x0 = 1, value 2/3.
+    rows = [_row("A", (1, 1), "<=", 1)]
+    res = solve_exact(_custom([0, 1], [Fraction(2, 3), Fraction(3, 7)], rows))
+    assert res.value == Fraction(2, 3) and res.primal == (1, 0)
+
+
+def test_exact_positive_rhs_ge_needs_phase_one():
+    # min x0 + x1 on x0 + 2 x1 >= 4, 3 x0 + x1 >= 3: the origin is
+    # infeasible; the optimum is the crossing (2/5, 9/5), sum 11/5.
+    rows = [_row("A", (1, 2), ">=", 4), _row("B", (3, 1), ">=", 3)]
+    res = solve_exact(_custom([0, 1], [-1, -1], rows))
+    assert res.status == "optimal"
+    assert res.value == Fraction(-11, 5)
+    assert res.primal == (Fraction(2, 5), Fraction(9, 5))
+    assert res.pivots >= 2
+
+
+def test_exact_zero_rhs_ge_starts_feasible():
+    # x0 - x1 >= 0 becomes x1 - x0 <= 0 with a basic slack; max -x0 is
+    # optimal at the origin without a single pivot.
+    rows = [_row("A", (1, -1), ">=", 0)]
+    res = solve_exact(_custom([0, 1], [-1, 0], rows))
+    assert res.status == "optimal" and res.value == 0
+    assert res.pivots == 0
+
+
+def test_exact_negative_rhs_le():
+    # -x0 - x1 <= -2 (x0 + x1 >= 2), x0 <= 3/2, min x0 + 2 x1:
+    # x0 = 3/2, x1 = 1/2, value -5/2.
+    rows = [_row("A", (-1, -1), "<=", -2), _row("B", (1, 0), "<=", Fraction(3, 2))]
+    res = solve_exact(_custom([0, 1], [-1, -2], rows))
+    assert res.status == "optimal"
+    assert res.value == Fraction(-5, 2)
+    assert res.primal == (Fraction(3, 2), Fraction(1, 2))
+
+
+def test_exact_zero_rhs_equality():
+    # x0 - x1 = 0, x0 + 2 x1 <= 3, max x0 + x1: x0 = x1 = 1.
+    rows = [_row("A", (1, -1), "=", 0), _row("B", (1, 2), "<=", 3)]
+    res = solve_exact(_custom([0, 1], [1, 1], rows))
+    assert res.status == "optimal" and res.value == 2
+    assert res.primal == (1, 1)
+
+
+def test_exact_verdicts_with_zero_rhs_rows():
+    # x0 >= x1 and x1 >= x0 + 1 cannot both hold.
+    clash = [_row("A", (1, -1), ">=", 0), _row("B", (-1, 1), ">=", 1)]
+    lp = _custom([0, 1], [1, 1], clash)
+    assert solve_exact(lp).status == "infeasible"
+    assert solve_float(lp).status == "infeasible"
+    # x0 >= x1 alone lets x0 = x1 grow without bound.
+    lp = _custom([0, 1], [1, 0], clash[:1])
+    assert solve_exact(lp).status == "unbounded"
+    assert solve_float(lp).status == "unbounded"
+
+
 # ---------------------------------------------------------------------------
 # solve_float
 # ---------------------------------------------------------------------------
