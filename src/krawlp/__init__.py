@@ -36,7 +36,6 @@ from .errors import (
 from .krawtchouk import (
     KrawtchoukTable,
     build_table,
-    build_table_alt,
     cached_table,
     classical_krawtchouk,
     eval_direct,

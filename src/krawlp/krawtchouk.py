@@ -16,14 +16,14 @@ Three independent evaluation routes are implemented:
                       oracle, only usable for tiny nl;
 * ``eval_explicit`` - a finite sum over contingency tables whose margins
                       are the two Venn vectors; polynomially many terms;
-* ``build_table``   - dynamic programming that strips one coordinate
-                      position per step (blocklength n -> n-1), with the
-                      n = 1 base case delegated to ``eval_explicit``.
-                      This is the production path for whole tables.
+* ``build_table``   - the generating function: column g is the coefficient
+                      vector of prod_J L_J(z)^venn_g(J) with
+                      L_J(z) = sum_K (-1)^|J & K| z_K, multiplied out one
+                      linear form at a time.  This is the production path
+                      for whole tables and shares no evaluation code
+                      with the other two routes.
 
-``build_table_alt`` implements a second recursion that moves Venn mass
-between cells at fixed blocklength; it exists purely to cross-check the
-production path, and the two must agree entrywise.
+At l = 1 the product is the classical (1 + z)^(n-j) (1 - z)^j.
 
 All values are arbitrary-precision integers: entries reach 2^(l*n).
 """
@@ -35,11 +35,12 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from operator import add, mul, sub
 from pathlib import Path
 
 from .configs import (
     SDConfig,
-    _multinomial,
+    _compositions_desc,
     _sd_entries,
     config_count,
     enumerate_configs,
@@ -163,7 +164,7 @@ def eval_explicit(h: SDConfig, g: SDConfig, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Full tables via dynamic programming
+# Full tables via the generating function
 # ---------------------------------------------------------------------------
 
 
@@ -206,91 +207,46 @@ def _check_table_budget(n: int, ell: int) -> int:
     return count
 
 
-def _strip(v: tuple[int, ...], j: int) -> tuple[int, ...]:
-    return v[:j] + (v[j] - 1,) + v[j + 1 :]
-
-
-def _table_rec(m: int, vg: tuple[int, ...], vh: tuple[int, ...], memo: dict) -> int:
-    # Blocklength-reducing recursion.  Pivot cell: smallest bitmask with
-    # vg mass, which always exists since the Venn entries sum to m >= 1.
-    if m == 1:
-        return _explicit_from_venn(vg, vh)
-    key = (m, vg, vh)
-    val = memo.get(key)
-    if val is not None:
-        return val
-    j0 = 0
-    while not vg[j0]:
-        j0 += 1
-    vg_next = _strip(vg, j0)
-    acc = 0
-    for k0, c in enumerate(vh):
-        if c:
-            sub = _table_rec(m - 1, vg_next, _strip(vh, k0), memo)
-            acc += -sub if ((j0 & k0).bit_count() & 1) else sub
-    memo[key] = acc
-    return acc
-
-
 def build_table(n: int, ell: int) -> KrawtchoukTable:
-    """Full table of K_h(g) values, computed by blocklength recursion with
-    memoization over blocklengths 1..n."""
-    _check_table_budget(n, ell)
-    configs = enumerate_configs(n, ell)
-    venns = tuple(sd_to_venn(c, n).entries for c in configs)
-    memo: dict = {}
-    values = tuple(
-        tuple(_table_rec(n, vg, vh, memo) for vg in venns) for vh in venns
-    )
-    return KrawtchoukTable(n, ell, values)
+    """Full table of K_h(g) values from the generating function.
 
-
-def _bump(v: tuple[int, ...], j: int) -> tuple[int, ...]:
-    # +1 on the empty cell, -1 on cell j (no-op for j = 0).
-    if j == 0:
-        return v
-    return (v[0] + 1,) + v[1:j] + (v[j] - 1,) + v[j + 1 :]
-
-
-def _table_rec_alt(n: int, vg: tuple[int, ...], vh: tuple[int, ...], memo: dict) -> int:
-    # Cell-moving recursion at fixed blocklength.  The pivot is the smallest
-    # nonempty cell carrying vg mass; when g is trivial the value is the
-    # orbit size of h.  The empty-cell term of the second sum is always
-    # present (the h-side move is a no-op there).
-    if vg[0] == n:
-        return _multinomial(n, vh)
-    key = (vg, vh)
-    val = memo.get(key)
-    if val is not None:
-        return val
-    j0 = 1
-    while not vg[j0]:
-        j0 += 1
-    vg_next = _bump(vg, j0)
-    acc = _table_rec_alt(n, vg_next, vh, memo)
-    for k0 in range(1, len(vh)):
-        if vh[k0]:
-            vh_next = _bump(vh, k0)
-            acc -= _table_rec_alt(n, vg, vh_next, memo)
-            sub = _table_rec_alt(n, vg_next, vh_next, memo)
-            acc += -sub if ((j0 & k0).bit_count() & 1) else sub
-    memo[key] = acc
-    return acc
-
-
-def build_table_alt(n: int, ell: int) -> KrawtchoukTable:
-    """Same table as ``build_table`` via the cell-moving recursion.
-
-    Kept as an independent cross-validation path; not the production route.
+    Column g holds the coefficients of prod_J L_J(z)^venn_g(J), where
+    L_J(z) = sum_K (-1)^|J & K| z_K and the coefficient of the monomial
+    z^venn_h is K_h(g).  The product is taken one linear form at a time,
+    degree by degree: the column of a Venn vector v of degree m is the
+    column of v minus its smallest nonempty cell j, multiplied by L_j.
+    Every Venn vector of degree m < n is such a prefix of one of degree n,
+    so each degree keeps one column per monomial and only two degrees are
+    alive at once.
     """
     _check_table_budget(n, ell)
-    configs = enumerate_configs(n, ell)
-    venns = tuple(sd_to_venn(c, n).entries for c in configs)
-    memo: dict = {}
-    values = tuple(
-        tuple(_table_rec_alt(n, vg, vh, memo) for vg in venns) for vh in venns
-    )
-    return KrawtchoukTable(n, ell, values)
+    cells = 1 << ell
+    odd = [[(j & k).bit_count() & 1 for k in range(cells)] for j in range(cells)]
+    index = {(0,) * cells: 0}
+    columns = {(0,) * cells: [1]}
+    for m in range(1, n + 1):
+        monomials = tuple(_compositions_desc(m, cells))
+        # shifts[k][i]: position of monomial i divided by z_k one degree
+        # down, or the zero padding slot past the end when cell k is empty.
+        pad = len(index)
+        shifts = [
+            [index[u[:k] + (u[k] - 1,) + u[k + 1 :]] if u[k] else pad for u in monomials]
+            for k in range(cells)
+        ]
+        new_columns = {}
+        for v in monomials:
+            j = 0
+            while not v[j]:
+                j += 1
+            get = (columns[v[:j] + (v[j] - 1,) + v[j + 1 :]] + [0]).__getitem__
+            col = list(map(get, shifts[0]))
+            for k in range(1, cells):
+                col = list(map(sub if odd[j][k] else add, col, map(get, shifts[k])))
+            new_columns[v] = col
+        index = {u: i for i, u in enumerate(monomials)}
+        columns = new_columns
+    # Degree-n monomials are the Venn vectors in canonical config order.
+    return KrawtchoukTable(n, ell, tuple(zip(*columns.values())))
 
 
 @lru_cache(maxsize=None)
@@ -325,10 +281,9 @@ def verify_orthogonality(table: KrawtchoukTable) -> CheckReport:
     violations = []
     checked = 0
     for a in range(len(configs)):
-        row_a = table.values[a]
+        wa = list(map(mul, sizes, table.values[a]))
         for b in range(a, len(configs)):
-            row_b = table.values[b]
-            s = sum(w * x * y for w, x, y in zip(sizes, row_a, row_b))
+            s = sum(map(mul, wa, table.values[b]))
             want = scale * sizes[a] if a == b else 0
             checked += 1
             if s != want:
@@ -388,15 +343,51 @@ def save_table(table: KrawtchoukTable, cache_dir: str | Path) -> Path:
     return path
 
 
+def _plausible(table: KrawtchoukTable) -> bool:
+    # O(size) checks of a loaded table: the trivial row is all ones, the
+    # trivial column holds the orbit sizes, and reflection holds on a fixed
+    # sample of one pair per row.
+    size = table.size
+    values = table.values
+    sizes = [orbit_size(c, table.n) for c in enumerate_configs(table.n, table.ell)]
+    if any(v != 1 for v in values[0]):
+        return False
+    if any(row[0] != w for row, w in zip(values, sizes)):
+        return False
+    for a in range(size):
+        b = (7 * a + 1) % size
+        if values[a][b] * sizes[b] != values[b][a] * sizes[a]:
+            return False
+    return True
+
+
 def load_table(n: int, ell: int, cache_dir: str | Path) -> KrawtchoukTable | None:
-    """Load a cached table, or None on miss/version mismatch."""
+    """Load a cached table, or None on a miss.
+
+    A missing or undecodable file, another format version, another (n, l),
+    or a table that fails the cheap checks of ``_plausible`` is a miss, so
+    the caller rebuilds the table and overwrites the file.
+    """
     path = table_cache_path(cache_dir, n, ell)
     if not path.is_file():
         return None
-    with gzip.open(path, "rt", encoding="ascii") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != TABLE_FORMAT_VERSION:
+    try:
+        with gzip.open(path, "rt", encoding="ascii") as fh:
+            payload = json.load(fh)
+        if not isinstance(payload, dict) or payload.get("format") != TABLE_FORMAT_VERSION:
+            return None
+        if (payload["n"], payload["l"]) != (n, ell):
+            return None
+        table = KrawtchoukTable(n, ell, tuple(tuple(row) for row in payload["values"]))
+        plausible = _plausible(table)
+    except (
+        gzip.BadGzipFile,
+        EOFError,
+        UnicodeDecodeError,
+        json.JSONDecodeError,
+        KeyError,
+        TypeError,
+        InvalidInputError,
+    ):
         return None
-    return KrawtchoukTable(
-        payload["n"], payload["l"], tuple(tuple(row) for row in payload["values"])
-    )
+    return table if plausible else None

@@ -128,7 +128,7 @@ def suite_roundtrip(n_cap: int | None = None, l_cap: int | None = None) -> Suite
 def suite_triple_agreement(
     n_cap: int | None = None, l_cap: int | None = None
 ) -> SuiteResult:
-    """Direct sum, explicit formula and DP table agree on every entry."""
+    """Direct sum, explicit formula and generating-function table agree on every entry."""
     n_max, l_max = _cap(4, n_cap), _cap(2, l_cap)
     res = SuiteResult("triple-agreement", {"n_max": n_max, "l_max": l_max})
     for ell in range(1, l_max + 1):

@@ -6,11 +6,14 @@ The same suites back the ``krawlp verify`` command, so everything here is
 reachable from the CLI as well.
 """
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import krawlp
 from krawlp.suites import SUITES, run_suite
 
 # criterion number, suite name, wall-clock budget in seconds
@@ -52,12 +55,16 @@ def test_all_criteria_reachable_from_verify_cli():
 
 
 def test_verify_cli_composite_run():
-    # the documented composite run: every suite at the n=4, l=2 caps
+    # the documented composite run: every suite at the n=4, l=2 caps; the
+    # child imports the same krawlp as this process, installed or not
+    pkg_root = str(Path(krawlp.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [pkg_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "krawlp.cli", "verify", "--n", "4", "--l", "2"],
         capture_output=True,
         text=True,
         timeout=590,
+        env={**os.environ, "PYTHONPATH": pythonpath},
     )
     print(proc.stdout)
     assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -1,13 +1,16 @@
 """Command-line surface: records, artifacts, exit codes, determinism."""
 
+import gzip
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import krawlp
-from krawlp import cli
+from krawlp import cli, krawtchouk
 from krawlp.suites import SuiteResult
 
 
@@ -59,6 +62,29 @@ def test_krawtchouk_csv_and_cache(tmp_path, capsys):
     assert code == 0
     assert out.read_bytes() == first
     assert list(tmp_path.glob("ktable-*.json.gz"))
+
+
+@pytest.mark.parametrize("kind", ["all-7s", "wrong-n", "truncated"])
+def test_krawtchouk_rebuilds_a_wrong_cache(tmp_path, capsys, kind):
+    want = krawtchouk.build_table(2, 1)
+    path = krawtchouk.table_cache_path(tmp_path, 2, 1)
+    if kind == "truncated":
+        krawtchouk.save_table(want, tmp_path)
+        path.write_bytes(path.read_bytes()[:-20])
+    else:
+        if kind == "all-7s":
+            n, values = 2, [[7] * 3] * 3
+        else:  # a true table of (3, 1) under the (2, 1) file name
+            n, values = 3, krawtchouk.build_table(3, 1).values
+        payload = {"format": 1, "n": n, "l": 1, "values": [list(r) for r in values]}
+        with gzip.open(path, "wb") as gz:
+            gz.write(json.dumps(payload).encode("ascii"))
+    argv = ["krawtchouk", "--n", "2", "--l", "1", "--cache-dir", str(tmp_path)]
+    code, records, _ = _run(capsys, argv)
+    assert code == 0
+    assert records[-1]["values"] == [list(r) for r in want.values]
+    # the bad file was overwritten with the rebuilt table
+    assert krawtchouk.load_table(2, 1, tmp_path) == want
 
 
 def test_build_lp_writes_deterministic_artifact(tmp_path, capsys):

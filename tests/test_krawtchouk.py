@@ -1,6 +1,8 @@
 """Value evaluation: three routes, identities, exports, cache."""
 
+import gzip
 import itertools
+import json
 
 import pytest
 
@@ -15,14 +17,15 @@ from krawlp.configs import (
 )
 from krawlp.errors import CapacityError, ParameterError
 from krawlp.krawtchouk import (
+    KrawtchoukTable,
     build_table,
-    build_table_alt,
     cached_table,
     classical_krawtchouk,
     eval_direct,
     eval_explicit,
     load_table,
     save_table,
+    table_cache_path,
     table_to_csv,
     verify_orthogonality,
     verify_reflection,
@@ -170,9 +173,19 @@ def test_table_invariants():
             assert sum(w * v for w, v in zip(sizes, table.values[i])) == 0
 
 
-@pytest.mark.parametrize("n,ell", [(1, 1), (3, 1), (4, 1), (2, 2), (3, 2), (4, 2)])
-def test_recursion_variants_agree(n, ell):
-    assert build_table(n, ell).values == build_table_alt(n, ell).values
+@pytest.mark.parametrize("n,ell", [(2, 3), (3, 3), (5, 2), (6, 2)])
+def test_table_matches_explicit_beyond_direct(n, ell):
+    # Sizes outside triple-agreement, (3,3) and (6,2) past eval_direct's
+    # reach.  The upper triangle is compared with eval_explicit; the lower
+    # one follows by reflection, K_g(h) |h| = K_h(g) |g|, from the same values.
+    configs = enumerate_configs(n, ell)
+    sizes = [orbit_size(g, n) for g in configs]
+    table = build_table(n, ell).values
+    for a, h in enumerate(configs):
+        for b in range(a, len(configs)):
+            value = eval_explicit(h, configs[b], n)
+            assert table[a][b] == value, (a, b)
+            assert table[b][a] * sizes[a] == value * sizes[b], (b, a)
 
 
 def test_table_budget_errors():
@@ -201,6 +214,42 @@ def test_orthogonality_diagonal_value():
     sizes = [orbit_size(g, 2) for g in enumerate_configs(2, 1)]
     row = table.values[1]
     assert sum(w * v * v for w, v in zip(sizes, row)) == 8
+
+
+def test_sweeps_report_exactly_what_one_wrong_entry_breaks():
+    # One entry of the true (3,2) table is off by one.  Since the true table
+    # is orthogonal, a pair's sum moves only when it involves row a0: by
+    # |b0| K_other(b0) off the diagonal, by |b0| (2 K_a0(b0) + 1) on it.
+    n, ell, a0, b0 = 3, 2, 2, 5
+    true = build_table(n, ell).values
+    values = [list(row) for row in true]
+    values[a0][b0] += 1
+    table = KrawtchoukTable(n, ell, tuple(map(tuple, values)))
+    sizes = [orbit_size(g, n) for g in enumerate_configs(n, ell)]
+    size = len(sizes)
+    scale = 1 << (ell * n)
+    want = []
+    for a in range(size):
+        for b in range(a, size):
+            if a == b == a0:
+                target = scale * sizes[a0]
+                got = target + sizes[b0] * (2 * true[a0][b0] + 1)
+            elif a0 in (a, b):
+                target = 0
+                got = sizes[b0] * true[b if a == a0 else a][b0]
+            else:
+                continue
+            if got != target:
+                want.append(f"(h={a}, h'={b}): got {got}, want {target}")
+    report = verify_orthogonality(table)
+    assert report.checked == size * (size + 1) // 2 == 210
+    assert len(want) > 2
+    assert report.violations == tuple(want)
+    report = verify_reflection(table)
+    assert report.checked == 210
+    assert report.violations == (
+        f"(h={a0}, g={b0}): {true[a0][b0] + 1}*{sizes[b0]} != {true[b0][a0]}*{sizes[a0]}",
+    )
 
 
 def test_reflection_small():
@@ -237,6 +286,87 @@ def test_cache_roundtrip(tmp_path):
     first = path.read_bytes()
     save_table(table, tmp_path)
     assert path.read_bytes() == first
+
+
+def _write_cache(path, payload):
+    with gzip.open(path, "wb") as gz:
+        gz.write(json.dumps(payload).encode("ascii"))
+
+
+def _payload(table, **changes):
+    payload = {"format": 1, "n": table.n, "l": table.ell, "values": [list(r) for r in table.values]}
+    payload.update(changes)
+    return payload
+
+
+def _corrupt(kind, path):
+    table = build_table(3, 2)
+    if kind == "all-7s":
+        _write_cache(path, _payload(table, values=[[7] * table.size] * table.size))
+    elif kind == "wrong-n":
+        # a true table, but of (4, 2), under the (3, 2) file name
+        _write_cache(path, _payload(build_table(4, 2)))
+    elif kind == "wrong-n-label":
+        _write_cache(path, _payload(table, n=4))
+    elif kind == "row-0":
+        values = [list(r) for r in table.values]
+        values[0][5] = 2
+        _write_cache(path, _payload(table, values=values))
+    elif kind == "column-0":
+        values = [list(r) for r in table.values]
+        values[3][0] += 1
+        _write_cache(path, _payload(table, values=values))
+    elif kind == "row-off":
+        values = [list(r) for r in table.values]
+        values[1] = [values[1][0]] + [v + 1 for v in values[1][1:]]
+        _write_cache(path, _payload(table, values=values))
+    elif kind == "not-a-dict":
+        _write_cache(path, [1, 2, 3])
+    elif kind == "no-values":
+        payload = _payload(table)
+        del payload["values"]
+        _write_cache(path, payload)
+    elif kind == "values-not-rows":
+        _write_cache(path, _payload(table, values=[1] * table.size))
+    elif kind == "ragged":
+        _write_cache(path, _payload(table, values=[list(r) for r in table.values][:-1]))
+    elif kind == "not-json":
+        with gzip.open(path, "wb") as gz:
+            gz.write(b'{"format": 1, "n": 3,')
+    elif kind == "non-ascii":
+        with gzip.open(path, "wb") as gz:
+            gz.write(b'{"format": 1, "n": 3, "l": 2, "values": "\xff"}')
+    elif kind == "truncated":
+        save_table(table, path.parent)
+        path.write_bytes(path.read_bytes()[:-20])
+    elif kind == "not-gzip":
+        path.write_bytes(b"not a gzip file")
+
+
+CORRUPTIONS = [
+    "all-7s",
+    "wrong-n",
+    "wrong-n-label",
+    "row-0",
+    "column-0",
+    "row-off",
+    "not-a-dict",
+    "no-values",
+    "values-not-rows",
+    "ragged",
+    "not-json",
+    "non-ascii",
+    "truncated",
+    "not-gzip",
+]
+
+
+@pytest.mark.parametrize("kind", CORRUPTIONS)
+def test_load_treats_a_wrong_cache_as_a_miss(tmp_path, kind):
+    path = table_cache_path(tmp_path, 3, 2)
+    _corrupt(kind, path)
+    assert path.is_file()
+    assert load_table(3, 2, tmp_path) is None
 
 
 def test_representative_is_valid_for_eval():
