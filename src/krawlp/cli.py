@@ -6,7 +6,9 @@ outputs stay byte-identical across runs.  Numeric output defaults to exact
 fraction strings; ``--decimal`` opts into rounded display.
 
 Exit codes: 0 success, 1 verification violation, 2 invalid parameters,
-3 capacity budget exceeded.
+3 capacity budget exceeded, 4 internal failure (a self-check, the pivot
+cap or the floating-point solver failed; stdout then holds one record with
+the error's class name and message).
 """
 
 from __future__ import annotations
@@ -21,7 +23,14 @@ from pathlib import Path
 
 from . import __version__
 from .configs import config_to_json, enumerate_configs
-from .errors import CapacityError, InvalidInputError, ParameterError
+from .errors import (
+    CapacityError,
+    InvalidInputError,
+    IterationLimitError,
+    ParameterError,
+    SelfCheckError,
+    SolverNumericsError,
+)
 from .krawtchouk import cached_table, load_table, save_table, table_to_csv
 from .lp import build_delsarte, build_hierarchy_lp, export_lp
 from .oracle import build_fourier_lp, max_code, max_linear_code
@@ -34,6 +43,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_PARAMS = 2
 EXIT_CAPACITY = 3
+EXIT_INTERNAL = 4
 
 
 def _emit(record: dict) -> None:
@@ -324,6 +334,9 @@ def main(argv: list[str] | None = None) -> int:
     except CapacityError as exc:
         print(f"capacity: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
+    except (SelfCheckError, IterationLimitError, SolverNumericsError) as exc:
+        _emit({"command": args.command, "error": type(exc).__name__, "message": str(exc)})
+        return EXIT_INTERNAL
     _timing(args.command, time.perf_counter() - start)
     return code
 

@@ -290,7 +290,9 @@ def check_feasibility(
     if tolerance < 0:
         raise ParameterError("tolerance must be non-negative")
     pos = {cfg: i for i, cfg in enumerate(lp.var_configs())}
-    x = [ZERO] * lp.num_vars
+    # The profile's (slot, value) support in slot order; every sum below
+    # runs over it, since the other variables are zero.
+    support = []
     for cfg, val in point.entries.items():
         slot = pos.get(cfg)
         if slot is None:
@@ -302,15 +304,16 @@ def check_feasibility(
                     None,
                 )
         else:
-            x[slot] = val
-    for i, v in enumerate(x):
+            support.append((slot, val))
+    support.sort()
+    for i, v in support:
         if v < -tolerance:
             return FeasibilityVerdict(
                 False, "bound-violation", f"variable {lp.variable_names[i]} = {v} < 0", None
             )
-    objective = sum((c * v for c, v in zip(lp.objective, x)), ZERO)
+    objective = sum((lp.objective[i] * v for i, v in support), ZERO)
     for row in lp.rows:
-        lhs = sum((c * v for c, v in zip(row.coeffs, x)), ZERO)
+        lhs = sum((row.coeffs[i] * v for i, v in support), ZERO)
         if not row.holds(lhs, tolerance):
             return FeasibilityVerdict(
                 False,

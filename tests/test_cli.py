@@ -11,6 +11,7 @@ import pytest
 
 import krawlp
 from krawlp import cli, krawtchouk
+from krawlp.errors import IterationLimitError, SelfCheckError, SolverNumericsError
 from krawlp.suites import SuiteResult
 
 
@@ -140,6 +141,42 @@ def test_oracle_record(capsys):
     code, records, _ = _run(capsys, ["oracle", "--n", "7", "--d", "3", "--linear"])
     assert code == 0
     assert records[0]["size"] == 16
+
+
+def test_oracle_witness_words_are_pinned(capsys):
+    # The greedy seed, scanning words in index order, yields this code (the
+    # lexicode, a Hamming code); another code of size 16 fails here.
+    code, records, _ = _run(capsys, ["oracle", "--n", "7", "--d", "3"])
+    assert code == 0
+    assert records[0]["witness"]["words"] == [
+        "00", "07", "19", "1e", "2a", "2d", "33", "34",
+        "4b", "4c", "52", "55", "61", "66", "78", "7f",
+    ]
+
+
+@pytest.mark.parametrize(
+    "command, target, error",
+    [
+        (["oracle", "--n", "4", "--d", "3"], "max_code", SelfCheckError),
+        (["solve", "--n", "3", "--d", "2"], "solve_exact", IterationLimitError),
+        (["solve", "--n", "3", "--d", "2", "--float"], "solve_float", SolverNumericsError),
+    ],
+)
+def test_internal_failures_exit_four(monkeypatch, capsys, command, target, error):
+    def failing(*args, **kwargs):
+        raise error("synthetic failure")
+
+    monkeypatch.setattr(cli, target, failing)
+    code = cli.main(command)
+    out = capsys.readouterr()
+    assert code == cli.EXIT_INTERNAL == 4
+    lines = out.out.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["command"] == command[0]
+    assert record["error"] == error.__name__
+    assert record["message"] == "synthetic failure"
+    assert "Traceback" not in out.out + out.err
 
 
 def test_verify_small_caps(capsys):

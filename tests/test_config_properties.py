@@ -1,0 +1,34 @@
+"""Configuration round trip on random word tuples."""
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from krawlp.configs import (  # noqa: E402
+    WordTuple,
+    config_index,
+    config_of_tuple,
+    sd_to_venn,
+    venn_of_tuple,
+    venn_to_sd,
+)
+
+
+@st.composite
+def word_tuples(draw):
+    n = draw(st.integers(1, 8))
+    ell = draw(st.integers(1, 3))
+    words = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=ell, max_size=ell))
+    return WordTuple(tuple(words), n)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(word_tuples())
+def test_config_venn_round_trip(t):
+    g = config_of_tuple(t)
+    venn = sd_to_venn(g, t.n)
+    assert venn == venn_of_tuple(t)
+    assert venn_to_sd(venn) == g
+    assert g in config_index(t.n, t.ell)

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import random
 from math import inf
 
 import pytest
@@ -11,6 +12,7 @@ from krawlp.errors import CapacityError, NotLinearError
 from krawlp.lp import build_hierarchy_lp, profile_of_code
 from krawlp.oracle import (
     CodeSet,
+    _max_independent_set,
     build_fourier_lp,
     dual_code,
     iter_linear_codes,
@@ -68,6 +70,80 @@ def test_max_code_witness_has_distance():
 def test_max_code_capacity():
     with pytest.raises(CapacityError):
         max_code(8, 3)
+
+
+# Odd d >= 3 with d <= n <= 7; every other (n, d) follows from these.
+ODD_D_VALUES = {
+    (3, 3): 2, (4, 3): 2, (5, 3): 4, (6, 3): 8, (7, 3): 16,
+    (5, 5): 2, (6, 5): 2, (7, 5): 2, (7, 7): 2,
+}
+
+
+def _known_a2(n, d):
+    if d <= 1:
+        return 2**n
+    if d > n:
+        return 1
+    if d % 2 == 0:
+        # A(n, 2t) = A(n-1, 2t-1); at d = 2 this is 2^(n-1)
+        return _known_a2(n - 1, d - 1)
+    return ODD_D_VALUES[(n, d)]
+
+
+def _cayley_graph(n, connection):
+    # u ~ v iff u ^ v is in the connection set
+    return [
+        sum(1 << u for u in range(1 << n) if u ^ v in connection) for v in range(1 << n)
+    ]
+
+
+def _reference_independence_number(adj):
+    # Plain include/exclude over the vertices, no bound and no fixed vertex.
+    full = (1 << len(adj)) - 1
+    far = [full & ~a & ~(1 << v) for v, a in enumerate(adj)]
+
+    def best(candidates):
+        if not candidates:
+            return 0
+        low = candidates & -candidates
+        v = low.bit_length() - 1
+        return max(1 + best(candidates & far[v]), best(candidates ^ low))
+
+    return best(full)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_max_code_full_budget_table(n):
+    for d in range(0, n + 2):
+        size, witness = max_code(n, d)
+        assert size == _known_a2(n, d), (n, d)
+        assert witness.size == size
+        assert witness.min_distance() >= d
+        assert 0 in witness.words
+
+
+def test_max_code_matches_unbounded_reference():
+    cases = [(n, d) for n in range(1, 5) for d in range(0, n + 2)]
+    cases += [(5, d) for d in range(3, 7)]
+    for n, d in cases:
+        ball = {w for w in range(1, 1 << n) if w.bit_count() < d}
+        reference = _reference_independence_number(_cayley_graph(n, ball))
+        assert max_code(n, d)[0] == reference, (n, d)
+
+
+def test_independent_set_search_on_random_cayley_graphs():
+    # On every distance graph within the budget the greedy seed is already
+    # maximum, so the search can only improve on it elsewhere; for several
+    # of these graphs the seed is not maximum.
+    rng = random.Random(1)
+    for n, sizes in ((4, (3, 7)), (5, (8, 16))):
+        for _ in range(20):
+            connection = set(rng.sample(range(1, 1 << n), rng.randint(*sizes)))
+            adj = _cayley_graph(n, connection)
+            size, mask = _max_independent_set(adj)
+            assert size == mask.bit_count() == _reference_independence_number(adj)
+            assert mask & 1
+            assert all(not (mask & adj[v]) for v in range(1 << n) if mask >> v & 1)
 
 
 def test_max_code_matches_exhaustive_tiny():
