@@ -30,9 +30,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
-from math import comb, factorial
-from typing import Iterator, Sequence
+from functools import lru_cache, reduce
+from math import comb, factorial, prod
+from operator import itemgetter, or_
+from typing import Callable, Iterator, Sequence
 
 from .errors import (
     CapacityError,
@@ -69,7 +70,7 @@ class SDConfig:
             raise InvalidInputError(f"entry count {m} is not a power of two >= 2")
         if self.entries[0] != 0:
             raise InvalidInputError("weight of the empty combination must be 0")
-        if any(e < 0 for e in self.entries):
+        if min(self.entries) < 0:
             raise InvalidInputError("weights cannot be negative")
 
     @property
@@ -97,7 +98,7 @@ class VennConfig:
             raise InvalidInputError(f"entry count {m} is not a power of two >= 2")
         if self.n < 1:
             raise InvalidInputError("blocklength must be positive")
-        if any(e < 0 for e in self.entries):
+        if min(self.entries) < 0:
             raise InvalidInputError("cell sizes cannot be negative")
         if sum(self.entries) != self.n:
             raise InvalidInputError(
@@ -157,13 +158,30 @@ class WordTuple:
 # ---------------------------------------------------------------------------
 
 
+def _gather(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """A C-level gather of ``seq[i] for i in indices`` that always returns a tuple.
+
+    ``itemgetter`` returns a bare item for one index and raises for none.
+    """
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    if indices:
+        return itemgetter(slice(indices[0], indices[0] + 1))
+    return lambda seq: ()
+
+
 @lru_cache(maxsize=None)
-def _odd_masks(ell: int) -> tuple[tuple[int, ...], ...]:
-    """For each J, the subsets T with |T & J| odd."""
+def _odd_getters(ell: int) -> tuple[Callable[[Sequence[int]], tuple[int, ...]], ...]:
+    """For each nonempty J, a gather of the entries x[T] with |T & J| odd."""
     m = 1 << ell
     return tuple(
-        tuple(t for t in range(m) if ((t & j).bit_count() & 1)) for j in range(m)
+        _gather([t for t in range(m) if (t & j).bit_count() & 1]) for j in range(1, m)
     )
+
+
+def _odd_sums(x: Sequence[int], getters: tuple) -> list[int]:
+    # sum over T with |T & J| odd of x[T], for every J; J = 0 has no such T.
+    return [0] + [sum(get(x)) for get in getters]
 
 
 def _sd_entries(words: Sequence[int]) -> tuple[int, ...]:
@@ -181,10 +199,7 @@ def _sd_entries(words: Sequence[int]) -> tuple[int, ...]:
 
 
 def _multinomial(n: int, parts: Sequence[int]) -> int:
-    size = factorial(n)
-    for p in parts:
-        size //= factorial(p)
-    return size
+    return factorial(n) // prod(map(factorial, parts))
 
 
 # ---------------------------------------------------------------------------
@@ -217,44 +232,44 @@ def sd_to_venn(g: SDConfig, n: int) -> VennConfig:
     """
     if n < 1:
         raise ParameterError("blocklength must be positive")
-    ell = g.ell
-    half = 1 << (ell - 1)
+    shift = g.ell - 1
+    half = 1 << shift
     entries = g.entries
     total = sum(entries)
-    odd = _odd_masks(ell)
-    cells = []
-    for j in range(1 << ell):
-        odd_sum = sum(entries[t] for t in odd[j])
-        scaled = 2 * odd_sum - total
-        if j == 0:
-            scaled += n * half
-        cell, rem = divmod(scaled, half)
-        if rem or cell < 0:
-            raise NotAConfigurationError(
-                f"weight vector {entries} is not a configuration at n={n}"
-            )
-        cells.append(cell)
-    return VennConfig(tuple(cells), n)
+    scaled = [2 * s - total for s in _odd_sums(entries, _odd_getters(g.ell))]
+    scaled[0] += n * half
+    # half is a power of two: a nonzero low bit is a nonzero remainder.
+    if min(scaled) < 0 or reduce(or_, scaled) & (half - 1):
+        raise NotAConfigurationError(
+            f"weight vector {entries} is not a configuration at n={n}"
+        )
+    return VennConfig(tuple([c >> shift for c in scaled]), n)
 
 
 def venn_to_sd(v: VennConfig) -> SDConfig:
     """Weights of all XOR combinations from Venn cell sizes."""
-    odd = _odd_masks(v.ell)
-    entries = v.entries
-    return SDConfig(
-        tuple(sum(entries[t] for t in odd[j]) for j in range(len(entries)))
-    )
+    return SDConfig(tuple(_odd_sums(v.entries, _odd_getters(v.ell))))
 
 
 def _compositions_desc(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     # Weak compositions in descending lexicographic order: (total, 0, ..., 0)
-    # comes first, (0, ..., 0, total) last.
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total, -1, -1):
-        for tail in _compositions_desc(total - head, parts - 1):
-            yield (head,) + tail
+    # comes first, (0, ..., 0, total) last.  The successor moves one unit
+    # from the last nonzero part before the final one into the part after
+    # it, together with the whole final part.
+    comp = [0] * parts
+    comp[0] = total
+    last = parts - 1
+    while True:
+        yield tuple(comp)
+        i = last - 1
+        while i >= 0 and not comp[i]:
+            i -= 1
+        if i < 0:
+            return
+        comp[i] -= 1
+        moved = comp[last] + 1
+        comp[last] = 0
+        comp[i + 1] = moved
 
 
 @lru_cache(maxsize=None)
@@ -275,12 +290,10 @@ def enumerate_configs(n: int, ell: int) -> tuple[SDConfig, ...]:
         raise CapacityError(
             f"{count} configurations exceed the enumeration budget {MAX_CONFIG_COUNT}"
         )
-    m = 1 << ell
-    odd = _odd_masks(ell)
-    out = []
-    for venn in _compositions_desc(n, m):
-        out.append(SDConfig(tuple(sum(venn[t] for t in odd[j]) for j in range(m))))
-    return tuple(out)
+    getters = _odd_getters(ell)
+    return tuple(
+        [SDConfig(tuple(_odd_sums(venn, getters))) for venn in _compositions_desc(n, 1 << ell)]
+    )
 
 
 @lru_cache(maxsize=None)

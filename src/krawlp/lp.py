@@ -16,8 +16,10 @@ generated for every configuration h, including eliminated ones, because
 their rows still constrain the surviving variables.
 
 All coefficients are exact rationals (in fact integers for the transform
-rows); profiles of general codes are rationals, the span-formula profile
-of a linear code is integral.
+rows).  A code profile is a set of integer tuple counts over one shared
+denominator: |C|^l for the general formula, 1 for the span formula of a
+linear code.  Feasibility checks sum those integers row by row and form
+one exact rational per row.
 """
 
 from __future__ import annotations
@@ -27,11 +29,13 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from math import lcm
+from operator import attrgetter, mul
+from typing import Callable, Iterable, Sequence
 
 from .configs import (
     SDConfig,
-    _sd_entries,
+    _gather,
     enumerate_configs,
     forbidden_configs,
 )
@@ -50,7 +54,7 @@ class LPRow:
 
     name: str
     coeffs: tuple[Fraction, ...]
-    relation: str  # ">=" or "="
+    relation: str  # ">=", "<=" or "="
     rhs: Fraction
 
     def __post_init__(self) -> None:
@@ -181,24 +185,35 @@ def build_hierarchy_lp(n: int, d: int, ell: int, linear: bool) -> LinearProgram:
 class CodeProfile:
     """Configuration profile of a concrete code.
 
-    ``entries`` maps configurations to their profile mass (zero entries are
-    omitted).  The general-code formula divides pair counts by |C|^l and is
-    rational; the span formula for linear codes counts tuples and is
-    integral.  Either way the entries sum to |C|^l and the trivial
-    configuration carries exactly 1.
+    ``counts`` maps configurations to integer tuple counts (zero counts are
+    omitted); the profile mass of a configuration is its count over
+    ``denom``.  The general-code formula counts pairs of l-tuples, with
+    ``denom`` = |C|^l; the span formula for linear codes counts tuples of
+    codewords, with ``denom`` = 1.  Either way the masses sum to |C|^l and
+    the trivial configuration carries exactly 1.
     """
 
     n: int
     ell: int
     size: int
-    entries: dict[SDConfig, Fraction]
+    counts: dict[SDConfig, int]
+    denom: int
     from_linear_formula: bool
 
+    def __post_init__(self) -> None:
+        if self.denom < 1:
+            raise InvalidInputError("profile denominator must be positive")
+
+    @property
+    def entries(self) -> dict[SDConfig, Fraction]:
+        """Profile mass per configuration, as exact rationals."""
+        return {cfg: Fraction(c, self.denom) for cfg, c in self.counts.items()}
+
     def objective_value(self) -> Fraction:
-        return sum(self.entries.values(), ZERO)
+        return Fraction(sum(self.counts.values()), self.denom)
 
     def value_at(self, cfg: SDConfig) -> Fraction:
-        return self.entries.get(cfg, ZERO)
+        return Fraction(self.counts.get(cfg, 0), self.denom)
 
 
 def _check_words(words: Iterable[int], n: int) -> tuple[int, ...]:
@@ -221,6 +236,26 @@ def is_xor_closed(words: Iterable[int]) -> bool:
     return all(a ^ b in wset for a, b in itertools.combinations(wset, 2))
 
 
+def _tuple_counts(items: Sequence[tuple[int, int]], ell: int) -> Counter:
+    # Total weight m_1 * ... * m_l of the l-tuples of (word u, weight m)
+    # items, by sd entry vector.  A tuple's entries are the popcounts of the
+    # XORs of its sub-tuples, indexed as in configs._sd_entries; the XORs of
+    # the first l-1 words are built once and shared by every last word.
+    prefixes = [((0,), 1)]
+    for _ in range(ell - 1):
+        prefixes = [
+            (xors + tuple([x ^ u for x in xors]), weight * mult)
+            for xors, weight in prefixes
+            for u, mult in items
+        ]
+    raw: Counter = Counter()
+    for xors, weight in prefixes:
+        head = tuple(map(int.bit_count, xors))
+        for u, mult in items:
+            raw[head + tuple([(x ^ u).bit_count() for x in xors])] += weight * mult
+    return raw
+
+
 def profile_of_code(
     words: Iterable[int], n: int, ell: int, linear: bool = False
 ) -> CodeProfile:
@@ -233,27 +268,22 @@ def profile_of_code(
     ws = _check_words(words, n)
     if ell < 1:
         raise ParameterError("level must be >= 1")
-    raw: Counter = Counter()
     if linear:
         if not is_xor_closed(ws):
             raise NotLinearError("code is not XOR-closed (or misses 0)")
-        for tup in itertools.product(ws, repeat=ell):
-            raw[_sd_entries(tup)] += 1
+        raw = _tuple_counts([(w, 1) for w in ws], ell)
         denom = 1
     else:
         diff = Counter(x ^ y for x in ws for y in ws)
-        items = tuple(diff.items())
-        for combo in itertools.product(items, repeat=ell):
-            weight = 1
-            for _, mult in combo:
-                weight *= mult
-            raw[_sd_entries(tuple(u for u, _ in combo))] += weight
+        raw = _tuple_counts(tuple(diff.items()), ell)
         denom = len(ws) ** ell
-    entries = {
-        SDConfig(key): Fraction(count, denom) for key, count in sorted(raw.items())
-    }
     return CodeProfile(
-        n=n, ell=ell, size=len(ws), entries=entries, from_linear_formula=linear
+        n=n,
+        ell=ell,
+        size=len(ws),
+        counts={SDConfig(key): count for key, count in sorted(raw.items())},
+        denom=denom,
+        from_linear_formula=linear,
     )
 
 
@@ -268,6 +298,28 @@ class FeasibilityVerdict:
     status: str  # "feasible" | "distance-violation" | "bound-violation" | "row-violation"
     detail: str | None
     objective: Fraction | None
+
+
+_numerator = attrgetter("numerator")
+_denominator = attrgetter("denominator")
+
+
+def _support_value(
+    coeffs: Sequence[Fraction],
+    pick: Callable[[Sequence[Fraction]], tuple],
+    counts: Sequence[int],
+    denom: int,
+) -> Fraction:
+    # coeffs . x over the profile's support, where x = counts / denom: the
+    # picked coefficients are scaled to integers by the lcm of their
+    # denominators, so one Fraction is formed per call.
+    picked = pick(coeffs)
+    scale = lcm(*map(_denominator, picked))
+    if scale == 1:
+        nums = map(_numerator, picked)
+    else:
+        nums = [c.numerator * (scale // c.denominator) for c in picked]
+    return Fraction(sum(map(mul, nums, counts)), scale * denom)
 
 
 def check_feasibility(
@@ -289,31 +341,38 @@ def check_feasibility(
     tolerance = Fraction(tolerance)
     if tolerance < 0:
         raise ParameterError("tolerance must be non-negative")
+    denom = point.denom
     pos = {cfg: i for i, cfg in enumerate(lp.var_configs())}
-    # The profile's (slot, value) support in slot order; every sum below
+    # The profile's (slot, count) support in slot order; every sum below
     # runs over it, since the other variables are zero.
     support = []
-    for cfg, val in point.entries.items():
+    for cfg, count in point.counts.items():
         slot = pos.get(cfg)
         if slot is None:
-            if val != 0:
+            if count != 0:
                 return FeasibilityVerdict(
                     False,
                     "distance-violation",
-                    f"eliminated configuration {cfg.entries} has mass {val}",
+                    f"eliminated configuration {cfg.entries} "
+                    f"has mass {Fraction(count, denom)}",
                     None,
                 )
         else:
-            support.append((slot, val))
+            support.append((slot, count))
     support.sort()
-    for i, v in support:
-        if v < -tolerance:
+    for i, c in support:
+        if c < 0 and Fraction(c, denom) < -tolerance:
             return FeasibilityVerdict(
-                False, "bound-violation", f"variable {lp.variable_names[i]} = {v} < 0", None
+                False,
+                "bound-violation",
+                f"variable {lp.variable_names[i]} = {Fraction(c, denom)} < 0",
+                None,
             )
-    objective = sum((lp.objective[i] * v for i, v in support), ZERO)
+    pick = _gather([i for i, _ in support])
+    counts = [c for _, c in support]
+    objective = _support_value(lp.objective, pick, counts, denom)
     for row in lp.rows:
-        lhs = sum((row.coeffs[i] * v for i, v in support), ZERO)
+        lhs = _support_value(row.coeffs, pick, counts, denom)
         if not row.holds(lhs, tolerance):
             return FeasibilityVerdict(
                 False,

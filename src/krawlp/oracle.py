@@ -31,9 +31,10 @@ import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import inf
+from operator import mul
 from typing import Iterator
 
-from .configs import _sd_entries, config_index
+from .configs import _gather, _sd_entries, config_index
 from .errors import (
     CapacityError,
     InvalidInputError,
@@ -308,12 +309,19 @@ class MacWilliamsReport:
 
 
 def _profile_counts(c: CodeSet, ell: int, linear: bool) -> dict[int, int]:
-    # Integer counts per config index: the span formula already counts
-    # tuples; the general formula is scaled by |C|^l into pair counts.
+    # Integer counts per config index: tuples of codewords for the span
+    # formula, pairs of l-tuples (|C|^l times the profile) for the general one.
     idx = config_index(c.n, ell)
     prof = profile_of_code(sorted(c.words), c.n, ell, linear=linear)
-    scale = 1 if linear else c.size**ell
-    return {idx[cfg]: int(val * scale) for cfg, val in prof.entries.items()}
+    return {idx[cfg]: count for cfg, count in prof.counts.items()}
+
+
+def _transforms(table_values, prof: dict[int, int]) -> Iterator[int]:
+    # sum over g of K_h(g) * prof[g], for every row h, over the support of prof.
+    pick = _gather(tuple(prof))
+    counts = tuple(prof.values())
+    for row in table_values:
+        yield sum(map(mul, pick(row), counts))
 
 
 def verify_macwilliams(c: CodeSet, ell: int) -> MacWilliamsReport:
@@ -330,10 +338,8 @@ def verify_macwilliams(c: CodeSet, ell: int) -> MacWilliamsReport:
         prof = _profile_counts(c, ell, linear=True)
         dual_prof = _profile_counts(dual_code(c), ell, linear=True)
         scale = c.size**ell
-        for h_idx in range(table.size):
-            row = table.values[h_idx]
+        for h_idx, rhs in enumerate(_transforms(table.values, prof)):
             lhs = scale * dual_prof.get(h_idx, 0)
-            rhs = sum(row[g_idx] * v for g_idx, v in prof.items())
             identity_checked += 1
             if lhs != rhs:
                 violations.append(
@@ -341,9 +347,7 @@ def verify_macwilliams(c: CodeSet, ell: int) -> MacWilliamsReport:
                 )
     pair_prof = _profile_counts(c, ell, linear=False)
     inequality_checked = 0
-    for h_idx in range(table.size):
-        row = table.values[h_idx]
-        s = sum(row[g_idx] * v for g_idx, v in pair_prof.items())
+    for h_idx, s in enumerate(_transforms(table.values, pair_prof)):
         inequality_checked += 1
         if s < 0:
             violations.append(f"inequality at h={h_idx}: transform {s} < 0")

@@ -3,7 +3,7 @@
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from krawlp.configs import (  # noqa: E402
@@ -24,7 +24,6 @@ def word_tuples(draw):
     return WordTuple(tuple(words), n)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(word_tuples())
 def test_config_venn_round_trip(t):
     g = config_of_tuple(t)

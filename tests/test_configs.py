@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -124,6 +125,50 @@ def test_tuple_consistency_exhaustive():
         for words in _all_tuples(n, ell):
             t = WordTuple(words, n)
             assert venn_to_sd(venn_of_tuple(t)) == config_of_tuple(t)
+
+
+def _venn_vectors_desc(n, ell):
+    # Weak compositions of n into 2^l cells by stars and bars, largest first.
+    m = 1 << ell
+    out = []
+    for bars in itertools.combinations(range(n + m - 1), m - 1):
+        edges = (-1,) + bars + (n + m - 1,)
+        out.append(tuple(edges[k + 1] - edges[k] - 1 for k in range(m)))
+    return sorted(out, reverse=True)
+
+
+def _parity(t, j):
+    return (t & j).bit_count() & 1
+
+
+@pytest.mark.parametrize(
+    "n,ell", [(n, ell) for ell in (1, 2, 3) for n in range(1, 7)] + [(1, 4), (2, 4), (3, 4)]
+)
+def test_transforms_match_parity_formulas(n, ell):
+    # sd(J) = sum over T with |T & J| odd of venn(T), and
+    # venn(J) = n*[J = empty] + 2^(1-l) * sum over T of (-1)^(|T & J| - 1) sd(T).
+    m = 1 << ell
+    venns = _venn_vectors_desc(n, ell)
+    sds = [tuple(sum(v[t] for t in range(m) if _parity(t, j)) for j in range(m)) for v in venns]
+    assert [g.entries for g in enumerate_configs(n, ell)] == sds
+    for v, sd in zip(venns, sds):
+        inverse = tuple(
+            n * (j == 0)
+            + Fraction(sum(sd[t] * (1 if _parity(t, j) else -1) for t in range(m)), 1 << (ell - 1))
+            for j in range(m)
+        )
+        assert inverse == v
+        assert sd_to_venn(SDConfig(sd), n).entries == v
+        assert venn_to_sd(VennConfig(v, n)).entries == sd
+
+
+def test_transforms_at_level1():
+    # One word: the single Venn split (zeros, ones) and its weight.
+    assert [g.entries for g in enumerate_configs(3, 1)] == [(0, 0), (0, 1), (0, 2), (0, 3)]
+    assert sd_to_venn(SDConfig((0, 2)), 3).entries == (1, 2)
+    assert venn_to_sd(VennConfig((1, 2), 3)).entries == (0, 2)
+    with pytest.raises(NotAConfigurationError):
+        sd_to_venn(SDConfig((0, 4)), 3)
 
 
 # ---------------------------------------------------------------------------

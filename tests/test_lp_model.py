@@ -9,6 +9,7 @@ from krawlp.configs import SDConfig, enumerate_configs
 from krawlp.errors import InvalidInputError, NotLinearError, ParameterError
 from krawlp.lp import (
     ONE,
+    CodeProfile,
     LinearProgram,
     LPRow,
     build_delsarte,
@@ -207,6 +208,28 @@ def test_feasibility_negative_tolerance_rejected():
     prof = profile_of_code([0, 1], 1, 1)
     with pytest.raises(ParameterError):
         check_feasibility(_one_row_program("=", 2), prof, Fraction(-1, 10))
+
+
+def test_feasibility_bound_violation():
+    # A hand-built profile with a negative count: mass -3/4 on a_1.
+    trivial, weight1 = enumerate_configs(1, 1)
+    prof = CodeProfile(1, 1, 1, {trivial: 2, weight1: -3}, 4, False)
+    lp = _one_row_program(">=", 0)
+    verdict = check_feasibility(lp, prof)
+    assert (verdict.feasible, verdict.status, verdict.detail, verdict.objective) == (
+        False,
+        "bound-violation",
+        "variable a_1 = -3/4 < 0",
+        None,
+    )
+    assert check_feasibility(lp, prof, Fraction(3, 4) - Fraction(1, 100)).status == (
+        "bound-violation"
+    )
+    for tolerance in (Fraction(3, 4), ONE):
+        verdict = check_feasibility(lp, prof, tolerance)
+        # lhs = 2/4 - 3/4 = -1/4 is within the tolerance of rhs 0.
+        assert verdict.feasible and verdict.status == "feasible"
+        assert verdict.objective == Fraction(-1, 4)
 
 
 def test_feasibility_index_mismatch_errors():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from krawlp.lp import LinearProgram, LPRow  # noqa: E402
@@ -44,7 +44,6 @@ def _program(objective, rows):
     )
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(programs())
 def test_exact_matches_float(lp):
     exact = solve_exact(lp)
