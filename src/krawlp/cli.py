@@ -35,7 +35,7 @@ from .krawtchouk import cached_table, load_table, save_table, table_to_csv
 from .lp import build_delsarte, build_hierarchy_lp, export_lp
 from .oracle import build_fourier_lp, max_code, max_linear_code
 from .simplex import root_value, solve_exact, solve_float
-from .suites import SUITES, run_suite
+from .suites import SUITES, hierarchy_value, run_suite
 
 CACHE_ENV = "KRAWLP_CACHE_DIR"
 
@@ -218,7 +218,7 @@ def cmd_table(args) -> int:
         for d in range(1, n + 1):
             for ell in range(1, args.l + 1):
                 for linear in (False, True):
-                    value = solve_exact(build_hierarchy_lp(n, d, ell, linear)).value
+                    value = hierarchy_value(n, d, ell, linear)
                     flag = "linear" if linear else "general"
                     lines.append(
                         f"{n},{d},{ell},{flag},{value},{root_value(value, ell)!r}"

@@ -190,9 +190,6 @@ class KrawtchoukTable:
     def size(self) -> int:
         return len(self.values)
 
-    def entry(self, h_index: int, g_index: int) -> int:
-        return self.values[h_index][g_index]
-
 
 def _check_table_budget(n: int, ell: int) -> int:
     if n < 1 or ell < 1:

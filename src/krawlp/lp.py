@@ -15,8 +15,11 @@ normalization row so the dual certificate stays interpretable.  Rows are
 generated for every configuration h, including eliminated ones, because
 their rows still constrain the surviving variables.
 
-All coefficients are exact rationals (in fact integers for the transform
-rows).  A code profile is a set of integer tuple counts over one shared
+Coefficients are exact rationals: plain ints from the builders (the rows
+are integer character sums), ``Fraction``s from ``lp_from_json``.
+``integer_form`` is the one place that scales them to integers, for the
+feasibility check here and for the exact simplex.
+A code profile is a set of integer tuple counts over one shared
 denominator: |C|^l for the general formula, 1 for the span formula of a
 linear code.  Feasibility checks sum those integers row by row and form
 one exact rational per row.
@@ -30,8 +33,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import attrgetter, mul
-from typing import Callable, Iterable, Sequence
+from operator import mul
+from typing import Iterable, Sequence
 
 from .configs import (
     SDConfig,
@@ -44,8 +47,17 @@ from .krawtchouk import cached_table, classical_krawtchouk
 
 LP_SCHEMA_VERSION = 1
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+Rational = int | Fraction
+
+
+def integer_form(values: Sequence[Rational]) -> tuple[list[int], int]:
+    """Scale rationals to integers: ``(ints, L)`` with ``values[k] == ints[k] / L``.
+
+    ``L`` is the lcm of the denominators (1 for ints), the least positive
+    scale that clears them all.
+    """
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
 @dataclass(frozen=True)
@@ -53,15 +65,15 @@ class LPRow:
     """One constraint row: coeffs . x  (relation)  rhs."""
 
     name: str
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[Rational, ...]
     relation: str  # ">=", "<=" or "="
-    rhs: Fraction
+    rhs: Rational
 
     def __post_init__(self) -> None:
         if self.relation not in (">=", "=", "<="):
             raise InvalidInputError(f"unsupported relation {self.relation!r}")
 
-    def holds(self, lhs: Fraction, tolerance: Fraction = ZERO) -> bool:
+    def holds(self, lhs: Rational, tolerance: Rational = 0) -> bool:
         """Whether ``lhs (relation) rhs`` holds up to ``tolerance`` (>= 0)."""
         if self.relation == "=":
             return abs(lhs - self.rhs) <= tolerance
@@ -86,7 +98,7 @@ class LinearProgram:
     ell: int
     linear: bool | None
     var_indices: tuple[int, ...]
-    objective: tuple[Fraction, ...]
+    objective: tuple[Rational, ...]
     rows: tuple[LPRow, ...]
 
     def __post_init__(self) -> None:
@@ -127,11 +139,11 @@ def build_delsarte(n: int, d: int) -> LinearProgram:
     if n < 1 or not 1 <= d <= n + 1:
         raise ParameterError(f"need n >= 1 and 1 <= d <= n+1, got n={n}, d={d}")
     keep = tuple(w for w in range(n + 1) if not 1 <= w < d)
-    norm = LPRow("NORM", tuple(ONE if w == 0 else ZERO for w in keep), "=", ONE)
+    norm = LPRow("NORM", tuple(int(w == 0) for w in keep), "=", 1)
     rows = [norm]
     for i in range(n + 1):
-        coeffs = tuple(Fraction(classical_krawtchouk(i, w, n)) for w in keep)
-        rows.append(LPRow(f"MW_{i}", coeffs, ">=", ZERO))
+        coeffs = tuple(classical_krawtchouk(i, w, n) for w in keep)
+        rows.append(LPRow(f"MW_{i}", coeffs, ">=", 0))
     return LinearProgram(
         kind="delsarte",
         n=n,
@@ -139,7 +151,7 @@ def build_delsarte(n: int, d: int) -> LinearProgram:
         ell=1,
         linear=None,
         var_indices=keep,
-        objective=tuple(ONE for _ in keep),
+        objective=(1,) * len(keep),
         rows=tuple(rows),
     )
 
@@ -157,13 +169,11 @@ def build_hierarchy_lp(n: int, d: int, ell: int, linear: bool) -> LinearProgram:
     configs = enumerate_configs(n, ell)
     forb = forbidden_configs(n, d, ell, linear)
     keep = tuple(i for i, c in enumerate(configs) if c not in forb)
-    norm = LPRow("NORM", tuple(ONE if i == 0 else ZERO for i in keep), "=", ONE)
+    norm = LPRow("NORM", tuple(int(i == 0) for i in keep), "=", 1)
+    pick = _gather(keep)
     rows = [norm]
-    for h_idx in range(len(configs)):
-        hrow = table.values[h_idx]
-        rows.append(
-            LPRow(f"MW_{h_idx}", tuple(Fraction(hrow[i]) for i in keep), ">=", ZERO)
-        )
+    for h_idx, hrow in enumerate(table.values):
+        rows.append(LPRow(f"MW_{h_idx}", pick(hrow), ">=", 0))
     return LinearProgram(
         kind="krawtchouk",
         n=n,
@@ -171,7 +181,7 @@ def build_hierarchy_lp(n: int, d: int, ell: int, linear: bool) -> LinearProgram:
         ell=ell,
         linear=linear,
         var_indices=keep,
-        objective=tuple(ONE for _ in keep),
+        objective=(1,) * len(keep),
         rows=tuple(rows),
     )
 
@@ -198,7 +208,6 @@ class CodeProfile:
     size: int
     counts: dict[SDConfig, int]
     denom: int
-    from_linear_formula: bool
 
     def __post_init__(self) -> None:
         if self.denom < 1:
@@ -283,7 +292,6 @@ def profile_of_code(
         size=len(ws),
         counts={SDConfig(key): count for key, count in sorted(raw.items())},
         denom=denom,
-        from_linear_formula=linear,
     )
 
 
@@ -300,30 +308,8 @@ class FeasibilityVerdict:
     objective: Fraction | None
 
 
-_numerator = attrgetter("numerator")
-_denominator = attrgetter("denominator")
-
-
-def _support_value(
-    coeffs: Sequence[Fraction],
-    pick: Callable[[Sequence[Fraction]], tuple],
-    counts: Sequence[int],
-    denom: int,
-) -> Fraction:
-    # coeffs . x over the profile's support, where x = counts / denom: the
-    # picked coefficients are scaled to integers by the lcm of their
-    # denominators, so one Fraction is formed per call.
-    picked = pick(coeffs)
-    scale = lcm(*map(_denominator, picked))
-    if scale == 1:
-        nums = map(_numerator, picked)
-    else:
-        nums = [c.numerator * (scale // c.denominator) for c in picked]
-    return Fraction(sum(map(mul, nums, counts)), scale * denom)
-
-
 def check_feasibility(
-    lp: LinearProgram, point: CodeProfile, tolerance: Fraction = ZERO
+    lp: LinearProgram, point: CodeProfile, tolerance: Rational = 0
 ) -> FeasibilityVerdict:
     """Check a profile against every row and bound of an LP.
 
@@ -370,9 +356,15 @@ def check_feasibility(
             )
     pick = _gather([i for i, _ in support])
     counts = [c for _, c in support]
-    objective = _support_value(lp.objective, pick, counts, denom)
+
+    def support_value(coeffs: Sequence[Rational]) -> Fraction:
+        # coeffs . x over the support, where x = counts / denom.
+        nums, scale = integer_form(pick(coeffs))
+        return Fraction(sum(map(mul, nums, counts)), scale * denom)
+
+    objective = support_value(lp.objective)
     for row in lp.rows:
-        lhs = _support_value(row.coeffs, pick, counts, denom)
+        lhs = support_value(row.coeffs)
         if not row.holds(lhs, tolerance):
             return FeasibilityVerdict(
                 False,
@@ -436,7 +428,7 @@ def lp_from_json(text: str) -> LinearProgram:
     )
 
 
-def _decimal(x: Fraction) -> tuple[str, bool]:
+def _decimal(x: Rational) -> tuple[str, bool]:
     # Shortest round-trip decimal; flag whether it is exact.
     if x.denominator == 1:
         return str(x.numerator), True
@@ -444,7 +436,7 @@ def _decimal(x: Fraction) -> tuple[str, bool]:
     return repr(f), Fraction(f) == x
 
 
-def _render_terms(coeffs: Sequence[Fraction], names: Sequence[str]) -> tuple[str, bool]:
+def _render_terms(coeffs: Sequence[Rational], names: Sequence[str]) -> tuple[str, bool]:
     parts = []
     exact = True
     for c, name in zip(coeffs, names):

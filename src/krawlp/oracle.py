@@ -43,7 +43,7 @@ from .errors import (
     SelfCheckError,
 )
 from .krawtchouk import cached_table
-from .lp import ONE, ZERO, LinearProgram, LPRow, is_xor_closed, profile_of_code
+from .lp import LinearProgram, LPRow, is_xor_closed, profile_of_code
 
 # Independent-set search budget: 2^n graph vertices.
 MAX_BB_VERTICES = 128
@@ -389,7 +389,7 @@ def build_fourier_lp(n: int, d: int, ell: int, linear: bool) -> LinearProgram:
         if not bad:
             keep.append(p)
             kept_words.append(ws)
-    norm = LPRow("NORM", tuple(ONE if p == 0 else ZERO for p in keep), "=", ONE)
+    norm = LPRow("NORM", tuple(int(p == 0) for p in keep), "=", 1)
     rows = [norm]
     for alpha in range(npoints):
         aw = words_of(alpha)
@@ -398,8 +398,8 @@ def build_fourier_lp(n: int, d: int, ell: int, linear: bool) -> LinearProgram:
             parity = 0
             for a, w in zip(aw, ws):
                 parity ^= (a & w).bit_count()
-            coeffs.append(ONE if not parity & 1 else -ONE)
-        rows.append(LPRow(f"F_{alpha}", tuple(coeffs), ">=", ZERO))
+            coeffs.append(-1 if parity & 1 else 1)
+        rows.append(LPRow(f"F_{alpha}", tuple(coeffs), ">=", 0))
     return LinearProgram(
         kind="fourier",
         n=n,
@@ -407,6 +407,6 @@ def build_fourier_lp(n: int, d: int, ell: int, linear: bool) -> LinearProgram:
         ell=ell,
         linear=linear,
         var_indices=tuple(keep),
-        objective=tuple(ONE for _ in keep),
+        objective=(1,) * len(keep),
         rows=tuple(rows),
     )

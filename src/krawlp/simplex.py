@@ -9,10 +9,12 @@ start basic and phase 1 needs artificials only for ``=`` rows and for
 ``>=`` rows with a positive rhs.
 The pivot rule is largest-coefficient for a bounded number of pivots, then
 Bland's rule, so termination is guaranteed.  Every optimal answer is
-re-verified in rational arithmetic before it is returned: the primal point
-is checked against all original rows, and a dual vector recovered from the
-final reduced costs must be dual-feasible with matching objective value.
-A failed re-verification raises instead of returning a wrong answer.
+certified in exact arithmetic against the program's own rows before it
+is returned: the primal point (integers over the tableau denominator) is
+checked against every row and bound, and a dual vector recovered from the
+final reduced costs (integers over that denominator times the objective
+scale) must be dual-feasible, correctly signed and of matching objective
+value.  A failed check raises instead of returning a wrong answer.
 
 The floating-point path wraps scipy's HiGHS solver and is only a fast
 screen; its results carry ``exact=False`` and are never used alone to
@@ -25,6 +27,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import (
     IterationLimitError,
@@ -32,9 +35,8 @@ from .errors import (
     SelfCheckError,
     SolverNumericsError,
 )
-from .lp import LinearProgram
-
-ZERO = Fraction(0)
+from .configs import _gather
+from .lp import LinearProgram, integer_form
 
 MAX_PIVOTS = 200_000
 DANTZIG_PIVOTS = 2_000
@@ -99,19 +101,17 @@ class _Tableau:
         rows, den = self.rows, self.den
         prow = rows[r]
         p = prow[c]
+        if p < 0:
+            # Only a zero-level artificial leaves on a negative entry;
+            # negating the pivot row first keeps every eliminated row's
+            # sign and makes den positive.
+            prow = rows[r] = [-a for a in prow]
+            p = -p
         for i, row in enumerate(rows):
             if i != r:
                 rows[i] = _eliminate(row, prow, p, c, den)
         if obj is not None:
             obj[:] = _eliminate(obj, prow, p, c, den)
-        if p < 0:
-            # Only a zero-level artificial leaves on a negative entry;
-            # flipping every sign keeps rows / den and makes den positive.
-            for i, row in enumerate(rows):
-                rows[i] = [-a for a in row]
-            if obj is not None:
-                obj[:] = [-a for a in obj]
-            p = -p
         self.den = p
         self.basis[r] = c
         self.pivots += 1
@@ -184,84 +184,80 @@ def solve_exact(lp: LinearProgram) -> SolveResult:
     Rows are normalized to a non-negative rhs, and a ``>=`` row with rhs 0
     is negated into a ``<= 0`` row, so its slack starts basic and feasible;
     phase 1 runs only if an ``=`` row or a ``>=`` row with positive rhs
-    remains.  Each row is scaled by the lcm of its denominators and
-    pivoted in an integer tableau with one common denominator (see
-    ``_Tableau``), so no ``Fraction`` is formed until the optimum is read
-    off.  The reported pivot count covers both phases.
+    remains.  Each row goes through ``integer_form`` straight into an
+    integer tableau with one common denominator (see ``_Tableau``), so no
+    ``Fraction`` is formed until the optimum is read off.  The reported
+    pivot count covers both phases.
 
     The pivot rule is fixed: largest coefficient for the first
     ``DANTZIG_PIVOTS`` pivots, then Bland's rule.  More than ``MAX_PIVOTS``
     pivots over both phases raise ``IterationLimitError``.  The primal
-    point and a dual vector read from the final reduced costs are checked
-    against the original rows in exact arithmetic before returning.
+    point (integers over the tableau denominator ``den``) and a dual
+    vector read from the final reduced costs (integers over ``den * L``,
+    L the objective's integer scale) are checked against ``lp.rows`` and
+    ``lp.objective`` themselves before returning.
     """
     nv = lp.num_vars
-    objective = list(lp.objective)
 
     # Presolve: empty rows go away (after a consistency check); variables
     # that appear in no row are pinned at 0, with profitable ones flagged
-    # for the unboundedness verdict below.
+    # for the unboundedness verdict below.  Every other row is normalized
+    # to b >= 0 by a sign (flip >= to <= and vice versa when negating);
+    # a ">= 0" row becomes "<= 0" so its slack is a feasible basic variable.
     used = [False] * nv
-    norm_rows = []  # (coeffs, relation, rhs) with every row kept exact
-    for row in lp.rows:
+    norm = []  # (index into lp.rows, sign) per tableau row
+    rels = []  # the normalized relation per tableau row
+    for i, row in enumerate(lp.rows):
         if any(row.coeffs):
-            norm_rows.append((list(row.coeffs), row.relation, row.rhs))
             for j, c in enumerate(row.coeffs):
                 if c:
                     used[j] = True
-        elif not row.holds(ZERO):
+            rel = row.relation
+            sign = -1 if row.rhs < 0 or (row.rhs == 0 and rel == ">=") else 1
+            norm.append((i, sign))
+            rels.append(rel if sign > 0 else {">=": "<=", "<=": ">=", "=": "="}[rel])
+        elif not row.holds(0):
             return SolveResult("infeasible", None, None, 0, True)
     keep_cols = [j for j in range(nv) if used[j]]
     # A variable outside every row can grow freely, but that only makes the
     # program unbounded if the rest is feasible; decide after phase 1.
-    free_profit = any(not used[j] and objective[j] > 0 for j in range(nv))
-
-    # Normalize to b >= 0 (flip >= to <= and vice versa when negating);
-    # a ">= 0" row becomes "<= 0" so its slack is a feasible basic variable.
-    rows = []
-    for coeffs, rel, rhs in norm_rows:
-        cs = [coeffs[j] for j in keep_cols]
-        if rhs < 0 or (rhs == 0 and rel == ">="):
-            cs = [-c for c in cs]
-            rhs = -rhs
-            rel = {">=": "<=", "<=": ">=", "=": "="}[rel]
-        rows.append((cs, rel, rhs))
+    free_profit = any(not used[j] and lp.objective[j] > 0 for j in range(nv))
 
     ns = len(keep_cols)
-    m = len(rows)
+    m = len(norm)
     # Column layout: structural | slack/surplus (one per inequality) | artificial.
     slack_col = [None] * m
     art_col = [None] * m
     ncols = ns
-    for i, (_, rel, _) in enumerate(rows):
+    for k, rel in enumerate(rels):
         if rel in ("<=", ">="):
-            slack_col[i] = ncols
+            slack_col[k] = ncols
             ncols += 1
     art_start = ncols
-    for i, (_, rel, _) in enumerate(rows):
+    for k, rel in enumerate(rels):
         if rel in (">=", "="):
-            art_col[i] = ncols
+            art_col[k] = ncols
             ncols += 1
 
-    # Each row times the lcm of its denominators, rhs included, is integer.
-    scale = [
-        math.lcm(rhs.denominator, *(c.denominator for c in cs)) for cs, _, rhs in rows
-    ]
+    # Each row times its integer scale, rhs included, is integer.
+    scale = []
     T = []
     basis = []
-    for i, (cs, rel, rhs) in enumerate(rows):
-        s = scale[i]
-        row = [c.numerator * (s // c.denominator) for c in cs]
-        row += [0] * (ncols - ns)
-        row.append(rhs.numerator * (s // rhs.denominator))
-        if slack_col[i] is not None:
-            row[slack_col[i]] = 1 if rel == "<=" else -1
-        if art_col[i] is not None:
-            row[art_col[i]] = 1
-            basis.append(art_col[i])
+    for k, (i, sign) in enumerate(norm):
+        row = lp.rows[i]
+        ints, s = integer_form(row.coeffs + (row.rhs,))
+        scale.append(s)
+        trow = [sign * ints[j] for j in keep_cols]
+        trow += [0] * (ncols - ns)
+        trow.append(sign * ints[-1])
+        if slack_col[k] is not None:
+            trow[slack_col[k]] = 1 if rels[k] == "<=" else -1
+        if art_col[k] is not None:
+            trow[art_col[k]] = 1
+            basis.append(art_col[k])
         else:
-            basis.append(slack_col[i])
-        T.append(row)
+            basis.append(slack_col[k])
+        T.append(trow)
     tab = _Tableau(T, basis)
 
     # Phase 1: drive the artificials to zero.
@@ -302,58 +298,63 @@ def solve_exact(lp: LinearProgram) -> SolveResult:
 
     # Phase 2 on the real objective, scaled by L to integers; artificial
     # columns may not re-enter.
-    cost_scale = math.lcm(*(objective[j].denominator for j in keep_cols))
-    cost2 = [0] * ncols
-    for k, j in enumerate(keep_cols):
-        cost2[k] = int(objective[j] * cost_scale)
-    obj2 = _objective_row(tab, cost2)
+    cost, cost_scale = integer_form([lp.objective[j] for j in keep_cols])
+    obj2 = _objective_row(tab, cost + [0] * (ncols - ns))
     status = _run_phase(tab, obj2, [j < art_start for j in range(ncols)])
     if status == "unbounded":
         return SolveResult("unbounded", None, None, tab.pivots, True)
 
-    # Extract the primal point (b_i / den) in original variable space.
+    # The primal point in original variable space is x = xnum / den.
     den = tab.den
-    x = [ZERO] * nv
+    xnum = [0] * nv
     for row, bi in zip(tab.rows, tab.basis):
         if bi < ns:
-            x[keep_cols[bi]] = Fraction(row[-1], den)
-    value = sum((c * v for c, v in zip(lp.objective, x)), ZERO)
+            xnum[keep_cols[bi]] = row[-1]
+    value_num = sum(map(mul, lp.objective, xnum))
+    value = Fraction(value_num, den)
 
-    # Re-verification: primal feasibility against the original rows ...
+    # Certificate, in exact arithmetic against the program's own rows.
+    # Primal feasibility over the support of x ...
+    support = [j for j in range(nv) if xnum[j]]
+    pick = _gather(support)
+    xs = pick(xnum)
     for row in lp.rows:
-        lhs = sum((c * v for c, v in zip(row.coeffs, x)), ZERO)
+        lhs = Fraction(sum(map(mul, pick(row.coeffs), xs)), den)
         if not row.holds(lhs):
             raise SelfCheckError(f"optimal point violates row {row.name}")
-    if any(v < 0 for v in x):
+    if any(v < 0 for v in xnum):
         raise SelfCheckError("optimal point violates a variable bound")
 
-    # ... and optimality through the dual read from the final reduced
-    # costs (over den * L), rescaled by each row's integer scale.
-    y = [ZERO] * m
-    for i in range(m):
-        if row_deleted[i]:
+    # ... and optimality through the dual y = ynum / (den * L), read from
+    # the final reduced costs, rescaled by each row's integer scale and
+    # signed back to the row as lp.rows states it.
+    ynum = [0] * len(lp.rows)
+    for k, (i, sign) in enumerate(norm):
+        if row_deleted[k]:
             continue
-        if slack_col[i] is not None:
-            red = obj2[slack_col[i]]
-            if rows[i][1] == ">=":
+        if slack_col[k] is not None:
+            red = obj2[slack_col[k]]
+            if rels[k] == ">=":
                 red = -red
         else:
-            red = obj2[art_col[i]]
-        y[i] = Fraction(red * scale[i], den * cost_scale)
-    for k, j in enumerate(keep_cols):
-        covered = sum((y[i] * rows[i][0][k] for i in range(m)), ZERO)
-        if covered < objective[j]:
-            raise SelfCheckError("dual certificate fails dual feasibility")
-    for i in range(m):
-        if rows[i][1] == "<=" and y[i] < 0:
+            red = obj2[art_col[k]]
+        ynum[i] = sign * red * scale[k]
+    dual_scale = den * cost_scale
+    covered = [0] * nv
+    for yi, row in zip(ynum, lp.rows):
+        if yi:
+            covered = [a + yi * c for a, c in zip(covered, row.coeffs)]
+    if any(a < c * dual_scale for a, c in zip(covered, lp.objective)):
+        raise SelfCheckError("dual certificate fails dual feasibility")
+    for yi, row in zip(ynum, lp.rows):
+        if (row.relation == "<=" and yi < 0) or (row.relation == ">=" and yi > 0):
             raise SelfCheckError("dual certificate has a wrong sign")
-        if rows[i][1] == ">=" and y[i] > 0:
-            raise SelfCheckError("dual certificate has a wrong sign")
-    dual_value = sum((y[i] * rows[i][2] for i in range(m)), ZERO)
-    if dual_value != value:
+    dual_num = sum(yi * row.rhs for yi, row in zip(ynum, lp.rows))
+    if dual_num != value_num * cost_scale:
         raise SelfCheckError("strong duality does not close; result discarded")
 
-    return SolveResult("optimal", value, tuple(x), tab.pivots, True)
+    primal = tuple(Fraction(v, den) for v in xnum)
+    return SolveResult("optimal", value, primal, tab.pivots, True)
 
 
 # ---------------------------------------------------------------------------
@@ -361,9 +362,7 @@ def solve_exact(lp: LinearProgram) -> SolveResult:
 # ---------------------------------------------------------------------------
 
 
-def solve_float(
-    lp: LinearProgram, feas_tol: float = 1e-9, opt_tol: float = 1e-9
-) -> SolveResult:
+def solve_float(lp: LinearProgram) -> SolveResult:
     """Fast floating-point solve (HiGHS); results carry ``exact=False``."""
     import numpy as np
     from scipy.optimize import linprog
@@ -392,8 +391,8 @@ def solve_float(
         bounds=(0, None),
         method="highs",
         options={
-            "primal_feasibility_tolerance": feas_tol,
-            "dual_feasibility_tolerance": opt_tol,
+            "primal_feasibility_tolerance": 1e-9,
+            "dual_feasibility_tolerance": 1e-9,
         },
     )
     pivots = int(res.nit) if res.nit is not None else 0

@@ -16,7 +16,7 @@ N, ELL = 2, 2
 CONFIGS = enumerate_configs(N, ELL)
 STATUSES = {"feasible", "distance-violation", "bound-violation", "row-violation"}
 
-integral = st.integers(-4, 4).map(Fraction)
+integral = st.integers(-4, 4)
 rational = st.one_of(
     integral, st.builds(Fraction, st.integers(-9, 9), st.sampled_from([2, 3, 5, 7]))
 )
@@ -43,7 +43,7 @@ def cases(draw):
     objective = tuple(draw(coefficient) for _ in keep)
     lp = LinearProgram("krawtchouk", N, 1, ELL, False, tuple(keep), objective, rows)
     counts = draw(st.dictionaries(st.sampled_from(CONFIGS), st.integers(-2, 12), max_size=5))
-    prof = CodeProfile(N, ELL, 1, counts, draw(st.integers(1, 12)), False)
+    prof = CodeProfile(N, ELL, 1, counts, draw(st.integers(1, 12)))
     return lp, prof, draw(tolerances)
 
 

@@ -8,7 +8,6 @@ import pytest
 from krawlp.configs import SDConfig, enumerate_configs
 from krawlp.errors import InvalidInputError, NotLinearError, ParameterError
 from krawlp.lp import (
-    ONE,
     CodeProfile,
     LinearProgram,
     LPRow,
@@ -16,11 +15,12 @@ from krawlp.lp import (
     build_hierarchy_lp,
     check_feasibility,
     export_lp,
+    integer_form,
     lp_from_json,
     lp_to_json,
     profile_of_code,
 )
-from krawlp.oracle import iter_linear_codes, max_code, max_linear_code
+from krawlp.oracle import build_fourier_lp, iter_linear_codes, max_code, max_linear_code
 from krawlp.simplex import solve_exact
 
 
@@ -105,6 +105,33 @@ def test_fully_constrained_program_value_one():
     assert solve_exact(lp).value == 1
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_delsarte(5, 3),
+        lambda: build_hierarchy_lp(4, 2, 2, linear=False),
+        lambda: build_hierarchy_lp(3, 4, 2, linear=True),
+        lambda: build_fourier_lp(2, 2, 2, linear=False),
+    ],
+    ids=["delsarte", "krawtchouk", "krawtchouk-one-var", "fourier"],
+)
+def test_builders_emit_plain_ints(build):
+    # Every family's data is integral; the builders keep it as plain ints
+    # and leave any scaling to lp.integer_form.
+    lp = build()
+    assert all(type(c) is int for c in lp.objective)
+    for row in lp.rows:
+        assert type(row.coeffs) is tuple
+        assert all(type(c) is int for c in row.coeffs)
+        assert type(row.rhs) is int
+
+
+def test_integer_form():
+    assert integer_form([Fraction(1, 2), 3, Fraction(-2, 3)]) == ([3, 18, -4], 6)
+    assert integer_form((4, -1)) == ([4, -1], 1)
+    assert integer_form(()) == ([], 1)
+
+
 # ---------------------------------------------------------------------------
 # profiles
 # ---------------------------------------------------------------------------
@@ -176,8 +203,9 @@ def test_feasibility_unit_profile_on_hierarchy():
 
 def _one_row_program(relation, rhs):
     # Variables are the two (n=1, l=1) configurations.
-    row = LPRow("R", (ONE, ONE), relation, Fraction(rhs))
-    return LinearProgram("krawtchouk", 1, 1, 1, False, (0, 1), (ONE, ONE), (row,))
+    one = Fraction(1)
+    row = LPRow("R", (one, one), relation, Fraction(rhs))
+    return LinearProgram("krawtchouk", 1, 1, 1, False, (0, 1), (one, one), (row,))
 
 
 @pytest.mark.parametrize(
@@ -213,7 +241,7 @@ def test_feasibility_negative_tolerance_rejected():
 def test_feasibility_bound_violation():
     # A hand-built profile with a negative count: mass -3/4 on a_1.
     trivial, weight1 = enumerate_configs(1, 1)
-    prof = CodeProfile(1, 1, 1, {trivial: 2, weight1: -3}, 4, False)
+    prof = CodeProfile(1, 1, 1, {trivial: 2, weight1: -3}, 4)
     lp = _one_row_program(">=", 0)
     verdict = check_feasibility(lp, prof)
     assert (verdict.feasible, verdict.status, verdict.detail, verdict.objective) == (
@@ -225,7 +253,7 @@ def test_feasibility_bound_violation():
     assert check_feasibility(lp, prof, Fraction(3, 4) - Fraction(1, 100)).status == (
         "bound-violation"
     )
-    for tolerance in (Fraction(3, 4), ONE):
+    for tolerance in (Fraction(3, 4), Fraction(1)):
         verdict = check_feasibility(lp, prof, tolerance)
         # lhs = 2/4 - 3/4 = -1/4 is within the tolerance of rhs 0.
         assert verdict.feasible and verdict.status == "feasible"

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from krawlp.errors import ParameterError
-from krawlp.lp import ONE, LinearProgram, LPRow, build_delsarte, build_hierarchy_lp
+from krawlp import simplex
+from krawlp.errors import ParameterError, SelfCheckError
+from krawlp.lp import LinearProgram, LPRow, build_delsarte, build_hierarchy_lp
 from krawlp.simplex import root_value, solve_exact, solve_float
 
 
@@ -44,10 +45,40 @@ def test_exact_primal_satisfies_rows():
     assert sum(res.primal) == res.value
 
 
+def test_exact_integer_program_reports_fractions():
+    # An all-int program still yields Fraction value and primal entries,
+    # which to_json prints as exact strings, not floats.
+    row = LPRow("R", (1, 1), "<=", 1)
+    lp = LinearProgram("delsarte", 1, 1, 1, None, (0, 1), (1, 1), (row,))
+    res = solve_exact(lp)
+    assert type(res.value) is Fraction and res.value == 1
+    assert all(type(v) is Fraction for v in res.primal)
+    data = json.loads(res.to_json())
+    assert data["value"] == "1"
+    assert all(isinstance(v, str) for v in data["primal"])
+
+
 def test_exact_normalization_only_program():
-    lp = _custom([0], [1], [LPRow("NORM", (ONE,), "=", ONE)])
+    lp = _custom([0], [1], [LPRow("NORM", (Fraction(1),), "=", Fraction(1))])
     res = solve_exact(lp)
     assert res.status == "optimal" and res.value == 1
+
+
+def test_exact_certificate_reads_the_program_rows(monkeypatch):
+    # A scaling bug that turns row A (x0 + x1 <= 1) into x0 + x1 <= 2 in
+    # the tableau must not pass: the primal check reads lp.rows itself.
+    real = simplex.integer_form
+
+    def loosened(values):
+        ints, s = real(values)
+        if len(values) == 3:  # row A with its rhs; the objective has 2 entries
+            ints[-1] *= 2
+        return ints, s
+
+    monkeypatch.setattr(simplex, "integer_form", loosened)
+    lp = _custom([0, 1], [1, 1], [LPRow("A", (1, 1), "<=", 1)])
+    with pytest.raises(SelfCheckError, match="violates row A"):
+        solve_exact(lp)
 
 
 def test_exact_infeasible_detection():

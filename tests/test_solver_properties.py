@@ -13,7 +13,7 @@ from krawlp.simplex import solve_exact, solve_float  # noqa: E402
 
 # Integers and small-denominator rationals of either sign.
 coefficient = st.one_of(
-    st.integers(-4, 4).map(Fraction),
+    st.integers(-4, 4),
     st.builds(Fraction, st.integers(-9, 9), st.sampled_from([2, 3, 5, 7])),
 )
 
@@ -25,7 +25,7 @@ def programs(draw):
     for i in range(draw(st.integers(1, 4))):
         coeffs = tuple(draw(coefficient) for _ in range(nv))
         relation = draw(st.sampled_from([">=", "=", "<="]))
-        rhs = draw(st.one_of(st.just(Fraction(0)), coefficient))
+        rhs = draw(st.one_of(st.just(0), coefficient))
         rows.append(LPRow(f"R{i}", coeffs, relation, rhs))
     objective = tuple(draw(coefficient) for _ in range(nv))
     return _program(objective, rows)
