@@ -5,10 +5,11 @@ requested artifact files; wall-clock timings go to stderr so the primary
 outputs stay byte-identical across runs.  Numeric output defaults to exact
 fraction strings; ``--decimal`` opts into rounded display.
 
-Exit codes: 0 success, 1 verification violation, 2 invalid parameters,
-3 capacity budget exceeded, 4 internal failure (a self-check, the pivot
-cap or the floating-point solver failed; stdout then holds one record with
-the error's class name and message).
+Exit codes: 0 success, 1 verification violation, 2 invalid parameters
+(an ``OSError`` counts as one: every file path comes from the command
+line or ``$KRAWLP_CACHE_DIR``), 3 capacity budget exceeded, 4 internal
+failure (a self-check, the pivot cap or the floating-point solver failed;
+stdout then holds one record with the error's class name and message).
 """
 
 from __future__ import annotations
@@ -213,6 +214,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_table(args) -> int:
+    if args.n < 1 or args.l < 1:
+        raise ParameterError(f"need n >= 1 and l >= 1, got n={args.n}, l={args.l}")
     lines = ["n,d,l,flag,value,root"]
     for n in range(1, args.n + 1):
         for d in range(1, n + 1):
@@ -328,7 +331,7 @@ def main(argv: list[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         code = args.fn(args)
-    except (ParameterError, InvalidInputError) as exc:
+    except (ParameterError, InvalidInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMS
     except CapacityError as exc:

@@ -270,16 +270,20 @@ class CheckReport:
         return not self.violations
 
 
+def _orbit_sizes(table: KrawtchoukTable) -> list[int]:
+    # |g| for each configuration g, in the table's index order.
+    return [orbit_size(c, table.n) for c in enumerate_configs(table.n, table.ell)]
+
+
 def verify_orthogonality(table: KrawtchoukTable) -> CheckReport:
     """Check sum_g |g| K_h(g) K_h'(g) = 2^(l n) |h| [h = h'] for all pairs."""
-    configs = enumerate_configs(table.n, table.ell)
-    sizes = [orbit_size(c, table.n) for c in configs]
+    sizes = _orbit_sizes(table)
     scale = 1 << (table.ell * table.n)
     violations = []
     checked = 0
-    for a in range(len(configs)):
+    for a in range(table.size):
         wa = list(map(mul, sizes, table.values[a]))
-        for b in range(a, len(configs)):
+        for b in range(a, table.size):
             s = sum(map(mul, wa, table.values[b]))
             want = scale * sizes[a] if a == b else 0
             checked += 1
@@ -290,12 +294,11 @@ def verify_orthogonality(table: KrawtchoukTable) -> CheckReport:
 
 def verify_reflection(table: KrawtchoukTable) -> CheckReport:
     """Check K_h(g) |g| = K_g(h) |h| for all pairs (cross-multiplied form)."""
-    configs = enumerate_configs(table.n, table.ell)
-    sizes = [orbit_size(c, table.n) for c in configs]
+    sizes = _orbit_sizes(table)
     violations = []
     checked = 0
-    for a in range(len(configs)):
-        for b in range(a, len(configs)):
+    for a in range(table.size):
+        for b in range(a, table.size):
             checked += 1
             if table.values[a][b] * sizes[b] != table.values[b][a] * sizes[a]:
                 violations.append(
@@ -346,7 +349,7 @@ def _plausible(table: KrawtchoukTable) -> bool:
     # sample of one pair per row.
     size = table.size
     values = table.values
-    sizes = [orbit_size(c, table.n) for c in enumerate_configs(table.n, table.ell)]
+    sizes = _orbit_sizes(table)
     if any(v != 1 for v in values[0]):
         return False
     if any(row[0] != w for row, w in zip(values, sizes)):

@@ -4,17 +4,21 @@ The exact path is a two-phase primal simplex over a fraction-free integer
 tableau: each row is scaled to integers once, the tableau keeps one common
 denominator (the previous pivot), and every update is an exact integer
 division (Bareiss elimination), so no `fractions.Fraction` is formed while
-pivoting.  Rows ``>= 0`` are negated to ``<= 0`` first, so their slacks
+pivoting.  The tableau is the program as given: column j is variable j,
+and each row is one tableau row, made rhs >= 0 by a sign; there is no
+other presolve.  Rows ``>= 0`` are negated to ``<= 0``, so their slacks
 start basic and phase 1 needs artificials only for ``=`` rows and for
 ``>=`` rows with a positive rhs.
 The pivot rule is largest-coefficient for a bounded number of pivots, then
 Bland's rule, so termination is guaranteed.  Every optimal answer is
 certified in exact arithmetic against the program's own rows before it
 is returned: the primal point (integers over the tableau denominator) is
-checked against every row and bound, and a dual vector recovered from the
-final reduced costs (integers over that denominator times the objective
-scale) must be dual-feasible, correctly signed and of matching objective
-value.  A failed check raises instead of returning a wrong answer.
+checked against every row and bound, and a dual vector must be
+dual-feasible, correctly signed and of matching objective value.  Each
+row's dual value is read one way: the final reduced cost of the row's
+starting basic column (its ``<=`` slack or its artificial), times the
+row's sign and integer scale.  A failed check raises instead of returning
+a wrong answer.
 
 The floating-point path wraps scipy's HiGHS solver and is only a fast
 screen; its results carry ``exact=False`` and are never used alone to
@@ -181,135 +185,94 @@ def _run_phase(tab, obj, allowed):
 def solve_exact(lp: LinearProgram) -> SolveResult:
     """Exact rational optimum of a maximization LP with x >= 0.
 
-    Rows are normalized to a non-negative rhs, and a ``>=`` row with rhs 0
-    is negated into a ``<= 0`` row, so its slack starts basic and feasible;
-    phase 1 runs only if an ``=`` row or a ``>=`` row with positive rhs
-    remains.  Each row goes through ``integer_form`` straight into an
-    integer tableau with one common denominator (see ``_Tableau``), so no
-    ``Fraction`` is formed until the optimum is read off.  The reported
-    pivot count covers both phases.
+    The tableau is the program as given: column j is variable j, and each
+    row of ``lp.rows`` is one tableau row, normalized to a non-negative rhs
+    by a sign.  A ``>=`` row with rhs 0 is negated into a ``<= 0`` row, so
+    its slack starts basic and feasible; phase 1 runs only if an ``=`` row
+    or a ``>=`` row with positive rhs remains.  There is no other presolve.
+    Each row goes through ``integer_form`` straight into an integer tableau
+    with one common denominator (see ``_Tableau``), so no ``Fraction`` is
+    formed until the optimum is read off.  The reported pivot count covers
+    both phases.
 
     The pivot rule is fixed: largest coefficient for the first
     ``DANTZIG_PIVOTS`` pivots, then Bland's rule.  More than ``MAX_PIVOTS``
     pivots over both phases raise ``IterationLimitError``.  The primal
     point (integers over the tableau denominator ``den``) and a dual
-    vector read from the final reduced costs (integers over ``den * L``,
-    L the objective's integer scale) are checked against ``lp.rows`` and
-    ``lp.objective`` themselves before returning.
+    vector are checked against ``lp.rows`` and ``lp.objective`` themselves
+    before returning.  Every row starts with one +1 basic column, its
+    ``<=`` slack or its artificial; the dual value of the row is the final
+    reduced cost of that column times the row's sign and integer scale,
+    over ``den * L`` with L the objective's integer scale.
     """
     nv = lp.num_vars
 
-    # Presolve: empty rows go away (after a consistency check); variables
-    # that appear in no row are pinned at 0, with profitable ones flagged
-    # for the unboundedness verdict below.  Every other row is normalized
-    # to b >= 0 by a sign (flip >= to <= and vice versa when negating);
-    # a ">= 0" row becomes "<= 0" so its slack is a feasible basic variable.
-    used = [False] * nv
-    norm = []  # (index into lp.rows, sign) per tableau row
-    rels = []  # the normalized relation per tableau row
-    for i, row in enumerate(lp.rows):
-        if any(row.coeffs):
-            for j, c in enumerate(row.coeffs):
-                if c:
-                    used[j] = True
-            rel = row.relation
-            sign = -1 if row.rhs < 0 or (row.rhs == 0 and rel == ">=") else 1
-            norm.append((i, sign))
-            rels.append(rel if sign > 0 else {">=": "<=", "<=": ">=", "=": "="}[rel])
-        elif not row.holds(0):
-            return SolveResult("infeasible", None, None, 0, True)
-    keep_cols = [j for j in range(nv) if used[j]]
-    # A variable outside every row can grow freely, but that only makes the
-    # program unbounded if the rest is feasible; decide after phase 1.
-    free_profit = any(not used[j] and lp.objective[j] > 0 for j in range(nv))
+    # Normalize each row to b >= 0 by a sign (flip >= to <= and vice versa
+    # when negating); a ">= 0" row becomes "<= 0" so its slack is feasible.
+    signs = []
+    rels = []
+    for row in lp.rows:
+        rel = row.relation
+        sign = -1 if row.rhs < 0 or (row.rhs == 0 and rel == ">=") else 1
+        signs.append(sign)
+        rels.append(rel if sign > 0 else {">=": "<=", "<=": ">=", "=": "="}[rel])
 
-    ns = len(keep_cols)
-    m = len(norm)
-    # Column layout: structural | slack/surplus (one per inequality) | artificial.
-    slack_col = [None] * m
-    art_col = [None] * m
-    ncols = ns
-    for k, rel in enumerate(rels):
-        if rel in ("<=", ">="):
-            slack_col[k] = ncols
-            ncols += 1
-    art_start = ncols
-    for k, rel in enumerate(rels):
-        if rel in (">=", "="):
-            art_col[k] = ncols
-            ncols += 1
-
-    # Each row times its integer scale, rhs included, is integer.
-    scale = []
+    # Column layout: variables | slack/surplus (one per inequality) |
+    # artificial (one per "=" and ">=" row).  Each row's +1 column (its
+    # "<=" slack or its artificial) starts basic.
+    art_start = nv + sum(rel != "=" for rel in rels)
+    ncols = art_start + sum(rel != "<=" for rel in rels)
+    slack, art = nv, art_start
+    scale = []  # each row times its integer scale, rhs included, is integer
     T = []
-    basis = []
-    for k, (i, sign) in enumerate(norm):
-        row = lp.rows[i]
+    unit = []
+    for row, sign, rel in zip(lp.rows, signs, rels):
         ints, s = integer_form(row.coeffs + (row.rhs,))
         scale.append(s)
-        trow = [sign * ints[j] for j in keep_cols]
-        trow += [0] * (ncols - ns)
-        trow.append(sign * ints[-1])
-        if slack_col[k] is not None:
-            trow[slack_col[k]] = 1 if rels[k] == "<=" else -1
-        if art_col[k] is not None:
-            trow[art_col[k]] = 1
-            basis.append(art_col[k])
-        else:
-            basis.append(slack_col[k])
+        trow = [sign * a for a in ints]
+        trow[nv:nv] = [0] * (ncols - nv)
+        if rel != "=":
+            trow[slack] = 1 if rel == "<=" else -1
+            slack += 1
+        if rel != "<=":
+            trow[art] = 1
+            art += 1
+        unit.append(slack - 1 if rel == "<=" else art - 1)
         T.append(trow)
-    tab = _Tableau(T, basis)
+    tab = _Tableau(T, list(unit))
 
-    # Phase 1: drive the artificials to zero.
-    have_art = any(c is not None for c in art_col)
-    row_deleted = [False] * m
-    if have_art:
-        cost1 = [0] * ncols
-        for c in art_col:
-            if c is not None:
-                cost1[c] = -1
+    # Phase 1: drive the artificials to zero, then pivot each zero-level
+    # artificial out on a non-artificial entry of its row.  One whose row
+    # has none stays basic: that row is zero in every column phase 2 may
+    # pivot on, so it never leaves the basis and adds 0 to the objective.
+    if art_start < ncols:
+        cost1 = [0] * art_start + [-1] * (ncols - art_start)
         status = _run_phase(tab, _objective_row(tab, cost1), [True] * ncols)
         if status != "optimal":
             raise SelfCheckError("phase 1 cannot be unbounded")
-        art_set = set(c for c in art_col if c is not None)
-        if any(tab.rows[i][-1] != 0 for i in range(m) if tab.basis[i] in art_set):
+        if any(row[-1] for row, bi in zip(tab.rows, tab.basis) if bi >= art_start):
             return SolveResult("infeasible", None, None, tab.pivots, True)
-        # Pivot remaining zero-level artificials out, or mark rows redundant.
-        for i in range(m):
-            if tab.basis[i] in art_set:
-                target = -1
-                for j in range(art_start):
-                    if tab.rows[i][j]:
-                        target = j
-                        break
+        for i, bi in enumerate(tab.basis):
+            if bi >= art_start:
+                row = tab.rows[i]
+                target = next((j for j in range(art_start) if row[j]), -1)
                 if target >= 0:
                     tab.pivot(i, target)
-                else:
-                    row_deleted[i] = True
-
-    if free_profit:
-        return SolveResult("unbounded", None, None, tab.pivots, True)
-
-    # Drop redundant rows in place, so the pivot count carries over.
-    live_rows = [i for i in range(m) if not row_deleted[i]]
-    if len(live_rows) != m:
-        tab.rows = [tab.rows[i] for i in live_rows]
-        tab.basis = [tab.basis[i] for i in live_rows]
 
     # Phase 2 on the real objective, scaled by L to integers; artificial
     # columns may not re-enter.
-    cost, cost_scale = integer_form([lp.objective[j] for j in keep_cols])
-    obj2 = _objective_row(tab, cost + [0] * (ncols - ns))
+    cost, cost_scale = integer_form(lp.objective)
+    obj2 = _objective_row(tab, cost + [0] * (ncols - nv))
     status = _run_phase(tab, obj2, [j < art_start for j in range(ncols)])
     if status == "unbounded":
         return SolveResult("unbounded", None, None, tab.pivots, True)
 
-    # The primal point in original variable space is x = xnum / den.
+    # The primal point is x = xnum / den.
     den = tab.den
     xnum = [0] * nv
     for row, bi in zip(tab.rows, tab.basis):
-        if bi < ns:
-            xnum[keep_cols[bi]] = row[-1]
+        if bi < nv:
+            xnum[bi] = row[-1]
     value_num = sum(map(mul, lp.objective, xnum))
     value = Fraction(value_num, den)
 
@@ -325,20 +288,10 @@ def solve_exact(lp: LinearProgram) -> SolveResult:
     if any(v < 0 for v in xnum):
         raise SelfCheckError("optimal point violates a variable bound")
 
-    # ... and optimality through the dual y = ynum / (den * L), read from
-    # the final reduced costs, rescaled by each row's integer scale and
-    # signed back to the row as lp.rows states it.
-    ynum = [0] * len(lp.rows)
-    for k, (i, sign) in enumerate(norm):
-        if row_deleted[k]:
-            continue
-        if slack_col[k] is not None:
-            red = obj2[slack_col[k]]
-            if rels[k] == ">=":
-                red = -red
-        else:
-            red = obj2[art_col[k]]
-        ynum[i] = sign * red * scale[k]
+    # ... and optimality through the dual y = ynum / (den * L): the final
+    # reduced cost of each row's +1 column, rescaled by the row's integer
+    # scale and signed back to the row as lp.rows states it.
+    ynum = [sign * obj2[u] * s for sign, u, s in zip(signs, unit, scale)]
     dual_scale = den * cost_scale
     covered = [0] * nv
     for yi, row in zip(ynum, lp.rows):

@@ -28,6 +28,7 @@ from .configs import (
     sd_to_venn,
     venn_to_sd,
 )
+from .errors import ParameterError
 from .krawtchouk import (
     cached_table,
     eval_direct,
@@ -330,7 +331,9 @@ SUITES: dict[str, Callable[..., SuiteResult]] = {
 
 
 def run_suite(name: str, n_cap: int | None = None, l_cap: int | None = None) -> SuiteResult:
-    """Run one suite by name with wall-clock timing."""
+    """Run one suite by name with wall-clock timing; caps must be >= 1."""
+    if any(cap is not None and cap < 1 for cap in (n_cap, l_cap)):
+        raise ParameterError(f"need caps >= 1, got n_cap={n_cap}, l_cap={l_cap}")
     fn = SUITES[name]
     start = time.perf_counter()
     result = fn(n_cap=n_cap, l_cap=l_cap)

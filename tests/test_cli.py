@@ -205,6 +205,34 @@ def test_verify_unknown_suite_is_parameter_error(capsys):
     assert "unknown suite" in out.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--n", "0"],
+        ["verify", "--l", "0"],
+        ["table", "--n", "2", "--l", "0"],
+    ],
+)
+def test_empty_grids_are_parameter_errors(capsys, argv):
+    # A zero cap would check nothing and still pass; it is refused instead.
+    code, records, out = _run(capsys, argv)
+    assert code == 2
+    assert records == [] and out.out == ""
+    assert out.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("flag", ["--cache-dir", "--out"])
+def test_path_errors_exit_two(tmp_path, capsys, flag):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    path = blocker if flag == "--cache-dir" else blocker / "table.csv"
+    code, _, out = _run(capsys, ["krawtchouk", "--n", "2", "--l", "1", flag, str(path)])
+    assert code == 2
+    assert out.out == ""
+    assert out.err.startswith("error: ") and "Traceback" not in out.err
+    assert len(out.err.splitlines()) == 1
+
+
 def test_parameter_and_capacity_exit_codes(capsys):
     code, _, _ = _run(capsys, ["solve", "--n", "3", "--d", "9"])
     assert code == 2

@@ -8,6 +8,7 @@ import pytest
 from krawlp import simplex
 from krawlp.errors import ParameterError, SelfCheckError
 from krawlp.lp import LinearProgram, LPRow, build_delsarte, build_hierarchy_lp
+from krawlp.oracle import build_fourier_lp
 from krawlp.simplex import root_value, solve_exact, solve_float
 
 
@@ -121,8 +122,9 @@ def _row(name, coeffs, rel, rhs):
 
 def test_exact_pivots_survive_redundant_row():
     # x0 + x1 = 1, max x0 + 2*x1: one phase-1 and one phase-2 pivot.  The
-    # duplicated row is found redundant after phase 1 and dropped; its
-    # phase-1 pivot must still be counted.
+    # duplicated row is redundant after phase 1 and is kept as an inert
+    # row with its zero-level artificial basic; the phase-1 pivot must
+    # still be counted.
     row = _row("R", (1, 1), "=", 1)
     single = solve_exact(_custom([0, 1], [1, 2], [row]))
     double = solve_exact(_custom([0, 1], [1, 2], [row, row]))
@@ -130,6 +132,77 @@ def test_exact_pivots_survive_redundant_row():
         assert res.status == "optimal" and res.value == 2
         assert res.primal == (0, 1)
         assert res.pivots == 2
+
+
+def _with_rows(lp, *rows):
+    return _custom(lp.var_indices, lp.objective, lp.rows + rows, lp.n, lp.d, lp.ell)
+
+
+@pytest.mark.parametrize(
+    "lp,pivots",
+    [
+        (build_delsarte(5, 3), 3),
+        (build_hierarchy_lp(4, 2, 2, False), 14),
+        (build_fourier_lp(3, 2, 2, False), 17),
+    ],
+)
+def test_exact_duplicate_norm_row_changes_nothing(lp, pivots):
+    # The copy's artificial stays basic at zero level after phase 1, and
+    # its row never takes part in a phase-2 pivot.
+    norm = next(row for row in lp.rows if row.name == "NORM")
+    plain = solve_exact(lp)
+    doubled = solve_exact(_with_rows(lp, norm))
+    assert plain.pivots == pivots
+    for res in (plain, doubled):
+        assert res.status == "optimal"
+    assert (doubled.value, doubled.primal, doubled.pivots) == (
+        plain.value,
+        plain.primal,
+        plain.pivots,
+    )
+
+
+def test_exact_empty_rows():
+    lp = build_delsarte(5, 3)
+    nv = lp.num_vars
+    plain = solve_exact(lp)
+    zero = (0,) * nv
+    padded = solve_exact(
+        _with_rows(lp, _row("Z", zero, "=", 0), _row("W", zero, ">=", -3))
+    )
+    assert padded == plain
+    assert solve_exact(_with_rows(lp, _row("F", zero, ">=", 1))).status == "infeasible"
+
+
+def test_exact_unused_variable_stays_zero():
+    # x2 is in no row; with objective <= 0 it never enters the basis.
+    rows = [_row("A", (1, 1, 0), "<=", 1)]
+    for c in (0, -1):
+        res = solve_exact(_custom([0, 1, 2], [1, 2, c], rows))
+        assert res.status == "optimal" and res.value == 2
+        assert res.primal == (0, 1, 0)
+
+
+def test_exact_zero_level_artificial_is_driven_out():
+    # max x0 on -x0 = 0: phase 1 ends with the artificial basic at zero
+    # on a row with entry -1 in x0; the drive-out pivot makes x0 basic,
+    # where otherwise phase 2 would call x0 unbounded.
+    res = solve_exact(_custom([0], [1], [_row("A", (-1,), "=", 0)]))
+    assert res.status == "optimal" and res.value == 0
+    assert res.primal == (0,)
+
+
+def test_exact_drive_out_after_tied_phase_one_pivot():
+    # max -x0 on -x0 >= -1, -x0 = -1, 0 >= 0: x0 enters phase 1 on the
+    # first row (ratio tie), leaving the equality's artificial at zero.
+    rows = [
+        _row("A", (-1,), ">=", -1),
+        _row("B", (-1,), "=", -1),
+        _row("C", (0,), ">=", 0),
+    ]
+    res = solve_exact(_custom([0], [-1], rows))
+    assert res.status == "optimal" and res.value == -1
+    assert res.primal == (1,)
 
 
 def test_exact_rational_coefficients():
