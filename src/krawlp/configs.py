@@ -40,6 +40,7 @@ from .errors import (
     InvalidInputError,
     NotAConfigurationError,
     ParameterError,
+    parsing,
 )
 
 # Dense 2^l vectors and composition counts stay small only for small l.
@@ -297,9 +298,9 @@ def enumerate_configs(n: int, ell: int) -> tuple[SDConfig, ...]:
 
 
 @lru_cache(maxsize=None)
-def config_index(n: int, ell: int) -> dict[SDConfig, int]:
-    """Config -> position in the canonical enumeration.  Treat as read-only."""
-    return {g: i for i, g in enumerate(enumerate_configs(n, ell))}
+def config_index(n: int, ell: int) -> dict[tuple[int, ...], int]:
+    """Sd entry tuple -> position in the canonical enumeration.  Treat as read-only."""
+    return {g.entries: i for i, g in enumerate(enumerate_configs(n, ell))}
 
 
 def orbit_size(g: SDConfig, n: int) -> int:
@@ -367,13 +368,11 @@ def config_to_json(g: SDConfig, n: int) -> str:
 
 
 def config_from_json(text: str) -> SDConfig:
-    """Parse a configuration, cross-validating the two stored forms."""
-    data = json.loads(text)
-    try:
+    """Parse a configuration, cross-validating the stored forms and level."""
+    with parsing("configuration JSON"):
+        data = json.loads(text)
         g = SDConfig(tuple(data["sd"]))
         v = VennConfig(tuple(data["venn"]), data["n"])
-    except KeyError as exc:
-        raise InvalidInputError(f"missing configuration field {exc}") from exc
-    if venn_to_sd(v) != g:
-        raise InvalidInputError("sd and venn parts disagree")
+        if venn_to_sd(v) != g or data["l"] != g.ell:
+            raise InvalidInputError("sd, venn and l parts disagree")
     return g

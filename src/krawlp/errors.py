@@ -1,5 +1,8 @@
 """Exception hierarchy shared by all krawlp modules."""
 
+from contextlib import contextmanager
+from typing import Iterator
+
 
 class KrawlpError(Exception):
     """Base class for all library errors."""
@@ -39,3 +42,15 @@ class SolverNumericsError(KrawlpError, RuntimeError):
 
 class SelfCheckError(KrawlpError, RuntimeError):
     """An internal re-verification pass failed; the result was discarded."""
+
+
+@contextmanager
+def parsing(what: str) -> Iterator[None]:
+    """Re-raise the built-in errors of reading ``what`` (bad JSON, a missing
+    key, a wrong type, a bad number) as ``InvalidInputError``."""
+    try:
+        yield
+    except KrawlpError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise InvalidInputError(f"malformed {what}: {exc!r}") from exc

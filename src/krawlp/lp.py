@@ -19,10 +19,10 @@ Coefficients are exact rationals: plain ints from the builders (the rows
 are integer character sums), ``Fraction``s from ``lp_from_json``.
 ``integer_form`` is the one place that scales them to integers, for the
 feasibility check here and for the exact simplex.
-A code profile is a set of integer tuple counts over one shared
-denominator: |C|^l for the general formula, 1 for the span formula of a
-linear code.  Feasibility checks sum those integers row by row and form
-one exact rational per row.
+A code profile is a set of integer tuple counts by canonical config
+index (as in ``var_indices``) over one shared denominator: |C|^l for the
+general formula, 1 for the span formula of a linear code.  Feasibility is
+exact: it sums those integers row by row into one rational per row.
 """
 
 from __future__ import annotations
@@ -37,12 +37,13 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .configs import (
-    SDConfig,
     _gather,
+    config_count,
+    config_index,
     enumerate_configs,
     forbidden_configs,
 )
-from .errors import InvalidInputError, NotLinearError, ParameterError
+from .errors import InvalidInputError, NotLinearError, ParameterError, parsing
 from .krawtchouk import cached_table, classical_krawtchouk
 
 LP_SCHEMA_VERSION = 1
@@ -73,13 +74,13 @@ class LPRow:
         if self.relation not in (">=", "=", "<="):
             raise InvalidInputError(f"unsupported relation {self.relation!r}")
 
-    def holds(self, lhs: Rational, tolerance: Rational = 0) -> bool:
-        """Whether ``lhs (relation) rhs`` holds up to ``tolerance`` (>= 0)."""
+    def holds(self, lhs: Rational) -> bool:
+        """Whether ``lhs (relation) rhs`` holds exactly."""
         if self.relation == "=":
-            return abs(lhs - self.rhs) <= tolerance
+            return lhs == self.rhs
         if self.relation == ">=":
-            return lhs >= self.rhs - tolerance
-        return lhs <= self.rhs + tolerance
+            return lhs >= self.rhs
+        return lhs <= self.rhs
 
 
 @dataclass(frozen=True)
@@ -102,6 +103,8 @@ class LinearProgram:
     rows: tuple[LPRow, ...]
 
     def __post_init__(self) -> None:
+        if self.kind not in ("delsarte", "krawtchouk", "fourier"):
+            raise InvalidInputError(f"unknown program kind {self.kind!r}")
         nv = len(self.var_indices)
         if len(self.objective) != nv:
             raise InvalidInputError("objective length does not match variables")
@@ -116,13 +119,6 @@ class LinearProgram:
     @property
     def variable_names(self) -> tuple[str, ...]:
         return tuple(f"a_{i}" for i in self.var_indices)
-
-    def var_configs(self) -> tuple[SDConfig, ...]:
-        """Configurations behind the variables (configuration-indexed kinds only)."""
-        if self.kind == "fourier":
-            raise InvalidInputError("word-tuple programs are not configuration-indexed")
-        all_configs = enumerate_configs(self.n, self.ell)
-        return tuple(all_configs[i] for i in self.var_indices)
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +191,9 @@ def build_hierarchy_lp(n: int, d: int, ell: int, linear: bool) -> LinearProgram:
 class CodeProfile:
     """Configuration profile of a concrete code.
 
-    ``counts`` maps configurations to integer tuple counts (zero counts are
-    omitted); the profile mass of a configuration is its count over
+    ``counts`` maps canonical configuration indices (positions in
+    ``enumerate_configs(n, ell)``) to integer tuple counts, zero counts
+    omitted; the profile mass of a configuration is its count over
     ``denom``.  The general-code formula counts pairs of l-tuples, with
     ``denom`` = |C|^l; the span formula for linear codes counts tuples of
     codewords, with ``denom`` = 1.  Either way the masses sum to |C|^l and
@@ -206,23 +203,18 @@ class CodeProfile:
     n: int
     ell: int
     size: int
-    counts: dict[SDConfig, int]
+    counts: dict[int, int]
     denom: int
 
     def __post_init__(self) -> None:
-        if self.denom < 1:
-            raise InvalidInputError("profile denominator must be positive")
-
-    @property
-    def entries(self) -> dict[SDConfig, Fraction]:
-        """Profile mass per configuration, as exact rationals."""
-        return {cfg: Fraction(c, self.denom) for cfg, c in self.counts.items()}
+        if min(self.n, self.ell, self.denom) < 1:
+            raise InvalidInputError("profile needs n, l and denominator >= 1")
+        count = config_count(self.n, self.ell)
+        if not all(type(k) is int and 0 <= k < count for k in self.counts):
+            raise InvalidInputError(f"profile keys must be config indices 0..{count - 1}")
 
     def objective_value(self) -> Fraction:
         return Fraction(sum(self.counts.values()), self.denom)
-
-    def value_at(self, cfg: SDConfig) -> Fraction:
-        return Fraction(self.counts.get(cfg, 0), self.denom)
 
 
 def _check_words(words: Iterable[int], n: int) -> tuple[int, ...]:
@@ -277,6 +269,7 @@ def profile_of_code(
     ws = _check_words(words, n)
     if ell < 1:
         raise ParameterError("level must be >= 1")
+    index = config_index(n, ell)
     if linear:
         if not is_xor_closed(ws):
             raise NotLinearError("code is not XOR-closed (or misses 0)")
@@ -290,7 +283,7 @@ def profile_of_code(
         n=n,
         ell=ell,
         size=len(ws),
-        counts={SDConfig(key): count for key, count in sorted(raw.items())},
+        counts={index[key]: count for key, count in sorted(raw.items())},
         denom=denom,
     )
 
@@ -308,14 +301,11 @@ class FeasibilityVerdict:
     objective: Fraction | None
 
 
-def check_feasibility(
-    lp: LinearProgram, point: CodeProfile, tolerance: Rational = 0
-) -> FeasibilityVerdict:
-    """Check a profile against every row and bound of an LP.
+def check_feasibility(lp: LinearProgram, point: CodeProfile) -> FeasibilityVerdict:
+    """Check a profile exactly against every row and bound of an LP.
 
-    With the default zero tolerance this is an exact rational check.  A
-    nonzero mass on an eliminated configuration is reported as a distance
-    violation, not an error.
+    A nonzero mass on an eliminated configuration is reported as a
+    distance violation, not an error.
     """
     if lp.kind == "fourier":
         raise InvalidInputError("profiles index configurations, not word tuples")
@@ -324,22 +314,20 @@ def check_feasibility(
             f"profile is for (n={point.n}, l={point.ell}), "
             f"LP is for (n={lp.n}, l={lp.ell})"
         )
-    tolerance = Fraction(tolerance)
-    if tolerance < 0:
-        raise ParameterError("tolerance must be non-negative")
     denom = point.denom
-    pos = {cfg: i for i, cfg in enumerate(lp.var_configs())}
+    pos = {g: i for i, g in enumerate(lp.var_indices)}
     # The profile's (slot, count) support in slot order; every sum below
     # runs over it, since the other variables are zero.
     support = []
-    for cfg, count in point.counts.items():
-        slot = pos.get(cfg)
+    for g, count in point.counts.items():
+        slot = pos.get(g)
         if slot is None:
             if count != 0:
+                entries = enumerate_configs(lp.n, lp.ell)[g].entries
                 return FeasibilityVerdict(
                     False,
                     "distance-violation",
-                    f"eliminated configuration {cfg.entries} "
+                    f"eliminated configuration {entries} "
                     f"has mass {Fraction(count, denom)}",
                     None,
                 )
@@ -347,7 +335,7 @@ def check_feasibility(
             support.append((slot, count))
     support.sort()
     for i, c in support:
-        if c < 0 and Fraction(c, denom) < -tolerance:
+        if c < 0:
             return FeasibilityVerdict(
                 False,
                 "bound-violation",
@@ -365,7 +353,7 @@ def check_feasibility(
     objective = support_value(lp.objective)
     for row in lp.rows:
         lhs = support_value(row.coeffs)
-        if not row.holds(lhs, tolerance):
+        if not row.holds(lhs):
             return FeasibilityVerdict(
                 False,
                 "row-violation",
@@ -404,28 +392,29 @@ def lp_to_json(lp: LinearProgram) -> str:
 
 
 def lp_from_json(text: str) -> LinearProgram:
-    data = json.loads(text)
-    if data.get("schema") != LP_SCHEMA_VERSION:
-        raise InvalidInputError(f"unsupported LP schema {data.get('schema')!r}")
-    rows = tuple(
-        LPRow(
-            r["name"],
-            tuple(Fraction(c) for c in r["coeffs"]),
-            r["relation"],
-            Fraction(r["rhs"]),
+    with parsing("LP JSON"):
+        data = json.loads(text)
+        if data.get("schema") != LP_SCHEMA_VERSION:
+            raise InvalidInputError(f"unsupported LP schema {data.get('schema')!r}")
+        rows = tuple(
+            LPRow(
+                r["name"],
+                tuple(Fraction(c) for c in r["coeffs"]),
+                r["relation"],
+                Fraction(r["rhs"]),
+            )
+            for r in data["rows"]
         )
-        for r in data["rows"]
-    )
-    return LinearProgram(
-        kind=data["kind"],
-        n=data["n"],
-        d=data["d"],
-        ell=data["l"],
-        linear=data["linear"],
-        var_indices=tuple(data["var_indices"]),
-        objective=tuple(Fraction(c) for c in data["objective"]),
-        rows=rows,
-    )
+        return LinearProgram(
+            kind=data["kind"],
+            n=data["n"],
+            d=data["d"],
+            ell=data["l"],
+            linear=data["linear"],
+            var_indices=tuple(data["var_indices"]),
+            objective=tuple(Fraction(c) for c in data["objective"]),
+            rows=rows,
+        )
 
 
 def _decimal(x: Rational) -> tuple[str, bool]:

@@ -34,13 +34,14 @@ from math import inf
 from operator import mul
 from typing import Iterator
 
-from .configs import _gather, _sd_entries, config_index
+from .configs import _gather, _sd_entries
 from .errors import (
     CapacityError,
     InvalidInputError,
     NotLinearError,
     ParameterError,
     SelfCheckError,
+    parsing,
 )
 from .krawtchouk import cached_table
 from .lp import LinearProgram, LPRow, is_xor_closed, profile_of_code
@@ -95,8 +96,9 @@ class CodeSet:
 
     @classmethod
     def from_json(cls, text: str) -> "CodeSet":
-        data = json.loads(text)
-        return cls(frozenset(int(w, 16) for w in data["words"]), data["n"])
+        with parsing("code JSON"):
+            data = json.loads(text)
+            return cls(frozenset(int(w, 16) for w in data["words"]), data["n"])
 
 
 # ---------------------------------------------------------------------------
@@ -308,14 +310,6 @@ class MacWilliamsReport:
         return not self.violations
 
 
-def _profile_counts(c: CodeSet, ell: int, linear: bool) -> dict[int, int]:
-    # Integer counts per config index: tuples of codewords for the span
-    # formula, pairs of l-tuples (|C|^l times the profile) for the general one.
-    idx = config_index(c.n, ell)
-    prof = profile_of_code(sorted(c.words), c.n, ell, linear=linear)
-    return {idx[cfg]: count for cfg, count in prof.counts.items()}
-
-
 def _transforms(table_values, prof: dict[int, int]) -> Iterator[int]:
     # sum over g of K_h(g) * prof[g], for every row h, over the support of prof.
     pick = _gather(tuple(prof))
@@ -335,8 +329,8 @@ def verify_macwilliams(c: CodeSet, ell: int) -> MacWilliamsReport:
     violations = []
     identity_checked = 0
     if c.linear:
-        prof = _profile_counts(c, ell, linear=True)
-        dual_prof = _profile_counts(dual_code(c), ell, linear=True)
+        prof = profile_of_code(c.words, c.n, ell, linear=True).counts
+        dual_prof = profile_of_code(dual_code(c).words, c.n, ell, linear=True).counts
         scale = c.size**ell
         for h_idx, rhs in enumerate(_transforms(table.values, prof)):
             lhs = scale * dual_prof.get(h_idx, 0)
@@ -345,7 +339,8 @@ def verify_macwilliams(c: CodeSet, ell: int) -> MacWilliamsReport:
                 violations.append(
                     f"identity at h={h_idx}: {lhs} != {rhs} (|C|={c.size}, l={ell})"
                 )
-    pair_prof = _profile_counts(c, ell, linear=False)
+    # |C|^l times the profile: counts of pairs of l-tuples.
+    pair_prof = profile_of_code(c.words, c.n, ell).counts
     inequality_checked = 0
     for h_idx, s in enumerate(_transforms(table.values, pair_prof)):
         inequality_checked += 1

@@ -30,4 +30,4 @@ def test_config_venn_round_trip(t):
     venn = sd_to_venn(g, t.n)
     assert venn == venn_of_tuple(t)
     assert venn_to_sd(venn) == g
-    assert g in config_index(t.n, t.ell)
+    assert g.entries in config_index(t.n, t.ell)

@@ -318,7 +318,23 @@ def test_config_json_rejects_mismatch():
         config_from_json(text)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[1]",
+        '{"n":2,"l":5,"venn":[1,1],"sd":[0,1]}',
+        '{"n":2,"venn":[1,1],"sd":[0,1]}',
+        '{"n":2,"l":1,"venn":[1,1],"sd":[0,"1"]}',
+        "{",
+    ],
+    ids=["list", "wrong-l", "no-l", "string-entry", "not-json"],
+)
+def test_config_json_rejects_malformed(text):
+    with pytest.raises(InvalidInputError):
+        config_from_json(text)
+
+
 def test_config_index_matches_enumeration():
     idx = config_index(4, 2)
     for i, g in enumerate(enumerate_configs(4, 2)):
-        assert idx[g] == i
+        assert idx[g.entries] == i

@@ -20,9 +20,6 @@ integral = st.integers(-4, 4)
 rational = st.one_of(
     integral, st.builds(Fraction, st.integers(-9, 9), st.sampled_from([2, 3, 5, 7]))
 )
-tolerances = st.one_of(
-    st.just(Fraction(0)), st.builds(Fraction, st.integers(0, 6), st.integers(1, 6))
-)
 
 
 @st.composite
@@ -42,34 +39,36 @@ def cases(draw):
     )
     objective = tuple(draw(coefficient) for _ in keep)
     lp = LinearProgram("krawtchouk", N, 1, ELL, False, tuple(keep), objective, rows)
-    counts = draw(st.dictionaries(st.sampled_from(CONFIGS), st.integers(-2, 12), max_size=5))
-    prof = CodeProfile(N, ELL, 1, counts, draw(st.integers(1, 12)))
-    return lp, prof, draw(tolerances)
+    counts = draw(
+        st.dictionaries(st.integers(0, len(CONFIGS) - 1), st.integers(-2, 12), max_size=5)
+    )
+    return lp, CodeProfile(N, ELL, 1, counts, draw(st.integers(1, 12)))
 
 
-def reference(lp, point, tolerance):
+def reference(lp, point):
     # The Fraction summation the integer check replaced, entry by entry.
-    pos = {cfg: i for i, cfg in enumerate(lp.var_configs())}
+    pos = {g: i for i, g in enumerate(lp.var_indices)}
     support = []
-    for cfg, val in point.entries.items():
-        slot = pos.get(cfg)
+    for g, count in point.counts.items():
+        val = Fraction(count, point.denom)
+        slot = pos.get(g)
         if slot is None:
             if val != 0:
-                detail = f"eliminated configuration {cfg.entries} has mass {val}"
+                detail = f"eliminated configuration {CONFIGS[g].entries} has mass {val}"
                 return False, "distance-violation", detail, None
         else:
             support.append((slot, val))
     support.sort()
     for i, v in support:
-        if v < -tolerance:
+        if v < 0:
             return False, "bound-violation", f"variable {lp.variable_names[i]} = {v} < 0", None
     objective = sum((lp.objective[i] * v for i, v in support), Fraction(0))
     for row in lp.rows:
         lhs = sum((row.coeffs[i] * v for i, v in support), Fraction(0))
         holds = {
-            "=": abs(lhs - row.rhs) <= tolerance,
-            ">=": lhs >= row.rhs - tolerance,
-            "<=": lhs <= row.rhs + tolerance,
+            "=": lhs == row.rhs,
+            ">=": lhs >= row.rhs,
+            "<=": lhs <= row.rhs,
         }[row.relation]
         if not holds:
             detail = f"row {row.name}: lhs {lhs} {row.relation} {row.rhs} fails"
@@ -82,10 +81,10 @@ def test_integer_feasibility_matches_fraction_reference():
 
     @given(cases())
     def check(case):
-        lp, prof, tolerance = case
-        verdict = check_feasibility(lp, prof, tolerance)
+        lp, prof = case
+        verdict = check_feasibility(lp, prof)
         got = (verdict.feasible, verdict.status, verdict.detail, verdict.objective)
-        assert got == reference(lp, prof, tolerance)
+        assert got == reference(lp, prof)
         seen[verdict.status] += 1
 
     check()

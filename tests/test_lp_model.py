@@ -1,11 +1,12 @@
 """LP assembly, code profiles, feasibility checking, exports."""
 
+import json
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from krawlp.configs import SDConfig, enumerate_configs
+from krawlp.configs import SDConfig, config_count, enumerate_configs
 from krawlp.errors import InvalidInputError, NotLinearError, ParameterError
 from krawlp.lp import (
     CodeProfile,
@@ -22,6 +23,11 @@ from krawlp.lp import (
 )
 from krawlp.oracle import build_fourier_lp, iter_linear_codes, max_code, max_linear_code
 from krawlp.simplex import solve_exact
+
+
+def _masses(prof):
+    # Profile mass per configuration index, as exact rationals.
+    return {i: Fraction(c, prof.denom) for i, c in prof.counts.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +69,8 @@ def test_delsarte_full_space_profile_is_optimal_point():
     for n in (3, 5, 8):
         lp = build_delsarte(n, 1)
         prof = profile_of_code(range(1 << n), n, 1)
-        assert {g.entries[1]: v for g, v in prof.entries.items()} == {
+        configs = enumerate_configs(n, 1)
+        assert {configs[i].entries[1]: v for i, v in _masses(prof).items()} == {
             w: Fraction(comb(n, w)) for w in range(n + 1)
         }
         verdict = check_feasibility(lp, prof)
@@ -139,13 +146,15 @@ def test_integer_form():
 
 def test_profile_examples():
     prof = profile_of_code([0b00, 0b11], 2, 1)
-    assert {g.entries: v for g, v in prof.entries.items()} == {
+    configs = enumerate_configs(2, 1)
+    assert {configs[i].entries: v for i, v in _masses(prof).items()} == {
         (0, 0): Fraction(1),
         (0, 2): Fraction(1),
     }
     assert profile_of_code([0b00, 0b11], 2, 2).objective_value() == 4
     prof = profile_of_code([0], 3, 2)
-    assert {g.entries: v for g, v in prof.entries.items()} == {
+    configs = enumerate_configs(3, 2)
+    assert {configs[i].entries: v for i, v in _masses(prof).items()} == {
         (0, 0, 0, 0): Fraction(1)
     }
 
@@ -155,7 +164,7 @@ def test_profile_objective_is_size_power():
         for ell in (1, 2):
             prof = profile_of_code(words, n, ell)
             assert prof.objective_value() == Fraction(len(set(words))) ** ell
-            assert prof.value_at(enumerate_configs(n, ell)[0]) == 1
+            assert prof.counts[0] == prof.denom
 
 
 def test_profile_linear_requires_closure():
@@ -172,7 +181,30 @@ def test_profile_general_equals_span_for_linear_codes():
             for ell in (1, 2):
                 general = profile_of_code(words, n, ell, linear=False)
                 span = profile_of_code(words, n, ell, linear=True)
-                assert general.entries == span.entries, (n, ell, words)
+                assert _masses(general) == _masses(span), (n, ell, words)
+
+
+@pytest.mark.parametrize(
+    "key", [-1, config_count(2, 2), SDConfig((0, 0, 0, 0))], ids=["negative", "count", "sdconfig"]
+)
+def test_profile_rejects_non_index_keys(key):
+    with pytest.raises(InvalidInputError):
+        CodeProfile(2, 2, 1, {0: 1, key: 1}, 1)
+
+
+@pytest.mark.parametrize("n,ell,denom", [(0, 1, 1), (2, -1, 1), (2, 2, 0)])
+def test_profile_rejects_bad_shape(n, ell, denom):
+    with pytest.raises(InvalidInputError):
+        CodeProfile(n, ell, 1, {0: 1}, denom)
+
+
+def test_profile_keys_are_config_indices():
+    prof = profile_of_code([0b000, 0b011, 0b101], 3, 2)
+    assert prof.counts[0] == prof.denom == 9
+    assert all(type(i) is int and 0 <= i < config_count(3, 2) for i in prof.counts)
+    assert list(prof.counts) == sorted(
+        prof.counts, key=lambda i: enumerate_configs(3, 2)[i].entries
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +241,7 @@ def _one_row_program(relation, rhs):
 
 
 @pytest.mark.parametrize(
-    "relation,rhs,inside",
+    "relation,rhs,near",
     [
         ("=", Fraction(21, 10), True),
         ("=", Fraction(39, 20), True),
@@ -219,29 +251,26 @@ def _one_row_program(relation, rhs):
         (">=", Fraction(43, 20), False),
         ("<=", Fraction(39, 20), True),
         ("<=", Fraction(37, 20), False),
+        ("=", Fraction(2), True),
+        (">=", Fraction(2), True),
+        ("<=", Fraction(2), True),
     ],
 )
-def test_feasibility_tolerance(relation, rhs, inside):
+def test_feasibility_tolerance(relation, rhs, near):
     # The profile of {0, 1} at n=1 puts mass 1 on both variables: lhs = 2.
+    # The check is exact: a row that misses by at most 1/10 (near) fails
+    # just as a farther miss does, and only rhs = 2 holds.
+    assert (abs(rhs - 2) <= Fraction(1, 10)) == near
     prof = profile_of_code([0, 1], 1, 1)
-    lp = _one_row_program(relation, rhs)
-    assert not check_feasibility(lp, prof).feasible
-    verdict = check_feasibility(lp, prof, Fraction(1, 10))
-    assert verdict.feasible == inside
-    assert verdict.status == ("feasible" if inside else "row-violation")
+    verdict = check_feasibility(_one_row_program(relation, rhs), prof)
+    assert verdict.feasible == (rhs == 2)
+    assert verdict.status == ("feasible" if rhs == 2 else "row-violation")
     assert verdict.objective == 2
-
-
-def test_feasibility_negative_tolerance_rejected():
-    prof = profile_of_code([0, 1], 1, 1)
-    with pytest.raises(ParameterError):
-        check_feasibility(_one_row_program("=", 2), prof, Fraction(-1, 10))
 
 
 def test_feasibility_bound_violation():
     # A hand-built profile with a negative count: mass -3/4 on a_1.
-    trivial, weight1 = enumerate_configs(1, 1)
-    prof = CodeProfile(1, 1, 1, {trivial: 2, weight1: -3}, 4)
+    prof = CodeProfile(1, 1, 1, {0: 2, 1: -3}, 4)
     lp = _one_row_program(">=", 0)
     verdict = check_feasibility(lp, prof)
     assert (verdict.feasible, verdict.status, verdict.detail, verdict.objective) == (
@@ -250,14 +279,6 @@ def test_feasibility_bound_violation():
         "variable a_1 = -3/4 < 0",
         None,
     )
-    assert check_feasibility(lp, prof, Fraction(3, 4) - Fraction(1, 100)).status == (
-        "bound-violation"
-    )
-    for tolerance in (Fraction(3, 4), Fraction(1)):
-        verdict = check_feasibility(lp, prof, tolerance)
-        # lhs = 2/4 - 3/4 = -1/4 is within the tolerance of rhs 0.
-        assert verdict.feasible and verdict.status == "feasible"
-        assert verdict.objective == Fraction(-1, 4)
 
 
 def test_feasibility_index_mismatch_errors():
@@ -311,8 +332,31 @@ def test_json_roundtrip_identity():
         assert lp_to_json(again) == text
 
 
+def _malformed_lp_json(edit):
+    data = json.loads(lp_to_json(build_delsarte(1, 1)))
+    edit(data)
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[]",
+        _malformed_lp_json(lambda data: data["rows"][0].pop("coeffs")),
+        _malformed_lp_json(lambda data: data["objective"].__setitem__(0, "1/0")),
+        _malformed_lp_json(lambda data: data.__setitem__("kind", "bogus")),
+        _malformed_lp_json(lambda data: data.__setitem__("schema", 2)),
+        "{",
+    ],
+    ids=["list", "no-coeffs", "zero-denominator", "bogus-kind", "schema", "not-json"],
+)
+def test_lp_json_rejects_malformed(text):
+    with pytest.raises(InvalidInputError):
+        lp_from_json(text)
+
+
 def test_var_configs_for_eliminated_program():
     lp = build_hierarchy_lp(2, 2, 2, linear=False)
-    kept = lp.var_configs()
+    kept = [enumerate_configs(2, 2)[i] for i in lp.var_indices]
     assert all(not any(1 <= g.entries[1 << j] < 2 for j in range(2)) for g in kept)
     assert kept[0] == SDConfig((0, 0, 0, 0))

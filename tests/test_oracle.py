@@ -7,8 +7,8 @@ from math import inf
 
 import pytest
 
-from krawlp.configs import WordTuple, config_of_tuple
-from krawlp.errors import CapacityError, NotLinearError
+from krawlp.configs import WordTuple, config_index, config_of_tuple
+from krawlp.errors import CapacityError, InvalidInputError, NotLinearError
 from krawlp.lp import build_hierarchy_lp, profile_of_code
 from krawlp.oracle import (
     CodeSet,
@@ -44,6 +44,14 @@ def test_codeset_json_roundtrip():
     data = json.loads(code.to_json())
     assert data["words"] == ["0", "b"]
     assert CodeSet.from_json(code.to_json()) == code
+
+
+@pytest.mark.parametrize(
+    "text", ['{"n":3,"words":["zz"]}', '{"n":3,"words":[5]}', '{"n":3}', "[]", "{"]
+)
+def test_codeset_json_rejects_malformed(text):
+    with pytest.raises(InvalidInputError):
+        CodeSet.from_json(text)
 
 
 # ---------------------------------------------------------------------------
@@ -317,13 +325,15 @@ def test_fourier_orbit_sums_reproduce_profile():
     n, ell = 3, 2
     _, code = max_linear_code(n, 2)
     words = code.words
+    index = config_index(n, ell)
     sums: dict = {}
     for parts in itertools.product(range(1 << n), repeat=ell):
         if all(w in words for w in parts):
-            g = config_of_tuple(WordTuple(parts, n))
-            sums[g] = sums.get(g, 0) + 1
+            i = index[config_of_tuple(WordTuple(parts, n)).entries]
+            sums[i] = sums.get(i, 0) + 1
     prof = profile_of_code(sorted(words), n, ell, linear=True)
-    assert sums == {g: int(v) for g, v in prof.entries.items()}
+    assert prof.denom == 1
+    assert sums == prof.counts
 
 
 def test_oracle_lp_soundness_via_root():
