@@ -13,7 +13,10 @@ K_i(j); higher l refines the Hamming scheme with joint word interactions.
 Three independent evaluation routes are implemented:
 
 * ``eval_direct``   - the literal 2^(nl)-term character sum; brute-force
-                      oracle, only usable for tiny nl;
+                      oracle, only usable for tiny nl.  A tuple is packed
+                      into one int, word j in its j-th n-bit block, so
+                      the character prod_j (-1)^<x_j, y_j> is
+                      (-1)^popcount(x & y);
 * ``eval_explicit`` - a finite sum over contingency tables whose margins
                       are the two Venn vectors; polynomially many terms;
 * ``build_table``   - the generating function: column g is the coefficient
@@ -34,6 +37,7 @@ import gzip
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from math import comb
 from operator import add, mul, sub
 from pathlib import Path
@@ -76,25 +80,16 @@ def classical_krawtchouk(i: int, j: int, n: int) -> int:
 
 
 @lru_cache(maxsize=1)
-def _tuples_by_config(n: int, ell: int) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
-    # Partition of all 2^(n*l) tuples by configuration entries.  Only the
-    # latest (n, l) is kept: one partition at n*l = 18 holds about 24 MB.
+def _tuples_by_config(n: int, ell: int) -> dict[tuple[int, ...], list[int]]:
+    # Partition of all 2^(n*l) tuples by configuration entries, each tuple
+    # packed into one int with word j in its j-th n-bit block.  Only the
+    # latest (n, l) is kept: one partition at n*l = 18 holds about 11 MB.
     mask = (1 << n) - 1
-    buckets: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    buckets: dict[tuple[int, ...], list[int]] = {}
     for p in range(1 << (n * ell)):
-        words = tuple((p >> (n * j)) & mask for j in range(ell))
-        buckets.setdefault(_sd_entries(words), []).append(words)
+        words = [(p >> (n * j)) & mask for j in range(ell)]
+        buckets.setdefault(_sd_entries(words), []).append(p)
     return buckets
-
-
-def _char_sum(x_words: tuple[int, ...], tuples: list[tuple[int, ...]]) -> int:
-    acc = 0
-    for y in tuples:
-        parity = 0
-        for xj, yj in zip(x_words, y):
-            parity ^= (xj & yj).bit_count()
-        acc += 1 - ((parity & 1) << 1)
-    return acc
 
 
 def eval_direct(h: SDConfig, g: SDConfig, n: int) -> int:
@@ -108,9 +103,10 @@ def eval_direct(h: SDConfig, g: SDConfig, n: int) -> int:
             f"2^(n*l) = {total} tuples exceed the direct enumeration budget "
             f"{DIRECT_ENUM_BUDGET}"
         )
-    x = representative_tuple(g, n).words
+    x = sum(w << (n * j) for j, w in enumerate(representative_tuple(g, n).words))
     sd_to_venn(h, n)  # validates h for this blocklength
-    return _char_sum(x, _tuples_by_config(n, ell).get(h.entries, []))
+    ys = _tuples_by_config(n, ell).get(h.entries, [])
+    return len(ys) - 2 * sum((x & y).bit_count() & 1 for y in ys)
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +361,10 @@ def load_table(n: int, ell: int, cache_dir: str | Path) -> KrawtchoukTable | Non
     """Load a cached table, or None on a miss.
 
     A missing or undecodable file, another format version, another (n, l),
-    or a table that fails the cheap checks of ``_plausible`` is a miss, so
-    the caller rebuilds the table and overwrites the file.
+    an entry that is not an int (a float or a JSON boolean, which compare
+    equal to ints), or a table that fails the cheap checks of
+    ``_plausible`` is a miss, so the caller rebuilds the table and
+    overwrites the file.
     """
     path = table_cache_path(cache_dir, n, ell)
     if not path.is_file():
@@ -379,6 +377,8 @@ def load_table(n: int, ell: int, cache_dir: str | Path) -> KrawtchoukTable | Non
         if (payload["n"], payload["l"]) != (n, ell):
             return None
         table = KrawtchoukTable(n, ell, tuple(tuple(row) for row in payload["values"]))
+        if set(map(type, chain.from_iterable(table.values))) != {int}:
+            return None
         plausible = _plausible(table)
     except (
         gzip.BadGzipFile,

@@ -17,12 +17,15 @@ their rows still constrain the surviving variables.
 
 Coefficients are exact rationals: plain ints from the builders (the rows
 are integer character sums), ``Fraction``s from ``lp_from_json``.
-``integer_form`` is the one place that scales them to integers, for the
-feasibility check here and for the exact simplex.
+``integer_form`` scales them to integers; only the exact simplex uses it,
+to build its tableau and objective.
 A code profile is a set of integer tuple counts by canonical config
 index (as in ``var_indices``) over one shared denominator: |C|^l for the
-general formula, 1 for the span formula of a linear code.  Feasibility is
-exact: it sums those integers row by row into one rational per row.
+general formula, 1 for the span formula of a linear code.  ``row_sums``
+sums rows over a sparse ``(index, count)`` support, and ``check_point``
+checks x = counts / denom exactly against every bound and row; a
+profile's feasibility, the simplex's primal certificate and the
+MacWilliams transforms all go through them.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .configs import (
     _gather,
@@ -106,6 +109,8 @@ class LinearProgram:
         if self.kind not in ("delsarte", "krawtchouk", "fourier"):
             raise InvalidInputError(f"unknown program kind {self.kind!r}")
         nv = len(self.var_indices)
+        if len(set(self.var_indices)) != nv:
+            raise InvalidInputError("variable indices repeat")
         if len(self.objective) != nv:
             raise InvalidInputError("objective length does not match variables")
         for row in self.rows:
@@ -301,11 +306,58 @@ class FeasibilityVerdict:
     objective: Fraction | None
 
 
+def row_sums(
+    rows: Iterable[Sequence[Rational]], support: Collection[tuple[int, int]]
+) -> Iterator[Rational]:
+    """Yield ``sum(row[i] * count for i, count in support)`` for each row.
+
+    The sum runs over the ``(index, count)`` support only; integer rows
+    give ints and ``Fraction`` rows give ``Fraction``s.
+    """
+    pick = _gather([i for i, _ in support])
+    counts = [c for _, c in support]
+    for row in rows:
+        yield sum(map(mul, pick(row), counts))
+
+
+def check_point(
+    lp: LinearProgram, support: Sequence[tuple[int, int]], denom: int
+) -> FeasibilityVerdict:
+    """Check x = count / denom exactly against every bound and row of an LP.
+
+    ``support`` lists the ``(slot, count)`` pairs of x in slot order, and
+    x is zero in every other slot; ``denom`` is positive.  The verdict
+    names the first failed bound or row, with x's objective value when
+    every bound holds.
+    """
+    for i, c in support:
+        if c < 0:
+            return FeasibilityVerdict(
+                False,
+                "bound-violation",
+                f"variable {lp.variable_names[i]} = {Fraction(c, denom)} < 0",
+                None,
+            )
+    sums = row_sums([lp.objective, *(r.coeffs for r in lp.rows)], support)
+    objective = Fraction(next(sums), denom)
+    for row, s in zip(lp.rows, sums):
+        lhs = Fraction(s, denom)
+        if not row.holds(lhs):
+            return FeasibilityVerdict(
+                False,
+                "row-violation",
+                f"row {row.name}: lhs {lhs} {row.relation} {row.rhs} fails",
+                objective,
+            )
+    return FeasibilityVerdict(True, "feasible", None, objective)
+
+
 def check_feasibility(lp: LinearProgram, point: CodeProfile) -> FeasibilityVerdict:
     """Check a profile exactly against every row and bound of an LP.
 
     A nonzero mass on an eliminated configuration is reported as a
-    distance violation, not an error.
+    distance violation, not an error; the rest is ``check_point`` on the
+    profile's counts over its denominator.
     """
     if lp.kind == "fourier":
         raise InvalidInputError("profiles index configurations, not word tuples")
@@ -314,10 +366,7 @@ def check_feasibility(lp: LinearProgram, point: CodeProfile) -> FeasibilityVerdi
             f"profile is for (n={point.n}, l={point.ell}), "
             f"LP is for (n={lp.n}, l={lp.ell})"
         )
-    denom = point.denom
     pos = {g: i for i, g in enumerate(lp.var_indices)}
-    # The profile's (slot, count) support in slot order; every sum below
-    # runs over it, since the other variables are zero.
     support = []
     for g, count in point.counts.items():
         slot = pos.get(g)
@@ -328,39 +377,12 @@ def check_feasibility(lp: LinearProgram, point: CodeProfile) -> FeasibilityVerdi
                     False,
                     "distance-violation",
                     f"eliminated configuration {entries} "
-                    f"has mass {Fraction(count, denom)}",
+                    f"has mass {Fraction(count, point.denom)}",
                     None,
                 )
         else:
             support.append((slot, count))
-    support.sort()
-    for i, c in support:
-        if c < 0:
-            return FeasibilityVerdict(
-                False,
-                "bound-violation",
-                f"variable {lp.variable_names[i]} = {Fraction(c, denom)} < 0",
-                None,
-            )
-    pick = _gather([i for i, _ in support])
-    counts = [c for _, c in support]
-
-    def support_value(coeffs: Sequence[Rational]) -> Fraction:
-        # coeffs . x over the support, where x = counts / denom.
-        nums, scale = integer_form(pick(coeffs))
-        return Fraction(sum(map(mul, nums, counts)), scale * denom)
-
-    objective = support_value(lp.objective)
-    for row in lp.rows:
-        lhs = support_value(row.coeffs)
-        if not row.holds(lhs):
-            return FeasibilityVerdict(
-                False,
-                "row-violation",
-                f"row {row.name}: lhs {lhs} {row.relation} {row.rhs} fails",
-                objective,
-            )
-    return FeasibilityVerdict(True, "feasible", None, objective)
+    return check_point(lp, sorted(support), point.denom)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,9 @@ an independent oracle for the LP machinery:
 * ``build_fourier_lp`` - the unsymmetrized LP with one variable per
                         l-tuple of words and one character row per tuple,
                         for equivalence testing against the configuration
-                        LP.
+                        LP.  Tuples are packed ints (word j in the j-th
+                        n-bit block), so each character is
+                        (-1)^popcount(alpha & p).
 
 Oracle results are memoized in-process keyed by (n, d) per function.
 """
@@ -31,10 +33,9 @@ import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import inf
-from operator import mul
 from typing import Iterator
 
-from .configs import _gather, _sd_entries
+from .configs import _sd_entries
 from .errors import (
     CapacityError,
     InvalidInputError,
@@ -44,7 +45,7 @@ from .errors import (
     parsing,
 )
 from .krawtchouk import cached_table
-from .lp import LinearProgram, LPRow, is_xor_closed, profile_of_code
+from .lp import LinearProgram, LPRow, is_xor_closed, profile_of_code, row_sums
 
 # Independent-set search budget: 2^n graph vertices.
 MAX_BB_VERTICES = 128
@@ -310,14 +311,6 @@ class MacWilliamsReport:
         return not self.violations
 
 
-def _transforms(table_values, prof: dict[int, int]) -> Iterator[int]:
-    # sum over g of K_h(g) * prof[g], for every row h, over the support of prof.
-    pick = _gather(tuple(prof))
-    counts = tuple(prof.values())
-    for row in table_values:
-        yield sum(map(mul, pick(row), counts))
-
-
 def verify_macwilliams(c: CodeSet, ell: int) -> MacWilliamsReport:
     """Exact transform checks for one code at level l.
 
@@ -332,7 +325,7 @@ def verify_macwilliams(c: CodeSet, ell: int) -> MacWilliamsReport:
         prof = profile_of_code(c.words, c.n, ell, linear=True).counts
         dual_prof = profile_of_code(dual_code(c).words, c.n, ell, linear=True).counts
         scale = c.size**ell
-        for h_idx, rhs in enumerate(_transforms(table.values, prof)):
+        for h_idx, rhs in enumerate(row_sums(table.values, prof.items())):
             lhs = scale * dual_prof.get(h_idx, 0)
             identity_checked += 1
             if lhs != rhs:
@@ -342,7 +335,7 @@ def verify_macwilliams(c: CodeSet, ell: int) -> MacWilliamsReport:
     # |C|^l times the profile: counts of pairs of l-tuples.
     pair_prof = profile_of_code(c.words, c.n, ell).counts
     inequality_checked = 0
-    for h_idx, s in enumerate(_transforms(table.values, pair_prof)):
+    for h_idx, s in enumerate(row_sums(table.values, pair_prof.items())):
         inequality_checked += 1
         if s < 0:
             violations.append(f"inequality at h={h_idx}: transform {s} < 0")
@@ -368,33 +361,20 @@ def build_fourier_lp(n: int, d: int, ell: int, linear: bool) -> LinearProgram:
         raise CapacityError(
             f"2^(n*l) = {npoints} tuple variables exceed the budget {MAX_FOURIER_POINTS}"
         )
+    # Tuple p packs word j into its j-th n-bit block, so the character
+    # prod_j (-1)^<alpha_j, p_j> of tuple alpha at p is (-1)^popcount(alpha & p).
     mask = (1 << n) - 1
-
-    def words_of(p: int) -> tuple[int, ...]:
-        return tuple((p >> (n * j)) & mask for j in range(ell))
-
     keep = []
-    kept_words = []
     for p in range(npoints):
-        ws = words_of(p)
-        if linear:
-            bad = any(1 <= w < d for w in _sd_entries(ws))
-        else:
-            bad = any(1 <= w.bit_count() < d for w in ws)
-        if not bad:
+        ws = [(p >> (n * j)) & mask for j in range(ell)]
+        weights = _sd_entries(ws) if linear else [w.bit_count() for w in ws]
+        if not any(1 <= w < d for w in weights):
             keep.append(p)
-            kept_words.append(ws)
     norm = LPRow("NORM", tuple(int(p == 0) for p in keep), "=", 1)
     rows = [norm]
     for alpha in range(npoints):
-        aw = words_of(alpha)
-        coeffs = []
-        for ws in kept_words:
-            parity = 0
-            for a, w in zip(aw, ws):
-                parity ^= (a & w).bit_count()
-            coeffs.append(-1 if parity & 1 else 1)
-        rows.append(LPRow(f"F_{alpha}", tuple(coeffs), ">=", 0))
+        coeffs = tuple([1 - 2 * ((alpha & p).bit_count() & 1) for p in keep])
+        rows.append(LPRow(f"F_{alpha}", coeffs, ">=", 0))
     return LinearProgram(
         kind="fourier",
         n=n,

@@ -10,11 +10,13 @@ other presolve.  Rows ``>= 0`` are negated to ``<= 0``, so their slacks
 start basic and phase 1 needs artificials only for ``=`` rows and for
 ``>=`` rows with a positive rhs.
 The pivot rule is largest-coefficient for a bounded number of pivots, then
-Bland's rule, so termination is guaranteed.  Every optimal answer is
+Bland's rule, so termination is guaranteed.  ``integer_form`` serves only
+to build the tableau and the objective.  Every optimal answer is
 certified in exact arithmetic against the program's own rows before it
-is returned: the primal point (integers over the tableau denominator) is
-checked against every row and bound, and a dual vector must be
-dual-feasible, correctly signed and of matching objective value.  Each
+is returned: the primal point (integers over the tableau denominator)
+must pass ``lp.check_point``, the same check a code profile passes, and
+a dual vector must be dual-feasible, correctly signed and of matching
+objective value.  Each
 row's dual value is read one way: the final reduced cost of the row's
 starting basic column (its ``<=`` slack or its artificial), times the
 row's sign and integer scale.  A failed check raises instead of returning
@@ -31,7 +33,6 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 
 from .errors import (
     IterationLimitError,
@@ -39,8 +40,7 @@ from .errors import (
     SelfCheckError,
     SolverNumericsError,
 )
-from .configs import _gather
-from .lp import LinearProgram, integer_form
+from .lp import LinearProgram, check_point, integer_form
 
 MAX_PIVOTS = 200_000
 DANTZIG_PIVOTS = 2_000
@@ -198,12 +198,14 @@ def solve_exact(lp: LinearProgram) -> SolveResult:
     The pivot rule is fixed: largest coefficient for the first
     ``DANTZIG_PIVOTS`` pivots, then Bland's rule.  More than ``MAX_PIVOTS``
     pivots over both phases raise ``IterationLimitError``.  The primal
-    point (integers over the tableau denominator ``den``) and a dual
-    vector are checked against ``lp.rows`` and ``lp.objective`` themselves
-    before returning.  Every row starts with one +1 basic column, its
-    ``<=`` slack or its artificial; the dual value of the row is the final
-    reduced cost of that column times the row's sign and integer scale,
-    over ``den * L`` with L the objective's integer scale.
+    point (integers over the tableau denominator ``den``) goes through
+    ``check_point``, and a dual vector is checked against ``lp.rows`` and
+    ``lp.objective`` themselves before returning; the reported value is
+    the objective ``check_point`` computes.  Every row starts with one +1
+    basic column, its ``<=`` slack or its artificial; the dual value of
+    the row is the final reduced cost of that column times the row's sign
+    and integer scale, over ``den * L`` with L the objective's integer
+    scale.
     """
     nv = lp.num_vars
 
@@ -267,26 +269,17 @@ def solve_exact(lp: LinearProgram) -> SolveResult:
     if status == "unbounded":
         return SolveResult("unbounded", None, None, tab.pivots, True)
 
-    # The primal point is x = xnum / den.
+    # Certificate, in exact arithmetic against the program's own rows:
+    # the primal point x = xnum / den must pass check_point ...
     den = tab.den
     xnum = [0] * nv
     for row, bi in zip(tab.rows, tab.basis):
         if bi < nv:
             xnum[bi] = row[-1]
-    value_num = sum(map(mul, lp.objective, xnum))
-    value = Fraction(value_num, den)
-
-    # Certificate, in exact arithmetic against the program's own rows.
-    # Primal feasibility over the support of x ...
-    support = [j for j in range(nv) if xnum[j]]
-    pick = _gather(support)
-    xs = pick(xnum)
-    for row in lp.rows:
-        lhs = Fraction(sum(map(mul, pick(row.coeffs), xs)), den)
-        if not row.holds(lhs):
-            raise SelfCheckError(f"optimal point violates row {row.name}")
-    if any(v < 0 for v in xnum):
-        raise SelfCheckError("optimal point violates a variable bound")
+    verdict = check_point(lp, [(j, v) for j, v in enumerate(xnum) if v], den)
+    if not verdict.feasible:
+        raise SelfCheckError(f"optimal point violates {verdict.detail}")
+    value = verdict.objective
 
     # ... and optimality through the dual y = ynum / (den * L): the final
     # reduced cost of each row's +1 column, rescaled by the row's integer
@@ -303,7 +296,7 @@ def solve_exact(lp: LinearProgram) -> SolveResult:
         if (row.relation == "<=" and yi < 0) or (row.relation == ">=" and yi > 0):
             raise SelfCheckError("dual certificate has a wrong sign")
     dual_num = sum(yi * row.rhs for yi, row in zip(ynum, lp.rows))
-    if dual_num != value_num * cost_scale:
+    if dual_num != value * dual_scale:
         raise SelfCheckError("strong duality does not close; result discarded")
 
     primal = tuple(Fraction(v, den) for v in xnum)

@@ -320,6 +320,14 @@ def _corrupt(kind, path):
         values = [list(r) for r in table.values]
         values[1] = [values[1][0]] + [v + 1 for v in values[1][1:]]
         _write_cache(path, _payload(table, values=values))
+    elif kind == "float-values":
+        # 1.0 == 1, so only a type check tells these from a true table
+        _write_cache(path, _payload(table, values=[[float(v) for v in r] for r in table.values]))
+    elif kind == "bool-values":
+        # the trivial row as JSON true, which loads as True == 1
+        values = [list(r) for r in table.values]
+        values[0] = [True] * table.size
+        _write_cache(path, _payload(table, values=values))
     elif kind == "not-a-dict":
         _write_cache(path, [1, 2, 3])
     elif kind == "no-values":
@@ -350,6 +358,8 @@ CORRUPTIONS = [
     "row-0",
     "column-0",
     "row-off",
+    "float-values",
+    "bool-values",
     "not-a-dict",
     "no-values",
     "values-not-rows",

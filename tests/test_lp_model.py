@@ -346,9 +346,18 @@ def _malformed_lp_json(edit):
         _malformed_lp_json(lambda data: data["objective"].__setitem__(0, "1/0")),
         _malformed_lp_json(lambda data: data.__setitem__("kind", "bogus")),
         _malformed_lp_json(lambda data: data.__setitem__("schema", 2)),
+        _malformed_lp_json(lambda data: data.__setitem__("var_indices", [1, 1])),
         "{",
     ],
-    ids=["list", "no-coeffs", "zero-denominator", "bogus-kind", "schema", "not-json"],
+    ids=[
+        "list",
+        "no-coeffs",
+        "zero-denominator",
+        "bogus-kind",
+        "schema",
+        "repeated-index",
+        "not-json",
+    ],
 )
 def test_lp_json_rejects_malformed(text):
     with pytest.raises(InvalidInputError):

@@ -1,7 +1,9 @@
 """Brute-force oracles: exact code sizes, duals, transforms, word-tuple LP."""
 
+import functools
 import itertools
 import json
+import operator
 import random
 from math import inf
 
@@ -301,6 +303,47 @@ def test_fourier_matches_hierarchy_values(n):
                 vf = solve_exact(build_fourier_lp(n, d, ell, linear)).value
                 vk = solve_exact(build_hierarchy_lp(n, d, ell, linear)).value
                 assert vf == vk, (n, d, ell, linear)
+
+
+@pytest.mark.parametrize("n,ell", [(2, 2), (1, 3)])
+@pytest.mark.parametrize("linear", [False, True], ids=["general", "linear"])
+def test_fourier_rows_entry_by_entry(n, ell, linear):
+    # Every coefficient from the per-word parity sum, every kept tuple from
+    # the per-word distance rule: a general tuple keeps no word of weight
+    # 1..d-1, a linear one no nonzero XOR combination of such weight.
+    points = range(1 << (n * ell))
+    mask = (1 << n) - 1
+
+    def words(p):
+        return [(p >> (n * j)) & mask for j in range(ell)]
+
+    def combinations(ws):
+        if not linear:
+            return ws
+        return [
+            functools.reduce(operator.xor, (w for j, w in enumerate(ws) if s >> j & 1), 0)
+            for s in range(1, 1 << ell)
+        ]
+
+    for d in range(1, n + 2):
+        lp = build_fourier_lp(n, d, ell, linear)
+        kept = tuple(
+            p for p in points if not any(1 <= c.bit_count() < d for c in combinations(words(p)))
+        )
+        assert lp.var_indices == kept, d
+        norm = lp.rows[0]
+        assert (norm.name, norm.relation, norm.rhs) == ("NORM", "=", 1)
+        assert norm.coeffs == tuple(int(p == 0) for p in kept)
+        assert len(lp.rows) == 1 + len(points)
+        for alpha, row in zip(points, lp.rows[1:]):
+            assert (row.name, row.relation, row.rhs) == (f"F_{alpha}", ">=", 0)
+            want = []
+            for p in kept:
+                parity = 0
+                for a, w in zip(words(alpha), words(p)):
+                    parity ^= (a & w).bit_count()
+                want.append(-1 if parity & 1 else 1)
+            assert row.coeffs == tuple(want), (d, alpha)
 
 
 def test_fourier_indicator_solution_feasible():
