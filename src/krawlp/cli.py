@@ -19,7 +19,6 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
@@ -35,7 +34,7 @@ from .errors import (
 from .krawtchouk import cached_table, load_table, save_table, table_to_csv
 from .lp import build_delsarte, build_hierarchy_lp, export_lp
 from .oracle import build_fourier_lp, max_code, max_linear_code
-from .simplex import root_value, solve_exact, solve_float
+from .simplex import format_value, root_value, solve_exact, solve_float
 from .suites import SUITES, hierarchy_value, run_suite
 
 CACHE_ENV = "KRAWLP_CACHE_DIR"
@@ -54,14 +53,6 @@ def _emit(record: dict) -> None:
 
 def _timing(label: str, seconds: float) -> None:
     print(f"[timing] {label}: {seconds:.3f}s", file=sys.stderr)
-
-
-def _fmt_value(value: Fraction | float | None, decimal: bool):
-    if value is None:
-        return None
-    if isinstance(value, Fraction):
-        return float(value) if decimal else str(value)
-    return float(value)
 
 
 def _write(path: str, data: bytes) -> None:
@@ -154,7 +145,7 @@ def cmd_solve(args) -> int:
         "status": result.status,
         "exact": result.exact,
         "pivots": result.pivots,
-        "value": _fmt_value(result.value, args.decimal),
+        "value": format_value(result.value, args.decimal),
     }
     if result.status == "optimal":
         record["root"] = (

@@ -21,6 +21,9 @@ permutation of the other, so a configuration names an S_n-orbit of tuples;
 configurations is C(n + 2^l - 1, 2^l - 1): one per weak composition of n
 into 2^l Venn cells.
 
+``too_close`` is the one distance rule on sd entries: every program builder
+keeps exactly the points it does not exclude.
+
 Subsets are encoded as bitmasks (bit j-1 of the mask is element j),
 configurations as dense tuples of length 2^l, and every computation here is
 exact integer arithmetic; nothing in this module touches floating point.
@@ -41,6 +44,7 @@ from .errors import (
     NotAConfigurationError,
     ParameterError,
     parsing,
+    require_int,
 )
 
 # Dense 2^l vectors and composition counts stay small only for small l.
@@ -312,26 +316,23 @@ def orbit_size(g: SDConfig, n: int) -> int:
     return _multinomial(n, v.entries)
 
 
-def forbidden_configs(n: int, d: int, ell: int, linear: bool = False) -> frozenset[SDConfig]:
-    """Configurations excluded by the distance-d constraints.
+def too_close(entries: Sequence[int], d: int, linear: bool) -> bool:
+    """Whether the distance-d rule excludes a word tuple with these sd entries.
 
-    General codes exclude any config with a single-word weight in 1..d-1;
-    the linear variant excludes a config whenever any XOR combination has
-    weight in 1..d-1, so the linear set contains the general one.
+    The general rule excludes a tuple holding a word of weight 1..d-1; the
+    linear rule excludes it whenever any nonzero XOR combination of its
+    words has such a weight, so it excludes all the general rule does.
     """
+    if not linear:
+        entries = [entries[1 << j] for j in range((len(entries) - 1).bit_length())]
+    return any(1 <= w < d for w in entries)
+
+
+def forbidden_configs(n: int, d: int, ell: int, linear: bool = False) -> frozenset[SDConfig]:
+    """Configurations that ``too_close`` excludes at distance d."""
     if not 0 <= d <= n + 1:
         raise ParameterError(f"need 0 <= d <= n+1, got d={d} at n={n}")
-    if d <= 1:
-        return frozenset()
-    if linear:
-        masks: Sequence[int] = range(1, 1 << ell)
-    else:
-        masks = [1 << j for j in range(ell)]
-    out = set()
-    for cfg in enumerate_configs(n, ell):
-        if any(1 <= cfg.entries[mask] < d for mask in masks):
-            out.add(cfg)
-    return frozenset(out)
+    return frozenset(g for g in enumerate_configs(n, ell) if too_close(g.entries, d, linear))
 
 
 def representative_tuple(g: SDConfig, n: int) -> WordTuple:
@@ -371,8 +372,9 @@ def config_from_json(text: str) -> SDConfig:
     """Parse a configuration, cross-validating the stored forms and level."""
     with parsing("configuration JSON"):
         data = json.loads(text)
-        g = SDConfig(tuple(data["sd"]))
-        v = VennConfig(tuple(data["venn"]), data["n"])
-        if venn_to_sd(v) != g or data["l"] != g.ell:
+        n, ell = require_int(data["n"], "n"), require_int(data["l"], "l")
+        g = SDConfig(tuple(require_int(w, "sd entry") for w in data["sd"]))
+        v = VennConfig(tuple(require_int(c, "venn entry") for c in data["venn"]), n)
+        if venn_to_sd(v) != g or ell != g.ell:
             raise InvalidInputError("sd, venn and l parts disagree")
     return g

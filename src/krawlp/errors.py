@@ -54,3 +54,12 @@ def parsing(what: str) -> Iterator[None]:
         raise
     except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InvalidInputError(f"malformed {what}: {exc!r}") from exc
+
+
+def require_int(value: object, what: str, low: int | None = None) -> int:
+    """``value`` itself if it is an int (not a bool) and not below ``low``;
+    otherwise ``InvalidInputError``.  Read integer fields through it."""
+    if type(value) is not int or (low is not None and value < low):
+        floor = "" if low is None else f" >= {low}"
+        raise InvalidInputError(f"{what} must be an int{floor}, got {value!r}")
+    return value

@@ -1,6 +1,9 @@
 """Exact rational linear programs over configuration variables.
 
-Three program families share one representation:
+Every program here has Delsarte's shape and is built by ``packing_lp``:
+maximize the total mass over the points the distance rule keeps, pin the
+trivial point's mass to 1 (row ``NORM``) and require one non-negative
+row per character.  The three families differ only in points and rows:
 
 * the classical weight-distribution LP for A_2(n, d) (one variable per
   Hamming weight, rows from classical Krawtchouk values);
@@ -9,11 +12,10 @@ Three program families share one representation:
 * the unsymmetrized variant with one variable per l-tuple of words
   (built in :mod:`krawlp.oracle`, solved through the same machinery).
 
-Distance constraints are realized by variable elimination, not equality
-rows; the trivial-config variable is kept and pinned by an explicit
-normalization row so the dual certificate stays interpretable.  Rows are
-generated for every configuration h, including eliminated ones, because
-their rows still constrain the surviving variables.
+``check_program_args`` is their one parameter range.  Distance constraints
+are realized by variable elimination (``configs.too_close``), not equality
+rows; rows are generated for every character, including those of
+eliminated points, because they still constrain the surviving variables.
 
 Coefficients are exact rationals: plain ints from the builders (the rows
 are integer character sums), ``Fraction``s from ``lp_from_json``.
@@ -39,14 +41,8 @@ from math import lcm
 from operator import mul
 from typing import Collection, Iterable, Iterator, Sequence
 
-from .configs import (
-    _gather,
-    config_count,
-    config_index,
-    enumerate_configs,
-    forbidden_configs,
-)
-from .errors import InvalidInputError, NotLinearError, ParameterError, parsing
+from .configs import _gather, config_count, config_index, enumerate_configs, too_close
+from .errors import InvalidInputError, NotLinearError, ParameterError, parsing, require_int
 from .krawtchouk import cached_table, classical_krawtchouk
 
 LP_SCHEMA_VERSION = 1
@@ -131,60 +127,55 @@ class LinearProgram:
 # ---------------------------------------------------------------------------
 
 
+def check_program_args(n: int, d: int, ell: int = 1) -> None:
+    """Raise ``ParameterError`` unless n >= 1, l >= 1 and 1 <= d <= n+1."""
+    if n < 1 or ell < 1 or not 1 <= d <= n + 1:
+        raise ParameterError(f"need n, l >= 1 and 1 <= d <= n+1, got n={n}, d={d}, l={ell}")
+
+
+def packing_lp(
+    kind: str,
+    n: int,
+    d: int,
+    ell: int,
+    linear: bool | None,
+    keep: tuple[int, ...],
+    prefix: str,
+    rows: Iterable[tuple[int, ...]],
+) -> LinearProgram:
+    """Delsarte's shape over the points ``keep``: maximize their total mass,
+    pin point 0's mass to 1 (row ``NORM``) and keep each coefficient tuple
+    of ``rows`` (one per character, over ``keep``) non-negative as row
+    ``<prefix>_<k>``."""
+    norm = LPRow("NORM", tuple(int(i == 0) for i in keep), "=", 1)
+    ineqs = (LPRow(f"{prefix}_{k}", coeffs, ">=", 0) for k, coeffs in enumerate(rows))
+    return LinearProgram(kind, n, d, ell, linear, keep, (1,) * len(keep), (norm, *ineqs))
+
+
 def build_delsarte(n: int, d: int) -> LinearProgram:
     """Weight-distribution LP for A_2(n, d) from classical Krawtchouk rows.
 
     Weights 1..d-1 are eliminated; rows are built independently of the
     level-l machinery so the level-1 coincidence is a genuine cross-check.
     """
-    if n < 1 or not 1 <= d <= n + 1:
-        raise ParameterError(f"need n >= 1 and 1 <= d <= n+1, got n={n}, d={d}")
+    check_program_args(n, d)
     keep = tuple(w for w in range(n + 1) if not 1 <= w < d)
-    norm = LPRow("NORM", tuple(int(w == 0) for w in keep), "=", 1)
-    rows = [norm]
-    for i in range(n + 1):
-        coeffs = tuple(classical_krawtchouk(i, w, n) for w in keep)
-        rows.append(LPRow(f"MW_{i}", coeffs, ">=", 0))
-    return LinearProgram(
-        kind="delsarte",
-        n=n,
-        d=d,
-        ell=1,
-        linear=None,
-        var_indices=keep,
-        objective=(1,) * len(keep),
-        rows=tuple(rows),
-    )
+    rows = (tuple(classical_krawtchouk(i, w, n) for w in keep) for i in range(n + 1))
+    return packing_lp("delsarte", n, d, 1, None, keep, "MW", rows)
 
 
 def build_hierarchy_lp(n: int, d: int, ell: int, linear: bool) -> LinearProgram:
     """Level-l configuration LP bounding A_2(n, d)^l (or its linear variant).
 
-    Variables are the non-forbidden configurations; one transform row per
-    configuration h (forbidden h included); normalization pins the trivial
-    variable at 1.
+    Variables are the configurations ``too_close`` keeps; one transform
+    row per configuration h (eliminated h included).
     """
-    if n < 1 or not 1 <= d <= n + 1:
-        raise ParameterError(f"need n >= 1 and 1 <= d <= n+1, got n={n}, d={d}")
+    check_program_args(n, d, ell)
     table = cached_table(n, ell)
     configs = enumerate_configs(n, ell)
-    forb = forbidden_configs(n, d, ell, linear)
-    keep = tuple(i for i, c in enumerate(configs) if c not in forb)
-    norm = LPRow("NORM", tuple(int(i == 0) for i in keep), "=", 1)
-    pick = _gather(keep)
-    rows = [norm]
-    for h_idx, hrow in enumerate(table.values):
-        rows.append(LPRow(f"MW_{h_idx}", pick(hrow), ">=", 0))
-    return LinearProgram(
-        kind="krawtchouk",
-        n=n,
-        d=d,
-        ell=ell,
-        linear=linear,
-        var_indices=keep,
-        objective=(1,) * len(keep),
-        rows=tuple(rows),
-    )
+    keep = tuple(i for i, g in enumerate(configs) if not too_close(g.entries, d, linear))
+    rows = map(_gather(keep), table.values)
+    return packing_lp("krawtchouk", n, d, ell, linear, keep, "MW", rows)
 
 
 # ---------------------------------------------------------------------------
@@ -429,11 +420,13 @@ def lp_from_json(text: str) -> LinearProgram:
         )
         return LinearProgram(
             kind=data["kind"],
-            n=data["n"],
-            d=data["d"],
-            ell=data["l"],
+            n=require_int(data["n"], "n"),
+            d=require_int(data["d"], "d"),
+            ell=require_int(data["l"], "l"),
             linear=data["linear"],
-            var_indices=tuple(data["var_indices"]),
+            var_indices=tuple(
+                require_int(i, "variable index", 0) for i in data["var_indices"]
+            ),
             objective=tuple(Fraction(c) for c in data["objective"]),
             rows=rows,
         )

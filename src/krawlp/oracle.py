@@ -19,9 +19,10 @@ an independent oracle for the LP machinery:
 * ``build_fourier_lp`` - the unsymmetrized LP with one variable per
                         l-tuple of words and one character row per tuple,
                         for equivalence testing against the configuration
-                        LP.  Tuples are packed ints (word j in the j-th
-                        n-bit block), so each character is
-                        (-1)^popcount(alpha & p).
+                        LP: ``lp.packing_lp`` over the tuples that
+                        ``configs.too_close`` keeps.  Tuples are packed
+                        ints (word j in the j-th n-bit block), so each
+                        character is (-1)^popcount(alpha & p).
 
 Oracle results are memoized in-process keyed by (n, d) per function.
 """
@@ -35,7 +36,7 @@ from functools import lru_cache
 from math import inf
 from typing import Iterator
 
-from .configs import _sd_entries
+from .configs import _sd_entries, too_close
 from .errors import (
     CapacityError,
     InvalidInputError,
@@ -43,9 +44,17 @@ from .errors import (
     ParameterError,
     SelfCheckError,
     parsing,
+    require_int,
 )
 from .krawtchouk import cached_table
-from .lp import LinearProgram, LPRow, is_xor_closed, profile_of_code, row_sums
+from .lp import (
+    LinearProgram,
+    check_program_args,
+    is_xor_closed,
+    packing_lp,
+    profile_of_code,
+    row_sums,
+)
 
 # Independent-set search budget: 2^n graph vertices.
 MAX_BB_VERTICES = 128
@@ -99,7 +108,8 @@ class CodeSet:
     def from_json(cls, text: str) -> "CodeSet":
         with parsing("code JSON"):
             data = json.loads(text)
-            return cls(frozenset(int(w, 16) for w in data["words"]), data["n"])
+            words = frozenset(int(w, 16) for w in data["words"])
+            return cls(words, require_int(data["n"], "n"))
 
 
 # ---------------------------------------------------------------------------
@@ -350,12 +360,10 @@ def verify_macwilliams(c: CodeSet, ell: int) -> MacWilliamsReport:
 def build_fourier_lp(n: int, d: int, ell: int, linear: bool) -> LinearProgram:
     """LP over one variable per l-tuple of words, one character row per tuple.
 
-    Distance constraints eliminate tuples containing a word of weight
-    1..d-1 (general) or spanning any XOR combination of such weight
-    (linear); the rows demand non-negativity of every character sum.
+    The variables are the tuples whose sd entries ``too_close`` keeps; the
+    rows demand non-negativity of every character sum.
     """
-    if n < 1 or ell < 1 or not 1 <= d <= n + 1:
-        raise ParameterError(f"bad parameters n={n}, d={d}, l={ell}")
+    check_program_args(n, d, ell)
     npoints = 1 << (n * ell)
     if npoints > MAX_FOURIER_POINTS:
         raise CapacityError(
@@ -364,24 +372,13 @@ def build_fourier_lp(n: int, d: int, ell: int, linear: bool) -> LinearProgram:
     # Tuple p packs word j into its j-th n-bit block, so the character
     # prod_j (-1)^<alpha_j, p_j> of tuple alpha at p is (-1)^popcount(alpha & p).
     mask = (1 << n) - 1
-    keep = []
-    for p in range(npoints):
-        ws = [(p >> (n * j)) & mask for j in range(ell)]
-        weights = _sd_entries(ws) if linear else [w.bit_count() for w in ws]
-        if not any(1 <= w < d for w in weights):
-            keep.append(p)
-    norm = LPRow("NORM", tuple(int(p == 0) for p in keep), "=", 1)
-    rows = [norm]
-    for alpha in range(npoints):
-        coeffs = tuple([1 - 2 * ((alpha & p).bit_count() & 1) for p in keep])
-        rows.append(LPRow(f"F_{alpha}", coeffs, ">=", 0))
-    return LinearProgram(
-        kind="fourier",
-        n=n,
-        d=d,
-        ell=ell,
-        linear=linear,
-        var_indices=tuple(keep),
-        objective=(1,) * len(keep),
-        rows=tuple(rows),
+    keep = tuple(
+        p
+        for p in range(npoints)
+        if not too_close(_sd_entries([(p >> (n * j)) & mask for j in range(ell)]), d, linear)
     )
+    rows = (
+        tuple([1 - 2 * ((alpha & p).bit_count() & 1) for p in keep])
+        for alpha in range(npoints)
+    )
+    return packing_lp("fourier", n, d, ell, linear, keep, "F", rows)

@@ -46,6 +46,15 @@ MAX_PIVOTS = 200_000
 DANTZIG_PIVOTS = 2_000
 
 
+def format_value(value: Fraction | float | None, decimal: bool = False):
+    """A value for a JSON record: a fraction string, or a float if inexact or ``decimal``."""
+    if value is None:
+        return None
+    if isinstance(value, Fraction) and not decimal:
+        return str(value)
+    return float(value)
+
+
 @dataclass(frozen=True)
 class SolveResult:
     """Outcome of one solve.
@@ -62,17 +71,10 @@ class SolveResult:
     exact: bool
 
     def to_json(self) -> str:
-        def num(x):
-            if x is None:
-                return None
-            if isinstance(x, Fraction):
-                return str(x)
-            return float(x)
-
         payload = {
             "status": self.status,
-            "value": num(self.value),
-            "primal": None if self.primal is None else [num(v) for v in self.primal],
+            "value": format_value(self.value),
+            "primal": None if self.primal is None else [format_value(v) for v in self.primal],
             "pivots": self.pivots,
             "exact": self.exact,
         }

@@ -325,9 +325,25 @@ def test_config_json_rejects_mismatch():
         '{"n":2,"l":5,"venn":[1,1],"sd":[0,1]}',
         '{"n":2,"venn":[1,1],"sd":[0,1]}',
         '{"n":2,"l":1,"venn":[1,1],"sd":[0,"1"]}',
+        '{"n":1,"l":1,"venn":[0,1],"sd":[0,1.0]}',
+        '{"n":1,"l":1,"venn":[false,true],"sd":[false,true]}',
+        '{"n":1,"l":1,"venn":[0,1.0],"sd":[0,1]}',
+        '{"n":1.0,"l":1,"venn":[0,1],"sd":[0,1]}',
+        '{"n":1,"l":true,"venn":[0,1],"sd":[0,1]}',
         "{",
     ],
-    ids=["list", "wrong-l", "no-l", "string-entry", "not-json"],
+    ids=[
+        "list",
+        "wrong-l",
+        "no-l",
+        "string-entry",
+        "float-sd-entry",
+        "bool-entries",
+        "float-venn-entry",
+        "float-n",
+        "bool-l",
+        "not-json",
+    ],
 )
 def test_config_json_rejects_malformed(text):
     with pytest.raises(InvalidInputError):

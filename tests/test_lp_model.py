@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from krawlp.configs import SDConfig, config_count, enumerate_configs
+from krawlp.configs import SDConfig, config_count, enumerate_configs, forbidden_configs
 from krawlp.errors import InvalidInputError, NotLinearError, ParameterError
 from krawlp.lp import (
     CodeProfile,
@@ -347,6 +347,13 @@ def _malformed_lp_json(edit):
         _malformed_lp_json(lambda data: data.__setitem__("kind", "bogus")),
         _malformed_lp_json(lambda data: data.__setitem__("schema", 2)),
         _malformed_lp_json(lambda data: data.__setitem__("var_indices", [1, 1])),
+        _malformed_lp_json(lambda data: data.__setitem__("var_indices", ["x", -5])),
+        _malformed_lp_json(lambda data: data.__setitem__("var_indices", [0, -5])),
+        _malformed_lp_json(lambda data: data.__setitem__("var_indices", [0, 1.0])),
+        _malformed_lp_json(lambda data: data.__setitem__("var_indices", [0, True])),
+        _malformed_lp_json(lambda data: data.__setitem__("d", "q")),
+        _malformed_lp_json(lambda data: data.__setitem__("n", 1.0)),
+        _malformed_lp_json(lambda data: data.__setitem__("l", True)),
         "{",
     ],
     ids=[
@@ -356,12 +363,31 @@ def _malformed_lp_json(edit):
         "bogus-kind",
         "schema",
         "repeated-index",
+        "string-index",
+        "negative-index",
+        "float-index",
+        "bool-index",
+        "string-d",
+        "float-n",
+        "bool-l",
         "not-json",
     ],
 )
 def test_lp_json_rejects_malformed(text):
     with pytest.raises(InvalidInputError):
         lp_from_json(text)
+
+
+def test_hierarchy_variables_complement_forbidden_configs():
+    for ell, top in ((1, 6), (2, 6), (3, 3)):
+        for n in range(1, top + 1):
+            configs = enumerate_configs(n, ell)
+            for d in range(1, n + 2):
+                for linear in (False, True):
+                    forb = forbidden_configs(n, d, ell, linear)
+                    want = tuple(i for i, g in enumerate(configs) if g not in forb)
+                    lp = build_hierarchy_lp(n, d, ell, linear)
+                    assert lp.var_indices == want, (n, d, ell, linear)
 
 
 def test_var_configs_for_eliminated_program():

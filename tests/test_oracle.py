@@ -49,7 +49,16 @@ def test_codeset_json_roundtrip():
 
 
 @pytest.mark.parametrize(
-    "text", ['{"n":3,"words":["zz"]}', '{"n":3,"words":[5]}', '{"n":3}', "[]", "{"]
+    "text",
+    [
+        '{"n":3,"words":["zz"]}',
+        '{"n":3,"words":[5]}',
+        '{"n":3}',
+        '{"n":true,"words":["0","1"]}',
+        '{"n":1.0,"words":["0","1"]}',
+        "[]",
+        "{",
+    ],
 )
 def test_codeset_json_rejects_malformed(text):
     with pytest.raises(InvalidInputError):
