@@ -48,6 +48,7 @@ from .krawtchouk import (
 )
 from .lp import (
     CodeProfile,
+    CodeSet,
     FeasibilityVerdict,
     LinearProgram,
     LPRow,
@@ -60,7 +61,6 @@ from .lp import (
     profile_of_code,
 )
 from .oracle import (
-    CodeSet,
     build_fourier_lp,
     dual_code,
     iter_linear_codes,

@@ -81,9 +81,10 @@ def classical_krawtchouk(i: int, j: int, n: int) -> int:
 
 @lru_cache(maxsize=1)
 def _tuples_by_config(n: int, ell: int) -> dict[tuple[int, ...], list[int]]:
-    # Partition of all 2^(n*l) tuples by configuration entries, each tuple
-    # packed into one int with word j in its j-th n-bit block.  Only the
-    # latest (n, l) is kept: one partition at n*l = 18 holds about 11 MB.
+    # Partition of all 2^(n*l) tuples by configuration entries (read by
+    # eval_direct and oracle.build_fourier_lp), each tuple packed into one
+    # int with word j in its j-th n-bit block.  Only the latest (n, l) is
+    # kept: one partition at n*l = 18 holds about 11 MB.
     mask = (1 << n) - 1
     buckets: dict[tuple[int, ...], list[int]] = {}
     for p in range(1 << (n * ell)):

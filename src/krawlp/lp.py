@@ -21,13 +21,15 @@ Coefficients are exact rationals: plain ints from the builders (the rows
 are integer character sums), ``Fraction``s from ``lp_from_json``.
 ``integer_form`` scales them to integers; only the exact simplex uses it,
 to build its tableau and objective.
-A code profile is a set of integer tuple counts by canonical config
-index (as in ``var_indices``) over one shared denominator: |C|^l for the
-general formula, 1 for the span formula of a linear code.  ``row_sums``
-sums rows over a sparse ``(index, count)`` support, and ``check_point``
-checks x = counts / denom exactly against every bound and row; a
-profile's feasibility, the simplex's primal certificate and the
-MacWilliams transforms all go through them.
+``CodeSet`` is the one code type.  A code profile is a set of integer
+tuple counts by canonical config index (as in ``var_indices``) over one
+shared denominator: |C|^l for the general formula, 1 for the span
+formula of a linear code.  ``row_sums`` sums rows over a sparse
+``(index, count)`` support.  ``check_point`` checks x = counts / denom
+exactly against every bound and row, and ``check_dual`` checks y the
+same way against every dual sign and column: the two are the whole
+certificate of an optimum.  Profiles, simplex optima and the MacWilliams
+transforms all go through them.
 """
 
 from __future__ import annotations
@@ -35,9 +37,9 @@ from __future__ import annotations
 import itertools
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import inf, lcm
 from operator import mul
 from typing import Collection, Iterable, Iterator, Sequence
 
@@ -107,6 +109,8 @@ class LinearProgram:
         nv = len(self.var_indices)
         if len(set(self.var_indices)) != nv:
             raise InvalidInputError("variable indices repeat")
+        if not (self.linear is None or type(self.linear) is bool):
+            raise InvalidInputError(f"linear must be a bool or None, got {self.linear!r}")
         if len(self.objective) != nv:
             raise InvalidInputError("objective length does not match variables")
         for row in self.rows:
@@ -184,6 +188,56 @@ def build_hierarchy_lp(n: int, d: int, ell: int, linear: bool) -> LinearProgram:
 
 
 @dataclass(frozen=True)
+class CodeSet:
+    """A nonempty set of n-bit words with a validated linearity flag."""
+
+    words: frozenset[int]
+    n: int
+    linear: bool = field(init=False, default=False)
+
+    def __post_init__(self) -> None:
+        if not self.words:
+            raise InvalidInputError("code must be nonempty")
+        if self.n < 1:
+            raise InvalidInputError("blocklength must be positive")
+        top = 1 << self.n
+        if any(w < 0 or w >= top for w in self.words):
+            raise InvalidInputError(f"words must be {self.n}-bit integers")
+        ws = self.words
+        closed = 0 in ws and all(a ^ b in ws for a, b in itertools.combinations(ws, 2))
+        object.__setattr__(self, "linear", closed)
+
+    @property
+    def size(self) -> int:
+        return len(self.words)
+
+    def min_distance(self) -> int | float:
+        """Least pairwise Hamming distance; inf for a singleton."""
+        if len(self.words) == 1:
+            return inf
+        return min((a ^ b).bit_count() for a, b in itertools.combinations(self.words, 2))
+
+    def to_json(self) -> str:
+        width = (self.n + 3) // 4
+        return json.dumps(
+            {
+                "n": self.n,
+                "linear": self.linear,
+                "words": [format(w, f"0{width}x") for w in sorted(self.words)],
+            },
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+
+    @classmethod
+    def from_json(cls, text: str) -> "CodeSet":
+        with parsing("code JSON"):
+            data = json.loads(text)
+            words = frozenset(int(w, 16) for w in data["words"])
+            return cls(words, require_int(data["n"], "n"))
+
+
+@dataclass(frozen=True)
 class CodeProfile:
     """Configuration profile of a concrete code.
 
@@ -211,26 +265,6 @@ class CodeProfile:
 
     def objective_value(self) -> Fraction:
         return Fraction(sum(self.counts.values()), self.denom)
-
-
-def _check_words(words: Iterable[int], n: int) -> tuple[int, ...]:
-    ws = tuple(sorted(set(int(w) for w in words)))
-    if not ws:
-        raise InvalidInputError("code must be nonempty")
-    if n < 1:
-        raise ParameterError("blocklength must be positive")
-    top = 1 << n
-    if ws[0] < 0 or ws[-1] >= top:
-        raise InvalidInputError(f"words must be {n}-bit integers")
-    return ws
-
-
-def is_xor_closed(words: Iterable[int]) -> bool:
-    """Whether a word set contains 0 and the XOR of any two of its words."""
-    wset = set(words)
-    if 0 not in wset:
-        return False
-    return all(a ^ b in wset for a, b in itertools.combinations(wset, 2))
 
 
 def _tuple_counts(items: Sequence[tuple[int, int]], ell: int) -> Counter:
@@ -262,23 +296,26 @@ def profile_of_code(
     profile counts tuples of codewords directly; otherwise it averages
     difference tuples over all pairs of l-tuples.
     """
-    ws = _check_words(words, n)
+    if n < 1:
+        raise ParameterError("blocklength must be positive")
+    code = CodeSet(frozenset(map(int, words)), n)
     if ell < 1:
         raise ParameterError("level must be >= 1")
     index = config_index(n, ell)
+    ws = sorted(code.words)
     if linear:
-        if not is_xor_closed(ws):
+        if not code.linear:
             raise NotLinearError("code is not XOR-closed (or misses 0)")
         raw = _tuple_counts([(w, 1) for w in ws], ell)
         denom = 1
     else:
         diff = Counter(x ^ y for x in ws for y in ws)
         raw = _tuple_counts(tuple(diff.items()), ell)
-        denom = len(ws) ** ell
+        denom = code.size**ell
     return CodeProfile(
         n=n,
         ell=ell,
-        size=len(ws),
+        size=code.size,
         counts={index[key]: count for key, count in sorted(raw.items())},
         denom=denom,
     )
@@ -340,6 +377,35 @@ def check_point(
                 f"row {row.name}: lhs {lhs} {row.relation} {row.rhs} fails",
                 objective,
             )
+    return FeasibilityVerdict(True, "feasible", None, objective)
+
+
+def check_dual(
+    lp: LinearProgram, support: Sequence[tuple[int, int]], denom: int
+) -> FeasibilityVerdict:
+    """Check y = count / denom exactly as a dual certificate of an LP.
+
+    ``support`` lists the ``(row, count)`` pairs of y in row order, and y
+    is zero on every other row; ``denom`` is positive.  y must be >= 0 on
+    ``<=`` rows and <= 0 on ``>=`` rows, and y . A_j >= c_j must hold for
+    every variable j.  The verdict names the first wrong sign or failed
+    column, with y's objective y . b when every sign holds.
+    """
+    for i, c in support:
+        row = lp.rows[i]
+        if (row.relation == "<=" and c < 0) or (row.relation == ">=" and c > 0):
+            y = Fraction(c, denom)
+            detail = f"row {row.name}: dual {y} has the wrong sign for {row.relation}"
+            return FeasibilityVerdict(False, "bound-violation", detail, None)
+    # Column 0 is the rhs, so the first sum is y . b; a program without
+    # rows has empty columns, each summing to 0.
+    columns = list(zip(*((r.rhs, *r.coeffs) for r in lp.rows))) or [()] * (lp.num_vars + 1)
+    sums = row_sums(columns, support)
+    objective = Fraction(next(sums), denom)
+    for name, c, s in zip(lp.variable_names, lp.objective, sums):
+        if s < c * denom:
+            detail = f"variable {name}: dual sum {Fraction(s, denom)} < objective coefficient {c}"
+            return FeasibilityVerdict(False, "row-violation", detail, objective)
     return FeasibilityVerdict(True, "feasible", None, objective)
 
 
@@ -420,9 +486,9 @@ def lp_from_json(text: str) -> LinearProgram:
         )
         return LinearProgram(
             kind=data["kind"],
-            n=require_int(data["n"], "n"),
+            n=require_int(data["n"], "n", 1),
             d=require_int(data["d"], "d"),
-            ell=require_int(data["l"], "l"),
+            ell=require_int(data["l"], "l", 1),
             linear=data["linear"],
             var_indices=tuple(
                 require_int(i, "variable index", 0) for i in data["var_indices"]

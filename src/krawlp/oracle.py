@@ -19,38 +19,30 @@ an independent oracle for the LP machinery:
 * ``build_fourier_lp`` - the unsymmetrized LP with one variable per
                         l-tuple of words and one character row per tuple,
                         for equivalence testing against the configuration
-                        LP: ``lp.packing_lp`` over the tuples that
-                        ``configs.too_close`` keeps.  Tuples are packed
-                        ints (word j in the j-th n-bit block), so each
-                        character is (-1)^popcount(alpha & p).
+                        LP: ``lp.packing_lp`` over the tuples, from the
+                        partition ``eval_direct`` uses, of the configurations
+                        ``configs.too_close`` keeps.  Tuples are packed ints
+                        (word j in the j-th n-bit block), so each character
+                        is (-1)^popcount(alpha & p).
 
-Oracle results are memoized in-process keyed by (n, d) per function.
+Codes are ``lp.CodeSet`` values.  Oracle results are memoized in-process
+keyed by (n, d) per function.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from math import inf
 from typing import Iterator
 
-from .configs import _sd_entries, too_close
-from .errors import (
-    CapacityError,
-    InvalidInputError,
-    NotLinearError,
-    ParameterError,
-    SelfCheckError,
-    parsing,
-    require_int,
-)
-from .krawtchouk import cached_table
+from .configs import too_close
+from .errors import CapacityError, NotLinearError, ParameterError, SelfCheckError
+from .krawtchouk import _tuples_by_config, cached_table
 from .lp import (
+    CodeSet,
     LinearProgram,
     check_program_args,
-    is_xor_closed,
     packing_lp,
     profile_of_code,
     row_sums,
@@ -62,54 +54,6 @@ MAX_BB_VERTICES = 128
 MAX_LINEAR_N = 10
 # Word-tuple LP budget: 2^(n*l) variables and rows.
 MAX_FOURIER_POINTS = 4096
-
-
-@dataclass(frozen=True)
-class CodeSet:
-    """A nonempty set of n-bit words with a validated linearity flag."""
-
-    words: frozenset[int]
-    n: int
-    linear: bool = field(init=False, default=False)
-
-    def __post_init__(self) -> None:
-        if not self.words:
-            raise InvalidInputError("code must be nonempty")
-        if self.n < 1:
-            raise InvalidInputError("blocklength must be positive")
-        top = 1 << self.n
-        if any(w < 0 or w >= top for w in self.words):
-            raise InvalidInputError(f"words must be {self.n}-bit integers")
-        object.__setattr__(self, "linear", is_xor_closed(self.words))
-
-    @property
-    def size(self) -> int:
-        return len(self.words)
-
-    def min_distance(self) -> int | float:
-        """Least pairwise Hamming distance; inf for a singleton."""
-        if len(self.words) == 1:
-            return inf
-        return min((a ^ b).bit_count() for a, b in itertools.combinations(self.words, 2))
-
-    def to_json(self) -> str:
-        width = (self.n + 3) // 4
-        return json.dumps(
-            {
-                "n": self.n,
-                "linear": self.linear,
-                "words": [format(w, f"0{width}x") for w in sorted(self.words)],
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "CodeSet":
-        with parsing("code JSON"):
-            data = json.loads(text)
-            words = frozenset(int(w, 16) for w in data["words"])
-            return cls(words, require_int(data["n"], "n"))
 
 
 # ---------------------------------------------------------------------------
@@ -371,11 +315,13 @@ def build_fourier_lp(n: int, d: int, ell: int, linear: bool) -> LinearProgram:
         )
     # Tuple p packs word j into its j-th n-bit block, so the character
     # prod_j (-1)^<alpha_j, p_j> of tuple alpha at p is (-1)^popcount(alpha & p).
-    mask = (1 << n) - 1
     keep = tuple(
-        p
-        for p in range(npoints)
-        if not too_close(_sd_entries([(p >> (n * j)) & mask for j in range(ell)]), d, linear)
+        sorted(
+            p
+            for entries, tuples in _tuples_by_config(n, ell).items()
+            if not too_close(entries, d, linear)
+            for p in tuples
+        )
     )
     rows = (
         tuple([1 - 2 * ((alpha & p).bit_count() & 1) for p in keep])

@@ -11,16 +11,14 @@ start basic and phase 1 needs artificials only for ``=`` rows and for
 ``>=`` rows with a positive rhs.
 The pivot rule is largest-coefficient for a bounded number of pivots, then
 Bland's rule, so termination is guaranteed.  ``integer_form`` serves only
-to build the tableau and the objective.  Every optimal answer is
-certified in exact arithmetic against the program's own rows before it
-is returned: the primal point (integers over the tableau denominator)
-must pass ``lp.check_point``, the same check a code profile passes, and
-a dual vector must be dual-feasible, correctly signed and of matching
-objective value.  Each
-row's dual value is read one way: the final reduced cost of the row's
-starting basic column (its ``<=`` slack or its artificial), times the
-row's sign and integer scale.  A failed check raises instead of returning
-a wrong answer.
+to build the tableau and the objective.  This module only pivots and
+reads x and y; ``lp`` states what certifies them.  Every optimal answer
+passes ``lp.check_point`` on x and ``lp.check_dual`` on y, both exact
+against the program's own rows, with equal objectives.  Each row's dual
+value is read one way: the final reduced cost of the row's starting
+basic column (its ``<=`` slack or its artificial), times the row's sign
+and integer scale.  A failed check raises instead of returning a wrong
+answer.
 
 The floating-point path wraps scipy's HiGHS solver and is only a fast
 screen; its results carry ``exact=False`` and are never used alone to
@@ -40,7 +38,7 @@ from .errors import (
     SelfCheckError,
     SolverNumericsError,
 )
-from .lp import LinearProgram, check_point, integer_form
+from .lp import LinearProgram, check_dual, check_point, integer_form
 
 MAX_PIVOTS = 200_000
 DANTZIG_PIVOTS = 2_000
@@ -144,22 +142,22 @@ def _objective_row(tab: _Tableau, cost):
     return obj
 
 
-def _run_phase(tab, obj, allowed):
-    # Pivot until optimal (all reduced costs >= 0) or unbounded.  Every
-    # reduced cost and every ratio shares the denominator den, so costs
-    # compare directly and ratios b_i / a_i by cross-multiplying.
-    ncols = len(allowed)
+def _run_phase(tab, obj, ncols):
+    # Pivot until optimal (all reduced costs >= 0) or unbounded; only the
+    # first ncols columns may enter.  Every reduced cost and every ratio
+    # shares the denominator den, so costs compare directly and ratios
+    # b_i / a_i by cross-multiplying.
     while True:
         enter = -1
         if tab.pivots < DANTZIG_PIVOTS:
             best = 0
             for j in range(ncols):
-                if allowed[j] and obj[j] < best:
+                if obj[j] < best:
                     best = obj[j]
                     enter = j
         else:
             for j in range(ncols):
-                if allowed[j] and obj[j] < 0:
+                if obj[j] < 0:
                     enter = j
                     break
         if enter < 0:
@@ -199,15 +197,15 @@ def solve_exact(lp: LinearProgram) -> SolveResult:
 
     The pivot rule is fixed: largest coefficient for the first
     ``DANTZIG_PIVOTS`` pivots, then Bland's rule.  More than ``MAX_PIVOTS``
-    pivots over both phases raise ``IterationLimitError``.  The primal
-    point (integers over the tableau denominator ``den``) goes through
-    ``check_point``, and a dual vector is checked against ``lp.rows`` and
-    ``lp.objective`` themselves before returning; the reported value is
-    the objective ``check_point`` computes.  Every row starts with one +1
-    basic column, its ``<=`` slack or its artificial; the dual value of
-    the row is the final reduced cost of that column times the row's sign
-    and integer scale, over ``den * L`` with L the objective's integer
-    scale.
+    pivots over both phases raise ``IterationLimitError``.  Every row
+    starts with one +1 basic column, its ``<=`` slack or its artificial;
+    the dual value of the row is the final reduced cost of that column
+    times the row's sign and integer scale.  The certificate is
+    ``check_point`` on the primal point, over the tableau denominator
+    ``den``, and ``check_dual`` on the dual, over ``den * L`` with L the
+    objective's integer scale; both read ``lp.rows`` and ``lp.objective``
+    themselves, and their objectives must agree.  The reported value is
+    that objective.
     """
     nv = lp.num_vars
 
@@ -251,7 +249,7 @@ def solve_exact(lp: LinearProgram) -> SolveResult:
     # pivot on, so it never leaves the basis and adds 0 to the objective.
     if art_start < ncols:
         cost1 = [0] * art_start + [-1] * (ncols - art_start)
-        status = _run_phase(tab, _objective_row(tab, cost1), [True] * ncols)
+        status = _run_phase(tab, _objective_row(tab, cost1), ncols)
         if status != "optimal":
             raise SelfCheckError("phase 1 cannot be unbounded")
         if any(row[-1] for row, bi in zip(tab.rows, tab.basis) if bi >= art_start):
@@ -267,42 +265,30 @@ def solve_exact(lp: LinearProgram) -> SolveResult:
     # columns may not re-enter.
     cost, cost_scale = integer_form(lp.objective)
     obj2 = _objective_row(tab, cost + [0] * (ncols - nv))
-    status = _run_phase(tab, obj2, [j < art_start for j in range(ncols)])
+    status = _run_phase(tab, obj2, art_start)
     if status == "unbounded":
         return SolveResult("unbounded", None, None, tab.pivots, True)
 
-    # Certificate, in exact arithmetic against the program's own rows:
-    # the primal point x = xnum / den must pass check_point ...
+    # Certificate: x = xnum / den, and y = ynum / (den * L) from the final
+    # reduced cost of each row's +1 column, rescaled by the row's integer
+    # scale and signed back to the row as lp.rows states it.
     den = tab.den
     xnum = [0] * nv
     for row, bi in zip(tab.rows, tab.basis):
         if bi < nv:
             xnum[bi] = row[-1]
-    verdict = check_point(lp, [(j, v) for j, v in enumerate(xnum) if v], den)
-    if not verdict.feasible:
-        raise SelfCheckError(f"optimal point violates {verdict.detail}")
-    value = verdict.objective
-
-    # ... and optimality through the dual y = ynum / (den * L): the final
-    # reduced cost of each row's +1 column, rescaled by the row's integer
-    # scale and signed back to the row as lp.rows states it.
     ynum = [sign * obj2[u] * s for sign, u, s in zip(signs, unit, scale)]
-    dual_scale = den * cost_scale
-    covered = [0] * nv
-    for yi, row in zip(ynum, lp.rows):
-        if yi:
-            covered = [a + yi * c for a, c in zip(covered, row.coeffs)]
-    if any(a < c * dual_scale for a, c in zip(covered, lp.objective)):
-        raise SelfCheckError("dual certificate fails dual feasibility")
-    for yi, row in zip(ynum, lp.rows):
-        if (row.relation == "<=" and yi < 0) or (row.relation == ">=" and yi > 0):
-            raise SelfCheckError("dual certificate has a wrong sign")
-    dual_num = sum(yi * row.rhs for yi, row in zip(ynum, lp.rows))
-    if dual_num != value * dual_scale:
+    point = check_point(lp, [(j, v) for j, v in enumerate(xnum) if v], den)
+    if not point.feasible:
+        raise SelfCheckError(f"optimal point violates {point.detail}")
+    dual = check_dual(lp, [(i, v) for i, v in enumerate(ynum) if v], den * cost_scale)
+    if not dual.feasible:
+        raise SelfCheckError(f"dual certificate fails: {dual.detail}")
+    if dual.objective != point.objective:
         raise SelfCheckError("strong duality does not close; result discarded")
 
     primal = tuple(Fraction(v, den) for v in xnum)
-    return SolveResult("optimal", value, primal, tab.pivots, True)
+    return SolveResult("optimal", point.objective, primal, tab.pivots, True)
 
 
 # ---------------------------------------------------------------------------

@@ -36,9 +36,8 @@ from .krawtchouk import (
     verify_orthogonality,
     verify_reflection,
 )
-from .lp import build_delsarte, build_hierarchy_lp
+from .lp import CodeSet, build_delsarte, build_hierarchy_lp
 from .oracle import (
-    CodeSet,
     build_fourier_lp,
     iter_linear_codes,
     max_code,

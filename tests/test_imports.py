@@ -1,8 +1,10 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and every
+private helper is used somewhere in the package.
 
-No linter ships with the project, so this is the stdlib-``ast`` stand-in
-for an unused-import check.  ``__init__.py`` is exempt (its imports are
-the package's re-exports), and so are ``__future__`` imports.
+No linter ships with the project, so these are stdlib-``ast`` stand-ins
+for an unused-import check and a dead-code check.  ``__init__.py`` is
+exempt from the import check (its imports are the package's re-exports),
+and so are ``__future__`` imports.
 """
 
 import ast
@@ -35,3 +37,23 @@ def test_modules_are_found():
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _unused_imports(tree) == []
+
+
+def test_no_dead_private_helpers():
+    # A top-level ``_name`` function or class must be referenced by name
+    # (``_name``) or attribute (``module._name``) in some module.
+    defined = {}
+    referenced = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
+                defined[node.name] = f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    assert defined, "no private helpers found"
+    dead = [f"{where}: {name}" for name, where in defined.items() if name not in referenced]
+    assert dead == []

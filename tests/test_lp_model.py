@@ -14,6 +14,7 @@ from krawlp.lp import (
     LPRow,
     build_delsarte,
     build_hierarchy_lp,
+    check_dual,
     check_feasibility,
     export_lp,
     integer_form,
@@ -281,6 +282,50 @@ def test_feasibility_bound_violation():
     )
 
 
+def _one_row_max(relation):
+    # max x0 + x1 s.t. A: x0 + x1 (relation) 1
+    row = LPRow("A", (1, 1), relation, 1)
+    return LinearProgram("delsarte", 1, 1, 1, None, (0, 1), (1, 1), (row,))
+
+
+def _verdict(v):
+    return v.feasible, v.status, v.detail, v.objective
+
+
+def test_check_dual_on_one_row():
+    lp = _one_row_max("<=")
+    assert _verdict(check_dual(lp, [(0, 1)], 1)) == (True, "feasible", None, 1)
+    assert _verdict(check_dual(lp, [(0, -1)], 1)) == (
+        False,
+        "bound-violation",
+        "row A: dual -1 has the wrong sign for <=",
+        None,
+    )
+    assert _verdict(check_dual(lp, [(0, 1)], 2)) == (
+        False,
+        "row-violation",
+        "variable a_0: dual sum 1/2 < objective coefficient 1",
+        Fraction(1, 2),
+    )
+
+
+def test_check_dual_signs_by_relation():
+    assert check_dual(_one_row_max(">="), [(0, 1)], 1).status == "bound-violation"
+    assert check_dual(_one_row_max(">="), [(0, -1)], 1).status == "row-violation"
+    assert check_dual(_one_row_max("="), [(0, 1)], 1).feasible
+    assert check_dual(_one_row_max("="), [(0, -1)], 1).status == "row-violation"
+
+
+@pytest.mark.parametrize(
+    "objective,feasible", [((0, -1), True), ((0, 1), False), ((-2, -1), True)]
+)
+def test_check_dual_without_rows(objective, feasible):
+    # y is empty, so every column sums to 0 and must cover c_j.
+    lp = LinearProgram("delsarte", 1, 1, 1, None, (0, 1), objective, ())
+    verdict = check_dual(lp, [], 1)
+    assert (verdict.feasible, verdict.objective) == (feasible, 0)
+
+
 def test_feasibility_index_mismatch_errors():
     prof = profile_of_code([0], 3, 1)
     with pytest.raises(InvalidInputError):
@@ -354,6 +399,10 @@ def _malformed_lp_json(edit):
         _malformed_lp_json(lambda data: data.__setitem__("d", "q")),
         _malformed_lp_json(lambda data: data.__setitem__("n", 1.0)),
         _malformed_lp_json(lambda data: data.__setitem__("l", True)),
+        _malformed_lp_json(lambda data: data.__setitem__("linear", "yes")),
+        _malformed_lp_json(lambda data: data.__setitem__("linear", 1)),
+        _malformed_lp_json(lambda data: data.__setitem__("n", 0)),
+        _malformed_lp_json(lambda data: data.__setitem__("l", 0)),
         "{",
     ],
     ids=[
@@ -370,6 +419,10 @@ def _malformed_lp_json(edit):
         "string-d",
         "float-n",
         "bool-l",
+        "linear-string",
+        "linear-int",
+        "n-zero",
+        "l-zero",
         "not-json",
     ],
 )

@@ -82,6 +82,23 @@ def test_exact_certificate_reads_the_program_rows(monkeypatch):
         solve_exact(lp)
 
 
+def test_exact_certificate_reads_the_dual_scale(monkeypatch):
+    # A scaling bug that doubles the objective's integer scale L halves the
+    # dual read off the tableau; the dual check must catch it.
+    real = simplex.integer_form
+
+    def doubled(values):
+        ints, s = real(values)
+        if len(values) == 2:  # the objective; row A with its rhs has 3 entries
+            s *= 2
+        return ints, s
+
+    monkeypatch.setattr(simplex, "integer_form", doubled)
+    lp = _custom([0, 1], [1, 1], [LPRow("A", (1, 1), "<=", 1)])
+    with pytest.raises(SelfCheckError, match="dual certificate fails"):
+        solve_exact(lp)
+
+
 def test_exact_infeasible_detection():
     base = build_delsarte(2, 2)
     clash = LPRow("CLASH", base.rows[0].coeffs, "=", Fraction(2))
