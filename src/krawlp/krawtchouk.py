@@ -29,6 +29,14 @@ Three independent evaluation routes are implemented:
 At l = 1 the product is the classical (1 + z)^(n-j) (1 - z)^j.
 
 All values are arbitrary-precision integers: entries reach 2^(l*n).
+
+The orthogonality sweep packs the table by Kronecker substitution: column
+g becomes one integer with K_b(g) as its signed digit b in base 2^w, so
+row a's sums against all rows are one linear combination of the packed
+columns.  The digit width w is set from the table's own largest entry
+and orbit size, wide enough for every sum, so the digits stay exact for
+any table; a row whose packed sum differs from its one expected digit is
+decoded digit by digit and reported pair by pair.
 """
 
 from __future__ import annotations
@@ -273,20 +281,52 @@ def _orbit_sizes(table: KrawtchoukTable) -> list[int]:
 
 
 def verify_orthogonality(table: KrawtchoukTable) -> CheckReport:
-    """Check sum_g |g| K_h(g) K_h'(g) = 2^(l n) |h| [h = h'] for all pairs."""
+    """Check sum_g |g| K_h(g) K_h'(g) = 2^(l n) |h| [h = h'] for all pairs.
+
+    Column g is packed into one integer, packed[g] = sum_b K_b(g) 2^(w b),
+    so row a's sums against every row b are the slots of the single
+    integer s_a = sum_g |g| K_a(g) packed[g]: ``size`` big-integer products
+    per row in place of size^2/2 Python-level dot products.  With
+    big = max(|entry|, |g|) over the table and the orbit sizes, every sum
+    is bounded by 2^(l n) big^2 (the orbit sizes add up to 2^(l n)), and
+    the slot width w exceeds that bound's bit length by two, so each slot
+    is an exact signed digit and the representation is unique.  A row
+    passes when the whole s_a equals its only expected digit,
+    2^(l n) |a| in slot a; a row that does not is decoded digit by digit
+    and its pairs (a, b >= a) are reported exactly as the pairwise sums.
+    """
     sizes = _orbit_sizes(table)
+    values = table.values
+    size = table.size
     scale = 1 << (table.ell * table.n)
+    big = max(max(map(abs, chain.from_iterable(values))), max(sizes))
+    width = (scale * big * big).bit_length() + 2
+    # One column at a time, so only one partly packed column is alive.
+    packed = []
+    for g in range(size):
+        p = 0
+        for row in reversed(values):
+            p = (p << width) + row[g]
+        packed.append(p)
+    mask = (1 << width) - 1
+    half = 1 << (width - 1)
     violations = []
-    checked = 0
-    for a in range(table.size):
-        wa = list(map(mul, sizes, table.values[a]))
-        for b in range(a, table.size):
-            s = sum(map(mul, wa, table.values[b]))
-            want = scale * sizes[a] if a == b else 0
-            checked += 1
-            if s != want:
-                violations.append(f"(h={a}, h'={b}): got {s}, want {want}")
-    return CheckReport("orthogonality", checked, tuple(violations))
+    for a in range(size):
+        s = sum(map(mul, map(mul, sizes, values[a]), packed))
+        want = scale * sizes[a]
+        # The whole sum, not a shifted part: a floor shift would fold a
+        # negative lower digit into slot a as -1.
+        if s == want << (width * a):
+            continue
+        for b in range(size):
+            digit = s & mask
+            if digit >= half:
+                digit -= 1 << width
+            s = (s - digit) >> width
+            target = want if a == b else 0
+            if b >= a and digit != target:
+                violations.append(f"(h={a}, h'={b}): got {digit}, want {target}")
+    return CheckReport("orthogonality", size * (size + 1) // 2, tuple(violations))
 
 
 def verify_reflection(table: KrawtchoukTable) -> CheckReport:

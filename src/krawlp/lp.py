@@ -91,7 +91,10 @@ class LinearProgram:
     ``var_indices`` are positions in the canonical index set of the family:
     configuration indices for the weight/configuration programs, flattened
     tuple codes for the word-tuple program.  Variable names are derived as
-    ``a_<index>`` so exports are deterministic.
+    ``a_<index>`` so exports are deterministic.  Only parameters a builder
+    can produce are accepted: n, l and d in ``check_program_args``'s range,
+    l = 1 and ``linear`` None for a delsarte program, a bool ``linear``
+    otherwise.
     """
 
     kind: str  # "delsarte" | "krawtchouk" | "fourier"
@@ -109,8 +112,20 @@ class LinearProgram:
         nv = len(self.var_indices)
         if len(set(self.var_indices)) != nv:
             raise InvalidInputError("variable indices repeat")
-        if not (self.linear is None or type(self.linear) is bool):
-            raise InvalidInputError(f"linear must be a bool or None, got {self.linear!r}")
+        try:
+            check_program_args(self.n, self.d, self.ell)
+        except ParameterError as exc:
+            raise InvalidInputError(str(exc)) from exc
+        if self.kind == "delsarte":
+            if self.ell != 1 or self.linear is not None:
+                raise InvalidInputError(
+                    f"a delsarte program has l = 1 and linear None, "
+                    f"got l={self.ell}, linear={self.linear!r}"
+                )
+        elif type(self.linear) is not bool:
+            raise InvalidInputError(
+                f"a {self.kind} program needs a bool linear, got {self.linear!r}"
+            )
         if len(self.objective) != nv:
             raise InvalidInputError("objective length does not match variables")
         for row in self.rows:

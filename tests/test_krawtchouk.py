@@ -3,6 +3,7 @@
 import gzip
 import itertools
 import json
+import random
 
 import pytest
 
@@ -250,6 +251,65 @@ def test_sweeps_report_exactly_what_one_wrong_entry_breaks():
     assert report.violations == (
         f"(h={a0}, g={b0}): {true[a0][b0] + 1}*{sizes[b0]} != {true[b0][a0]}*{sizes[a0]}",
     )
+
+
+def _pairwise_orthogonality(table):
+    # Reference sweep: each pair's sum as its own plain-Python dot product.
+    sizes = [orbit_size(g, table.n) for g in enumerate_configs(table.n, table.ell)]
+    scale = 1 << (table.ell * table.n)
+    violations = []
+    checked = 0
+    for a, row_a in enumerate(table.values):
+        for b in range(a, table.size):
+            s = sum(w * x * y for w, x, y in zip(sizes, row_a, table.values[b]))
+            want = scale * sizes[a] if a == b else 0
+            checked += 1
+            if s != want:
+                violations.append(f"(h={a}, h'={b}): got {s}, want {want}")
+    return krawtchouk.CheckReport("orthogonality", checked, tuple(violations))
+
+
+def _edited(table, edits):
+    values = [list(row) for row in table.values]
+    for a, g, delta in edits:
+        values[a][g] += delta
+    return KrawtchoukTable(table.n, table.ell, tuple(map(tuple, values)))
+
+
+@pytest.mark.parametrize("n, ell", [(3, 2), (4, 2), (2, 3), (5, 1)])
+def test_packed_orthogonality_matches_pairwise_sums(n, ell):
+    table = cached_table(n, ell)
+    size = table.size
+    rng = random.Random(n * 10 + ell)
+    cases = [
+        table,
+        _edited(table, [(size // 2, size // 3, 1 << 70)]),  # wider than any true entry
+        _edited(table, [(a, 0, 1) for a in range(size)]),  # column 0 is not |h|
+    ]
+    for _ in range(12):
+        edits = [
+            (rng.randrange(size), rng.randrange(size), rng.choice((1, -1, 7, -(1 << 40))))
+            for _ in range(rng.randint(1, 3))
+        ]
+        cases.append(_edited(table, edits))
+    for case in cases:
+        assert verify_orthogonality(case) == _pairwise_orthogonality(case)
+
+
+def test_packed_orthogonality_sees_a_diagonal_plus_one_above_a_negative_sum():
+    # Row 5 of the (5,1) table gets slot 5 = want + 1 while slot 4, the
+    # highest below it, is negative: a floor shift of row 5's packed sum
+    # by 5 slots would read exactly want.
+    table = _edited(cached_table(5, 1), [(5, 0, 1), (5, 1, 1), (5, 5, 3), (4, 0, -3)])
+    report = _pairwise_orthogonality(table)
+    assert "(h=5, h'=5): got 33, want 32" in report.violations
+    assert "(h=4, h'=5): got -1, want 0" in report.violations
+    assert verify_orthogonality(table) == report
+
+
+def test_orthogonality_at_level_three():
+    report = verify_orthogonality(cached_table(3, 3))
+    assert report.passed and report.checked == 120 * 121 // 2
 
 
 def test_reflection_small():

@@ -403,6 +403,11 @@ def _malformed_lp_json(edit):
         _malformed_lp_json(lambda data: data.__setitem__("linear", 1)),
         _malformed_lp_json(lambda data: data.__setitem__("n", 0)),
         _malformed_lp_json(lambda data: data.__setitem__("l", 0)),
+        _malformed_lp_json(lambda data: data.__setitem__("d", 0)),
+        _malformed_lp_json(lambda data: data.__setitem__("d", 3)),
+        _malformed_lp_json(lambda data: data.__setitem__("l", 3)),
+        _malformed_lp_json(lambda data: data.__setitem__("linear", True)),
+        _malformed_lp_json(lambda data: data.__setitem__("kind", "krawtchouk")),
         "{",
     ],
     ids=[
@@ -423,6 +428,11 @@ def _malformed_lp_json(edit):
         "linear-int",
         "n-zero",
         "l-zero",
+        "d-zero",
+        "d-above-n-plus-1",
+        "delsarte-l3",
+        "delsarte-linear-true",
+        "hierarchy-linear-null",
         "not-json",
     ],
 )

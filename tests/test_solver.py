@@ -1,6 +1,7 @@
 """Exact simplex, floating screen, roots."""
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -152,7 +153,7 @@ def test_exact_pivots_survive_redundant_row():
 
 
 def _with_rows(lp, *rows):
-    return _custom(lp.var_indices, lp.objective, lp.rows + rows, lp.n, lp.d, lp.ell)
+    return replace(lp, rows=lp.rows + rows)
 
 
 @pytest.mark.parametrize(
