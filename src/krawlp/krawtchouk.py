@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import gzip
 import json
+import zlib
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
@@ -401,11 +402,11 @@ def _plausible(table: KrawtchoukTable) -> bool:
 def load_table(n: int, ell: int, cache_dir: str | Path) -> KrawtchoukTable | None:
     """Load a cached table, or None on a miss.
 
-    A missing or undecodable file, another format version, another (n, l),
-    an entry that is not an int (a float or a JSON boolean, which compare
-    equal to ints), or a table that fails the cheap checks of
-    ``_plausible`` is a miss, so the caller rebuilds the table and
-    overwrites the file.
+    A missing or undecodable file (a bad gzip header or a garbled deflate
+    body included), another format version, another (n, l), an entry that
+    is not an int (a float or a JSON boolean, which compare equal to ints),
+    or a table that fails the cheap checks of ``_plausible`` is a miss, so
+    the caller rebuilds the table and overwrites the file.
     """
     path = table_cache_path(cache_dir, n, ell)
     if not path.is_file():
@@ -423,6 +424,7 @@ def load_table(n: int, ell: int, cache_dir: str | Path) -> KrawtchoukTable | Non
         plausible = _plausible(table)
     except (
         gzip.BadGzipFile,
+        zlib.error,
         EOFError,
         UnicodeDecodeError,
         json.JSONDecodeError,

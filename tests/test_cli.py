@@ -65,13 +65,18 @@ def test_krawtchouk_csv_and_cache(tmp_path, capsys):
     assert list(tmp_path.glob("ktable-*.json.gz"))
 
 
-@pytest.mark.parametrize("kind", ["all-7s", "wrong-n", "truncated"])
+@pytest.mark.parametrize("kind", ["all-7s", "wrong-n", "truncated", "bad-deflate"])
 def test_krawtchouk_rebuilds_a_wrong_cache(tmp_path, capsys, kind):
     want = krawtchouk.build_table(2, 1)
     path = krawtchouk.table_cache_path(tmp_path, 2, 1)
     if kind == "truncated":
         krawtchouk.save_table(want, tmp_path)
         path.write_bytes(path.read_bytes()[:-20])
+    elif kind == "bad-deflate":
+        # the gzip header kept, the deflate body garbled (zlib.error on read)
+        krawtchouk.save_table(want, tmp_path)
+        data = path.read_bytes()
+        path.write_bytes(data[:10] + bytes(b ^ 1 for b in data[10:]))
     else:
         if kind == "all-7s":
             n, values = 2, [[7] * 3] * 3

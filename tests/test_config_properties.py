@@ -7,6 +7,7 @@ from hypothesis import given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from krawlp.configs import (  # noqa: E402
+    MAX_SUBSET_ELL,
     WordTuple,
     config_index,
     config_of_tuple,
@@ -18,8 +19,10 @@ from krawlp.configs import (  # noqa: E402
 
 @st.composite
 def word_tuples(draw):
-    n = draw(st.integers(1, 8))
-    ell = draw(st.integers(1, 3))
+    # Every level the transforms accept; above l = 3, n <= 12 // l keeps
+    # config_index at most C(65, 63) = 2080 configurations.
+    ell = draw(st.integers(1, MAX_SUBSET_ELL))
+    n = draw(st.integers(1, 8 if ell <= 3 else 12 // ell))
     words = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=ell, max_size=ell))
     return WordTuple(tuple(words), n)
 

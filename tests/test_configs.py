@@ -142,7 +142,9 @@ def _parity(t, j):
 
 
 @pytest.mark.parametrize(
-    "n,ell", [(n, ell) for ell in (1, 2, 3) for n in range(1, 7)] + [(1, 4), (2, 4), (3, 4)]
+    "n,ell",
+    [(n, ell) for ell in (1, 2, 3) for n in range(1, 7)]
+    + [(1, 4), (2, 4), (3, 4), (1, 5), (2, 5), (1, 6)],
 )
 def test_transforms_match_parity_formulas(n, ell):
     # sd(J) = sum over T with |T & J| odd of venn(T), and

@@ -409,6 +409,12 @@ def _corrupt(kind, path):
         path.write_bytes(path.read_bytes()[:-20])
     elif kind == "not-gzip":
         path.write_bytes(b"not a gzip file")
+    elif kind == "bad-deflate":
+        # the 10-byte gzip header kept, the low bit of every later byte
+        # flipped: gzip reads the header and zlib rejects the body
+        save_table(table, path.parent)
+        data = path.read_bytes()
+        path.write_bytes(data[:10] + bytes(b ^ 1 for b in data[10:]))
 
 
 CORRUPTIONS = [
@@ -428,6 +434,7 @@ CORRUPTIONS = [
     "non-ascii",
     "truncated",
     "not-gzip",
+    "bad-deflate",
 ]
 
 
