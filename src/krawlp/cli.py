@@ -22,7 +22,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .configs import config_to_json, enumerate_configs
+from .configs import check_config_args, config_to_json, enumerate_configs
 from .errors import (
     CapacityError,
     InvalidInputError,
@@ -72,13 +72,14 @@ def _cache_dir(args) -> str | None:
 
 
 def cmd_configs(args) -> int:
-    configs = enumerate_configs(args.n, args.l)
-    record = {"command": "configs", "n": args.n, "l": args.l, "count": len(configs)}
+    count = check_config_args(args.n, args.l)
+    record = {"command": "configs", "n": args.n, "l": args.l, "count": count}
     if args.out:
-        lines = [config_to_json(g, args.n) for g in configs]
+        lines = [config_to_json(g, args.n) for g in enumerate_configs(args.n, args.l)]
         _write(args.out, ("\n".join(lines) + "\n").encode("ascii"))
         record["output"] = args.out
-    if not args.count and not args.out:
+    elif not args.count:
+        configs = enumerate_configs(args.n, args.l)
         record["configs"] = [json.loads(config_to_json(g, args.n)) for g in configs]
     _emit(record)
     return EXIT_OK

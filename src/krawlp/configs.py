@@ -21,8 +21,13 @@ total) all evaluate it.  Each level l gets one generated straight-line
 expression, compiled by ``_build_parity_transform``.  Levels 1..3, which
 every suite, table and program uses, are compiled at import (~0.35 ms in
 all): a fresh process pays that once, where a compile behind an
-``lru_cache`` would be paid again after every cache clear.  Higher levels
-compile on first use behind an ``lru_cache``.
+``lru_cache`` would be paid again after every cache clear.  Levels 4..6
+compile on first use behind an ``lru_cache``; above ``MAX_SUBSET_ELL`` every
+conversion raises ``CapacityError`` before compiling anything.
+
+``_subset_xors`` turns words into their subset XORs (popcounts: sd entries;
+over a basis: its span).  ``tuple_census``, the one weighted count of word
+tuples by sd entries, serves code profiles and the direct Krawtchouk sum.
 
 Two tuples have equal configurations exactly when one is a coordinate
 permutation of the other, so a configuration names an S_n-orbit of tuples;
@@ -41,6 +46,7 @@ exact integer arithmetic; nothing in this module touches floating point.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import comb, factorial, prod
@@ -65,6 +71,20 @@ MAX_CONFIG_COUNT = 2_000_000
 def config_count(n: int, ell: int) -> int:
     """Number of distinct configurations of l-tuples of words in F_2^n."""
     return comb(n + (1 << ell) - 1, (1 << ell) - 1)
+
+
+def check_config_args(n: int, ell: int) -> int:
+    """``config_count(n, ell)``, after the range and budget checks of ``enumerate_configs``."""
+    if n < 1 or ell < 1:
+        raise ParameterError(f"need n >= 1 and l >= 1, got n={n}, l={ell}")
+    if ell > MAX_SUBSET_ELL:
+        raise CapacityError(f"l={ell} exceeds the configuration budget l <= {MAX_SUBSET_ELL}")
+    count = config_count(n, ell)
+    if count > MAX_CONFIG_COUNT:
+        raise CapacityError(
+            f"{count} configurations exceed the enumeration budget {MAX_CONFIG_COUNT}"
+        )
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -207,23 +227,45 @@ _EAGER_TRANSFORMS = tuple(_build_parity_transform(ell) for ell in range(1, _EAGE
 @lru_cache(maxsize=None)
 def _parity_transform(ell: int) -> Callable[[Sequence[int]], tuple[int, ...]]:
     """The subset-parity transform of level ``ell``; see ``_build_parity_transform``."""
+    if ell > MAX_SUBSET_ELL:  # refused before compiling 2^(2l-1) terms
+        raise CapacityError(f"l={ell} exceeds the configuration budget l <= {MAX_SUBSET_ELL}")
     if ell <= _EAGER_ELL:
         return _EAGER_TRANSFORMS[ell - 1]
     return _build_parity_transform(ell)
 
 
+def _subset_xors(words: Sequence[int]) -> list[int]:
+    # The XOR of the words each subset bitmask selects, in bitmask order:
+    # word j appends the XORs with bit j set.  Over a basis, its span.
+    xors = [0]
+    for w in words:
+        xors += [x ^ w for x in xors]
+    return xors
+
+
 def _sd_entries(words: Sequence[int]) -> tuple[int, ...]:
-    # Raw kernel of config_of_tuple: XOR combinations built incrementally
-    # by lowest set bit, then popcounts.
-    m = 1 << len(words)
-    xors = [0] * m
-    out = [0] * m
-    for mask in range(1, m):
-        low = mask & -mask
-        x = xors[mask ^ low] ^ words[low.bit_length() - 1]
-        xors[mask] = x
-        out[mask] = x.bit_count()
-    return tuple(out)
+    return tuple(map(int.bit_count, _subset_xors(words)))
+
+
+def tuple_census(positions: Sequence[Sequence[tuple[int, int]]]) -> Counter:
+    """Total weight m_1 * ... * m_l of the tuples (u_1, ..., u_l), by sd entries.
+
+    Position j lists the ``(u_j, m_j)`` pairs it draws from; the subset XORs
+    of the first l-1 words are built once and shared by every last word.
+    """
+    prefixes = [([0], 1)]
+    for items in positions[:-1]:
+        prefixes = [
+            (xors + [x ^ u for x in xors], weight * mult)
+            for xors, weight in prefixes
+            for u, mult in items
+        ]
+    census: Counter = Counter()
+    for xors, weight in prefixes:
+        head = tuple(map(int.bit_count, xors))
+        for u, mult in positions[-1]:
+            census[head + tuple([(x ^ u).bit_count() for x in xors])] += weight * mult
+    return census
 
 
 def _multinomial(n: int, parts: Sequence[int]) -> int:
@@ -309,15 +351,7 @@ def enumerate_configs(n: int, ell: int) -> tuple[SDConfig, ...]:
     mass on the empty cell) is element 0.  The ordering is part of the
     serialization contract: LP variables, table rows and columns all use it.
     """
-    if n < 1 or ell < 1:
-        raise ParameterError(f"need n >= 1 and l >= 1, got n={n}, l={ell}")
-    if ell > MAX_SUBSET_ELL:
-        raise CapacityError(f"l={ell} exceeds the configuration budget l <= {MAX_SUBSET_ELL}")
-    count = config_count(n, ell)
-    if count > MAX_CONFIG_COUNT:
-        raise CapacityError(
-            f"{count} configurations exceed the enumeration budget {MAX_CONFIG_COUNT}"
-        )
+    check_config_args(n, ell)
     transform = _parity_transform(ell)
     return tuple([SDConfig(transform(venn)) for venn in _compositions_desc(n, 1 << ell)])
 
@@ -366,11 +400,11 @@ def representative_tuple(g: SDConfig, n: int) -> WordTuple:
     words = [0] * g.ell
     pos = 0
     for cell_mask, size in enumerate(v.entries):
-        for _ in range(size):
-            for j in range(g.ell):
-                if (cell_mask >> j) & 1:
-                    words[j] |= 1 << pos
-            pos += 1
+        block = ((1 << size) - 1) << pos
+        for j in range(g.ell):
+            if (cell_mask >> j) & 1:
+                words[j] |= block
+        pos += size
     return WordTuple(tuple(words), n)
 
 

@@ -12,11 +12,11 @@ K_i(j); higher l refines the Hamming scheme with joint word interactions.
 
 Three independent evaluation routes are implemented:
 
-* ``eval_direct``   - the literal 2^(nl)-term character sum; brute-force
-                      oracle, only usable for tiny nl.  A tuple is packed
-                      into one int, word j in its j-th n-bit block, so
-                      the character prod_j (-1)^<x_j, y_j> is
-                      (-1)^popcount(x & y);
+* ``eval_direct``   - the literal 2^(nl)-term character sum for tiny nl:
+                      ``configs.tuple_census``, the count behind code
+                      profiles, with y_j weighted by (-1)^<x_j, y_j>,
+                      gives column g whole.  Columns are cached, but each
+                      further g costs its own 2^(nl) enumeration;
 * ``eval_explicit`` - a finite sum over contingency tables whose margins
                       are the two Venn vectors; polynomially many terms;
 * ``build_table``   - the generating function: column g is the coefficient
@@ -54,17 +54,16 @@ from pathlib import Path
 from .configs import (
     SDConfig,
     _compositions_desc,
-    _sd_entries,
     config_count,
     enumerate_configs,
     orbit_size,
     representative_tuple,
     sd_to_venn,
+    tuple_census,
 )
 from .errors import CapacityError, InvalidInputError, ParameterError
 
-# 2^(n*l) tuples enumerated by the direct route at most; their partition
-# by configuration is cached, so this also bounds that cache.
+# 2^(n*l) tuples enumerated by the direct route at most, once per column g.
 DIRECT_ENUM_BUDGET = 1 << 20
 # Full tables are limited to this many cells.
 TABLE_CELL_BUDGET = 4_000_000
@@ -88,35 +87,30 @@ def classical_krawtchouk(i: int, j: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=1)
-def _tuples_by_config(n: int, ell: int) -> dict[tuple[int, ...], list[int]]:
-    # Partition of all 2^(n*l) tuples by configuration entries (read by
-    # eval_direct and oracle.build_fourier_lp), each tuple packed into one
-    # int with word j in its j-th n-bit block.  Only the latest (n, l) is
-    # kept: one partition at n*l = 18 holds about 11 MB.
-    mask = (1 << n) - 1
-    buckets: dict[tuple[int, ...], list[int]] = {}
-    for p in range(1 << (n * ell)):
-        words = [(p >> (n * j)) & mask for j in range(ell)]
-        buckets.setdefault(_sd_entries(words), []).append(p)
-    return buckets
+@lru_cache(maxsize=None)
+def _direct_column(g: SDConfig, n: int) -> dict[tuple[int, ...], int]:
+    # K_h(g) for every h, keyed by h's sd entries: the census of all tuples
+    # y, y_j weighted by (-1)^<x_j, y_j> for the representative x of g.
+    signed = [
+        [(y, 1 - 2 * ((xj & y).bit_count() & 1)) for y in range(1 << n)]
+        for xj in representative_tuple(g, n).words
+    ]
+    return tuple_census(signed)
 
 
 def eval_direct(h: SDConfig, g: SDConfig, n: int) -> int:
-    """K_h(g) by brute-force enumeration of all tuples with configuration h."""
+    """K_h(g) by brute force: one 2^(nl)-tuple census per g, cached, read at h."""
     if h.ell != g.ell:
         raise InvalidInputError(f"mixed levels l={h.ell} and l={g.ell}")
-    ell = h.ell
-    total = 1 << (n * ell)
+    total = 1 << (n * h.ell)
     if total > DIRECT_ENUM_BUDGET:
         raise CapacityError(
             f"2^(n*l) = {total} tuples exceed the direct enumeration budget "
             f"{DIRECT_ENUM_BUDGET}"
         )
-    x = sum(w << (n * j) for j, w in enumerate(representative_tuple(g, n).words))
+    column = _direct_column(g, n)  # validates g for this blocklength
     sd_to_venn(h, n)  # validates h for this blocklength
-    ys = _tuples_by_config(n, ell).get(h.entries, [])
-    return len(ys) - 2 * sum((x & y).bit_count() & 1 for y in ys)
+    return column.get(h.entries, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +359,7 @@ def table_cache_path(cache_dir: str | Path, n: int, ell: int) -> Path:
 
 
 def save_table(table: KrawtchoukTable, cache_dir: str | Path) -> Path:
-    """Write a table to the binary cache; deterministic bytes (mtime 0)."""
+    """Write a table to the binary cache at gzip level 6; deterministic bytes (mtime 0)."""
     path = table_cache_path(cache_dir, table.n, table.ell)
     path.parent.mkdir(parents=True, exist_ok=True)
     payload = {
@@ -375,9 +369,7 @@ def save_table(table: KrawtchoukTable, cache_dir: str | Path) -> Path:
         "values": [list(row) for row in table.values],
     }
     raw = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("ascii")
-    with open(path, "wb") as fh:
-        with gzip.GzipFile(fileobj=fh, mode="wb", mtime=0) as gz:
-            gz.write(raw)
+    path.write_bytes(gzip.compress(raw, compresslevel=6, mtime=0))
     return path
 
 

@@ -22,7 +22,7 @@ are integer character sums), ``Fraction``s from ``lp_from_json``.
 ``integer_form`` scales them to integers; only the exact simplex uses it,
 to build its tableau and objective.
 ``CodeSet`` is the one code type.  A code profile is a set of integer
-tuple counts by canonical config index (as in ``var_indices``) over one
+tuple counts (``configs.tuple_census``) by canonical config index (as in ``var_indices``) over one
 shared denominator: |C|^l for the general formula, 1 for the span
 formula of a linear code.  ``row_sums`` sums rows over a sparse
 ``(index, count)`` support.  ``check_point`` checks x = counts / denom
@@ -43,7 +43,7 @@ from math import inf, lcm
 from operator import mul
 from typing import Collection, Iterable, Iterator, Sequence
 
-from .configs import _gather, config_count, config_index, enumerate_configs, too_close
+from .configs import _gather, config_count, config_index, enumerate_configs, too_close, tuple_census
 from .errors import InvalidInputError, NotLinearError, ParameterError, parsing, require_int
 from .krawtchouk import cached_table, classical_krawtchouk
 
@@ -282,26 +282,6 @@ class CodeProfile:
         return Fraction(sum(self.counts.values()), self.denom)
 
 
-def _tuple_counts(items: Sequence[tuple[int, int]], ell: int) -> Counter:
-    # Total weight m_1 * ... * m_l of the l-tuples of (word u, weight m)
-    # items, by sd entry vector.  A tuple's entries are the popcounts of the
-    # XORs of its sub-tuples, indexed as in configs._sd_entries; the XORs of
-    # the first l-1 words are built once and shared by every last word.
-    prefixes = [((0,), 1)]
-    for _ in range(ell - 1):
-        prefixes = [
-            (xors + tuple([x ^ u for x in xors]), weight * mult)
-            for xors, weight in prefixes
-            for u, mult in items
-        ]
-    raw: Counter = Counter()
-    for xors, weight in prefixes:
-        head = tuple(map(int.bit_count, xors))
-        for u, mult in items:
-            raw[head + tuple([(x ^ u).bit_count() for x in xors])] += weight * mult
-    return raw
-
-
 def profile_of_code(
     words: Iterable[int], n: int, ell: int, linear: bool = False
 ) -> CodeProfile:
@@ -321,11 +301,11 @@ def profile_of_code(
     if linear:
         if not code.linear:
             raise NotLinearError("code is not XOR-closed (or misses 0)")
-        raw = _tuple_counts([(w, 1) for w in ws], ell)
+        raw = tuple_census([[(w, 1) for w in ws]] * ell)
         denom = 1
     else:
         diff = Counter(x ^ y for x in ws for y in ws)
-        raw = _tuple_counts(tuple(diff.items()), ell)
+        raw = tuple_census([list(diff.items())] * ell)
         denom = code.size**ell
     return CodeProfile(
         n=n,

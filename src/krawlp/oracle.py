@@ -12,18 +12,19 @@ an independent oracle for the LP machinery:
                         ANDs (Tomita & Seki 2003; San Segundo et al. 2011);
 * ``max_linear_code`` - exact A_2^Lin(n, d) by enumerating all reduced
                         row-echelon generator matrices over F_2 and
-                        checking span minimum weights;
+                        checking span minimum weights (a span is the
+                        ``configs._subset_xors`` of its rows);
 * ``dual_code``       - orthogonal complement of a linear code;
 * ``verify_macwilliams`` - the transform identity (linear codes) and the
                         transform inequality (any code), checked exactly;
 * ``build_fourier_lp`` - the unsymmetrized LP with one variable per
                         l-tuple of words and one character row per tuple,
                         for equivalence testing against the configuration
-                        LP: ``lp.packing_lp`` over the tuples, from the
-                        partition ``eval_direct`` uses, of the configurations
-                        ``configs.too_close`` keeps.  Tuples are packed ints
-                        (word j in the j-th n-bit block), so each character
-                        is (-1)^popcount(alpha & p).
+                        LP: ``lp.packing_lp`` over the tuples whose sd
+                        entries ``configs.too_close`` keeps, tested tuple
+                        by tuple.  Tuples are packed ints (word j in the
+                        j-th n-bit block), so each character is
+                        (-1)^popcount(alpha & p).
 
 Codes are ``lp.CodeSet`` values.  Oracle results are memoized in-process
 keyed by (n, d) per function.
@@ -36,9 +37,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .configs import too_close
+from .configs import _sd_entries, _subset_xors, too_close
 from .errors import CapacityError, NotLinearError, ParameterError, SelfCheckError
-from .krawtchouk import _tuples_by_config, cached_table
+from .krawtchouk import cached_table
 from .lp import (
     CodeSet,
     LinearProgram,
@@ -163,13 +164,6 @@ def _iter_rref(n: int, k: int) -> Iterator[tuple[int, ...]]:
             yield tuple(rows)
 
 
-def _span_words(rows: tuple[int, ...]) -> frozenset[int]:
-    span = {0}
-    for r in rows:
-        span |= {r ^ w for w in span}
-    return frozenset(span)
-
-
 def _span_min_weight(rows: tuple[int, ...], d: int) -> int:
     # Gray-code walk over all nonzero combinations; early exit below d.
     cur = 0
@@ -206,7 +200,7 @@ def max_linear_code(n: int, d: int) -> tuple[int, CodeSet]:
                 break
         if found is None:
             break
-        best_k, best_words = k, _span_words(found)
+        best_k, best_words = k, frozenset(_subset_xors(found))
     return 1 << best_k, CodeSet(best_words, n)
 
 
@@ -246,7 +240,7 @@ def iter_linear_codes(n: int) -> Iterator[CodeSet]:
     yield CodeSet(frozenset({0}), n)
     for k in range(1, n + 1):
         for rows in _iter_rref(n, k):
-            yield CodeSet(_span_words(rows), n)
+            yield CodeSet(frozenset(_subset_xors(rows)), n)
 
 
 # ---------------------------------------------------------------------------
@@ -315,13 +309,11 @@ def build_fourier_lp(n: int, d: int, ell: int, linear: bool) -> LinearProgram:
         )
     # Tuple p packs word j into its j-th n-bit block, so the character
     # prod_j (-1)^<alpha_j, p_j> of tuple alpha at p is (-1)^popcount(alpha & p).
+    mask = (1 << n) - 1
     keep = tuple(
-        sorted(
-            p
-            for entries, tuples in _tuples_by_config(n, ell).items()
-            if not too_close(entries, d, linear)
-            for p in tuples
-        )
+        p
+        for p in range(npoints)
+        if not too_close(_sd_entries([(p >> (n * j)) & mask for j in range(ell)]), d, linear)
     )
     rows = (
         tuple([1 - 2 * ((alpha & p).bit_count() & 1) for p in keep])

@@ -29,6 +29,19 @@ def test_configs_count(capsys):
     assert records[0]["version"]
 
 
+def test_configs_count_does_not_enumerate(monkeypatch, capsys):
+    def no_enumeration(n, ell):
+        raise AssertionError("configurations enumerated for --count")
+
+    monkeypatch.setattr(cli, "enumerate_configs", no_enumeration)
+    code, records, _ = _run(capsys, ["configs", "--n", "9", "--l", "4", "--count"])
+    assert code == 0
+    assert records[0]["count"] == 1_307_504
+    # the range and budget checks still come first
+    assert _run(capsys, ["configs", "--n", "3", "--l", "7", "--count"])[0] == 3
+    assert _run(capsys, ["configs", "--n", "0", "--l", "1", "--count"])[0] == 2
+
+
 def test_configs_artifact(tmp_path, capsys):
     out = tmp_path / "configs.jsonl"
     code, records, _ = _run(

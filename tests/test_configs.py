@@ -7,6 +7,7 @@ from math import comb
 
 import pytest
 
+from krawlp import configs
 from krawlp.configs import (
     SDConfig,
     VennConfig,
@@ -350,6 +351,22 @@ def test_config_json_rejects_mismatch():
 def test_config_json_rejects_malformed(text):
     with pytest.raises(InvalidInputError):
         config_from_json(text)
+
+
+@pytest.mark.parametrize("ell", [7, 9])
+def test_conversions_stop_at_the_level_budget(monkeypatch, ell):
+    # Above MAX_SUBSET_ELL the parity transform would compile 2^(2l-1)
+    # terms; the conversions refuse before compiling anything.
+    def no_compile(ell):
+        raise AssertionError(f"parity transform compiled at l={ell}")
+
+    monkeypatch.setattr(configs, "_build_parity_transform", no_compile)
+    m = 1 << ell
+    text = json.dumps({"n": 1, "l": ell, "venn": [1] + [0] * (m - 1), "sd": [0] * m})
+    with pytest.raises(CapacityError):
+        config_from_json(text)
+    with pytest.raises(CapacityError):
+        sd_to_venn(SDConfig((0,) * m), 1)
 
 
 def test_config_index_matches_enumeration():

@@ -1,10 +1,11 @@
-"""Every name a library module imports is used in that module, and every
-private helper is used somewhere in the package.
+"""Every name a library module imports is used in that module, every
+private helper is used somewhere in the package, and private names are
+imported only from ``configs``.
 
 No linter ships with the project, so these are stdlib-``ast`` stand-ins
-for an unused-import check and a dead-code check.  ``__init__.py`` is
-exempt from the import check (its imports are the package's re-exports),
-and so are ``__future__`` imports.
+for an unused-import check, a dead-code check and a layering check.
+``__init__.py`` is exempt from the import check (its imports are the
+package's re-exports), and so are ``__future__`` imports.
 """
 
 import ast
@@ -57,3 +58,18 @@ def test_no_dead_private_helpers():
     assert defined, "no private helpers found"
     dead = [f"{where}: {name}" for name, where in defined.items() if name not in referenced]
     assert dead == []
+
+
+def test_private_imports_come_only_from_configs():
+    # configs owns the shared kernels (tuple to sd entries, the parity
+    # transform, gathers); every other module keeps its privates to itself.
+    # Dunder names such as ``__version__`` are not private.
+    stray = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module != "configs":
+                names = [a.name for a in node.names]
+                names = [n for n in names if n.startswith("_") and not n.startswith("__")]
+                stray += [f"{path.name}:{node.lineno}: {node.module}.{n}" for n in names]
+    assert stray == []

@@ -118,10 +118,10 @@ def test_explicit_classical_specialization():
 
 
 def test_direct_capacity_budget(monkeypatch):
-    def no_enumeration(n, ell):
+    def no_enumeration(positions):
         raise AssertionError("tuples enumerated past the budget")
 
-    monkeypatch.setattr(krawtchouk, "_tuples_by_config", no_enumeration)
+    monkeypatch.setattr(krawtchouk, "tuple_census", no_enumeration)
     h = SDConfig((0, 1))
     with pytest.raises(CapacityError):
         eval_direct(h, h, 30)
@@ -130,7 +130,11 @@ def test_direct_capacity_budget(monkeypatch):
         eval_direct(h, h, 21)
 
 
-@pytest.mark.parametrize("n,ell", [(1, 1), (2, 1), (3, 1), (4, 1), (1, 2), (2, 2), (3, 2), (4, 2)])
+@pytest.mark.parametrize(
+    "n,ell",
+    # l >= 3 chains census positions whose signed word lists differ.
+    [(1, 1), (2, 1), (3, 1), (4, 1), (1, 2), (2, 2), (3, 2), (4, 2), (1, 3), (2, 3), (1, 4)],
+)
 def test_triple_agreement(n, ell):
     configs = enumerate_configs(n, ell)
     table = cached_table(n, ell)
@@ -176,9 +180,10 @@ def test_table_invariants():
 
 @pytest.mark.parametrize("n,ell", [(2, 3), (3, 3), (5, 2), (6, 2)])
 def test_table_matches_explicit_beyond_direct(n, ell):
-    # Sizes outside triple-agreement, (3,3) and (6,2) past eval_direct's
-    # reach.  The upper triangle is compared with eval_explicit; the lower
-    # one follows by reflection, K_g(h) |h| = K_h(g) |g|, from the same values.
+    # All four sizes are within eval_direct's reach ((3,3) is 2^9 tuples),
+    # but triple-agreement's every-entry sweep would take seconds at (3,3).
+    # The upper triangle is compared with eval_explicit; the lower one
+    # follows by reflection, K_g(h) |h| = K_h(g) |g|, from the same values.
     configs = enumerate_configs(n, ell)
     sizes = [orbit_size(g, n) for g in configs]
     table = build_table(n, ell).values
@@ -346,6 +351,13 @@ def test_cache_roundtrip(tmp_path):
     first = path.read_bytes()
     save_table(table, tmp_path)
     assert path.read_bytes() == first
+
+
+def test_level_9_cache_loads(tmp_path):
+    # Caches written at gzip's default level 9 stay readable.
+    table = cached_table(3, 2)
+    _write_cache(table_cache_path(tmp_path, 3, 2), _payload(table))
+    assert load_table(3, 2, tmp_path) == table
 
 
 def _write_cache(path, payload):
