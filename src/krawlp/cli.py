@@ -31,7 +31,7 @@ from .errors import (
     SelfCheckError,
     SolverNumericsError,
 )
-from .krawtchouk import cached_table, load_table, save_table, table_to_csv
+from .krawtchouk import cached_table, check_table_args, load_table, save_table, table_to_csv
 from .lp import build_delsarte, build_hierarchy_lp, export_lp
 from .oracle import build_fourier_lp, max_code, max_linear_code
 from .simplex import format_value, root_value, solve_exact, solve_float
@@ -206,8 +206,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_table(args) -> int:
-    if args.n < 1 or args.l < 1:
-        raise ParameterError(f"need n >= 1 and l >= 1, got n={args.n}, l={args.l}")
+    check_table_args(args.n, args.l)  # the largest table the sweep builds
     lines = ["n,d,l,flag,value,root"]
     for n in range(1, args.n + 1):
         for d in range(1, n + 1):

@@ -38,6 +38,11 @@ into 2^l Venn cells.
 ``too_close`` is the one distance rule on sd entries: every program builder
 keeps exactly the points it does not exclude.
 
+Two gates run before any work.  ``check_config_args`` is the one (n, l)
+range check, with the enumeration budget; table and profile builders call
+it too.  ``check_words`` is the one word check, shared by ``WordTuple`` and
+``lp.CodeSet``.
+
 Subsets are encoded as bitmasks (bit j-1 of the mask is element j),
 configurations as dense tuples of length 2^l, and every computation here is
 exact integer arithmetic; nothing in this module touches floating point.
@@ -51,7 +56,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import comb, factorial, prod
 from operator import itemgetter, or_
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     CapacityError,
@@ -74,7 +79,10 @@ def config_count(n: int, ell: int) -> int:
 
 
 def check_config_args(n: int, ell: int) -> int:
-    """``config_count(n, ell)``, after the range and budget checks of ``enumerate_configs``."""
+    """``config_count(n, ell)``, after the one (n, l) range check and the enumeration budget.
+
+    Enumeration, tables and code profiles run it before any work.
+    """
     if n < 1 or ell < 1:
         raise ParameterError(f"need n >= 1 and l >= 1, got n={n}, l={ell}")
     if ell > MAX_SUBSET_ELL:
@@ -85,6 +93,15 @@ def check_config_args(n: int, ell: int) -> int:
             f"{count} configurations exceed the enumeration budget {MAX_CONFIG_COUNT}"
         )
     return count
+
+
+def check_words(words: Iterable[int], n: int) -> None:
+    """Raise ``InvalidInputError`` unless n >= 1 and every word is an n-bit integer."""
+    if n < 1:
+        raise InvalidInputError("blocklength must be positive")
+    top = 1 << n
+    if any(w < 0 or w >= top for w in words):
+        raise InvalidInputError(f"words must be {n}-bit integers")
 
 
 # ---------------------------------------------------------------------------
@@ -115,9 +132,6 @@ class SDConfig:
     def is_trivial(self) -> bool:
         return not any(self.entries)
 
-    def __getitem__(self, subset_mask: int) -> int:
-        return self.entries[subset_mask]
-
 
 @dataclass(frozen=True)
 class VennConfig:
@@ -143,9 +157,6 @@ class VennConfig:
     def ell(self) -> int:
         return (len(self.entries) - 1).bit_length()
 
-    def __getitem__(self, subset_mask: int) -> int:
-        return self.entries[subset_mask]
-
 
 @dataclass(frozen=True)
 class WordTuple:
@@ -159,11 +170,7 @@ class WordTuple:
         # config_of_tuple and venn_of_tuple allocate dense 2^l vectors.
         if not 1 <= ell <= MAX_SUBSET_ELL:
             raise InvalidInputError(f"tuple length {ell} outside 1..{MAX_SUBSET_ELL}")
-        if self.n < 1:
-            raise InvalidInputError("blocklength must be positive")
-        top = 1 << self.n
-        if any(w < 0 or w >= top for w in self.words):
-            raise InvalidInputError(f"words must be {self.n}-bit integers")
+        check_words(self.words, self.n)
 
     @property
     def ell(self) -> int:

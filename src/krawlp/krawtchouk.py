@@ -35,8 +35,13 @@ g becomes one integer with K_b(g) as its signed digit b in base 2^w, so
 row a's sums against all rows are one linear combination of the packed
 columns.  The digit width w is set from the table's own largest entry
 and orbit size, wide enough for every sum, so the digits stay exact for
-any table; a row whose packed sum differs from its one expected digit is
-decoded digit by digit and reported pair by pair.
+any table.  A row whose packed sum differs from its one expected digit
+is recounted pair by pair as plain weighted dot products, and each pair
+that fails is reported.
+
+``check_table_args`` is the table gate: ``configs.check_config_args``,
+then the table's level and cell budgets.  ``build_table`` runs it before
+any work, and ``krawlp table`` on its largest table before any solve.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ from pathlib import Path
 from .configs import (
     SDConfig,
     _compositions_desc,
+    check_config_args,
     config_count,
     enumerate_configs,
     orbit_size,
@@ -102,15 +108,14 @@ def eval_direct(h: SDConfig, g: SDConfig, n: int) -> int:
     """K_h(g) by brute force: one 2^(nl)-tuple census per g, cached, read at h."""
     if h.ell != g.ell:
         raise InvalidInputError(f"mixed levels l={h.ell} and l={g.ell}")
+    sd_to_venn(h, n)  # validates h and n before the budget's shift by n
     total = 1 << (n * h.ell)
     if total > DIRECT_ENUM_BUDGET:
         raise CapacityError(
             f"2^(n*l) = {total} tuples exceed the direct enumeration budget "
             f"{DIRECT_ENUM_BUDGET}"
         )
-    column = _direct_column(g, n)  # validates g for this blocklength
-    sd_to_venn(h, n)  # validates h for this blocklength
-    return column.get(h.entries, 0)
+    return _direct_column(g, n).get(h.entries, 0)  # the column validates g
 
 
 # ---------------------------------------------------------------------------
@@ -191,12 +196,11 @@ class KrawtchoukTable:
         return len(self.values)
 
 
-def _check_table_budget(n: int, ell: int) -> int:
-    if n < 1 or ell < 1:
-        raise ParameterError(f"need n >= 1 and l >= 1, got n={n}, l={ell}")
+def check_table_args(n: int, ell: int) -> int:
+    """``config_count(n, ell)``, after ``check_config_args`` and the table budgets."""
+    count = check_config_args(n, ell)
     if ell > MAX_TABLE_ELL:
         raise CapacityError(f"l={ell} exceeds the table budget l <= {MAX_TABLE_ELL}")
-    count = config_count(n, ell)
     if count * count > TABLE_CELL_BUDGET:
         raise CapacityError(
             f"{count}^2 table cells exceed the budget {TABLE_CELL_BUDGET}"
@@ -216,7 +220,7 @@ def build_table(n: int, ell: int) -> KrawtchoukTable:
     so each degree keeps one column per monomial and only two degrees are
     alive at once.
     """
-    _check_table_budget(n, ell)
+    check_table_args(n, ell)
     cells = 1 << ell
     odd = [[(j & k).bit_count() & 1 for k in range(cells)] for j in range(cells)]
     index = {(0,) * cells: 0}
@@ -287,8 +291,8 @@ def verify_orthogonality(table: KrawtchoukTable) -> CheckReport:
     the slot width w exceeds that bound's bit length by two, so each slot
     is an exact signed digit and the representation is unique.  A row
     passes when the whole s_a equals its only expected digit,
-    2^(l n) |a| in slot a; a row that does not is decoded digit by digit
-    and its pairs (a, b >= a) are reported exactly as the pairwise sums.
+    2^(l n) |a| in slot a; a row that does not has its pairs (a, b >= a)
+    recounted as plain weighted dot products and reported one by one.
     """
     sizes = _orbit_sizes(table)
     values = table.values
@@ -303,24 +307,19 @@ def verify_orthogonality(table: KrawtchoukTable) -> CheckReport:
         for row in reversed(values):
             p = (p << width) + row[g]
         packed.append(p)
-    mask = (1 << width) - 1
-    half = 1 << (width - 1)
     violations = []
     for a in range(size):
-        s = sum(map(mul, map(mul, sizes, values[a]), packed))
+        weighted = list(map(mul, sizes, values[a]))
         want = scale * sizes[a]
         # The whole sum, not a shifted part: a floor shift would fold a
         # negative lower digit into slot a as -1.
-        if s == want << (width * a):
+        if sum(map(mul, weighted, packed)) == want << (width * a):
             continue
-        for b in range(size):
-            digit = s & mask
-            if digit >= half:
-                digit -= 1 << width
-            s = (s - digit) >> width
+        for b in range(a, size):
+            got = sum(map(mul, weighted, values[b]))
             target = want if a == b else 0
-            if b >= a and digit != target:
-                violations.append(f"(h={a}, h'={b}): got {digit}, want {target}")
+            if got != target:
+                violations.append(f"(h={a}, h'={b}): got {got}, want {target}")
     return CheckReport("orthogonality", size * (size + 1) // 2, tuple(violations))
 
 

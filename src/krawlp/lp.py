@@ -43,7 +43,16 @@ from math import inf, lcm
 from operator import mul
 from typing import Collection, Iterable, Iterator, Sequence
 
-from .configs import _gather, config_count, config_index, enumerate_configs, too_close, tuple_census
+from .configs import (
+    _gather,
+    check_config_args,
+    check_words,
+    config_count,
+    config_index,
+    enumerate_configs,
+    too_close,
+    tuple_census,
+)
 from .errors import InvalidInputError, NotLinearError, ParameterError, parsing, require_int
 from .krawtchouk import cached_table, classical_krawtchouk
 
@@ -213,11 +222,7 @@ class CodeSet:
     def __post_init__(self) -> None:
         if not self.words:
             raise InvalidInputError("code must be nonempty")
-        if self.n < 1:
-            raise InvalidInputError("blocklength must be positive")
-        top = 1 << self.n
-        if any(w < 0 or w >= top for w in self.words):
-            raise InvalidInputError(f"words must be {self.n}-bit integers")
+        check_words(self.words, self.n)
         ws = self.words
         closed = 0 in ws and all(a ^ b in ws for a, b in itertools.combinations(ws, 2))
         object.__setattr__(self, "linear", closed)
@@ -291,11 +296,8 @@ def profile_of_code(
     profile counts tuples of codewords directly; otherwise it averages
     difference tuples over all pairs of l-tuples.
     """
-    if n < 1:
-        raise ParameterError("blocklength must be positive")
+    check_config_args(n, ell)
     code = CodeSet(frozenset(map(int, words)), n)
-    if ell < 1:
-        raise ParameterError("level must be >= 1")
     index = config_index(n, ell)
     ws = sorted(code.words)
     if linear:

@@ -16,7 +16,9 @@ an independent oracle for the LP machinery:
                         ``configs._subset_xors`` of its rows);
 * ``dual_code``       - orthogonal complement of a linear code;
 * ``verify_macwilliams`` - the transform identity (linear codes) and the
-                        transform inequality (any code), checked exactly;
+                        transform inequality (any code), checked exactly
+                        and reported as a ``krawtchouk.CheckReport``, one
+                        check per identity or inequality row;
 * ``build_fourier_lp`` - the unsymmetrized LP with one variable per
                         l-tuple of words and one character row per tuple,
                         for equivalence testing against the configuration
@@ -33,13 +35,12 @@ keyed by (n, d) per function.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
 from .configs import _sd_entries, _subset_xors, too_close
 from .errors import CapacityError, NotLinearError, ParameterError, SelfCheckError
-from .krawtchouk import cached_table
+from .krawtchouk import CheckReport, cached_table
 from .lp import (
     CodeSet,
     LinearProgram,
@@ -248,46 +249,33 @@ def iter_linear_codes(n: int) -> Iterator[CodeSet]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MacWilliamsReport:
-    identity_checked: int
-    inequality_checked: int
-    violations: tuple[str, ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
-def verify_macwilliams(c: CodeSet, ell: int) -> MacWilliamsReport:
+def verify_macwilliams(c: CodeSet, ell: int) -> CheckReport:
     """Exact transform checks for one code at level l.
 
     For a linear code, the transform of its profile must equal |C|^l times
     the dual code's profile, entry by entry.  For any code, the transform
-    of the (pair-count) profile must be non-negative in every entry.
+    of the (pair-count) profile must be non-negative in every entry.  The
+    report counts one check per identity row and per inequality row.
     """
     table = cached_table(c.n, ell)
     violations = []
-    identity_checked = 0
     if c.linear:
         prof = profile_of_code(c.words, c.n, ell, linear=True).counts
         dual_prof = profile_of_code(dual_code(c).words, c.n, ell, linear=True).counts
         scale = c.size**ell
         for h_idx, rhs in enumerate(row_sums(table.values, prof.items())):
             lhs = scale * dual_prof.get(h_idx, 0)
-            identity_checked += 1
             if lhs != rhs:
                 violations.append(
                     f"identity at h={h_idx}: {lhs} != {rhs} (|C|={c.size}, l={ell})"
                 )
     # |C|^l times the profile: counts of pairs of l-tuples.
     pair_prof = profile_of_code(c.words, c.n, ell).counts
-    inequality_checked = 0
     for h_idx, s in enumerate(row_sums(table.values, pair_prof.items())):
-        inequality_checked += 1
         if s < 0:
             violations.append(f"inequality at h={h_idx}: transform {s} < 0")
-    return MacWilliamsReport(identity_checked, inequality_checked, tuple(violations))
+    checked = table.size * (2 if c.linear else 1)
+    return CheckReport("macwilliams", checked, tuple(violations))
 
 
 # ---------------------------------------------------------------------------

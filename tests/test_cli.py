@@ -259,6 +259,17 @@ def test_parameter_and_capacity_exit_codes(capsys):
     assert "budget" in out.err
 
 
+def test_table_refuses_an_over_budget_grid_before_solving(monkeypatch, capsys):
+    def no_solve(*args):
+        raise AssertionError("a program solved before the budget check")
+
+    monkeypatch.setattr(cli, "hierarchy_value", no_solve)
+    code, records, out = _run(capsys, ["table", "--n", "7", "--l", "3"])
+    assert code == 3
+    assert records == [] and out.out == ""
+    assert out.err.startswith("capacity: ")
+
+
 def test_table_sweep(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code, records, _ = _run(

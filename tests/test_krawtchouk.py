@@ -130,6 +130,11 @@ def test_direct_capacity_budget(monkeypatch):
         eval_direct(h, h, 21)
 
 
+def test_direct_rejects_a_negative_blocklength():
+    with pytest.raises(ParameterError):
+        eval_direct(SDConfig((0, 1)), SDConfig((0, 1)), -1)
+
+
 @pytest.mark.parametrize(
     "n,ell",
     # l >= 3 chains census positions whose signed word lists differ.

@@ -361,6 +361,25 @@ def test_lp_text_structure():
     assert text.endswith("End\n")
 
 
+def _rational_delsarte_text(third: str) -> str:
+    # build_delsarte(2, 2) with fractional coefficients and an all-zero row.
+    data = json.loads(lp_to_json(build_delsarte(2, 2)))
+    coeffs = {"MW_0": [third, "0"], "MW_1": ["0", "0"]}
+    for row in data["rows"]:
+        row["coeffs"] = coeffs.get(row["name"], row["coeffs"])
+    data["objective"] = ["1/2", "1"]
+    return export_lp(lp_from_json(json.dumps(data)), "lp-text").decode()
+
+
+def test_lp_text_of_rational_coefficients():
+    lines = _rational_delsarte_text("1/3").splitlines()
+    assert "\\ exact-decimals=no" in lines
+    assert " obj: + 0.5 a_0 + 1 a_2" in lines
+    assert " MW_0: + 0.3333333333333333 a_0 >= 0" in lines
+    assert " MW_1: + 0 a_0 >= 0" in lines  # an all-zero row names its first variable
+    assert "\\ exact-decimals=yes" in _rational_delsarte_text("1/4").splitlines()
+
+
 def test_exports_are_deterministic():
     lp = build_hierarchy_lp(3, 2, 2, linear=True)
     assert export_lp(lp, "lp-text") == export_lp(lp, "lp-text")

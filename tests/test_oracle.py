@@ -243,7 +243,7 @@ def test_dual_involution_and_size():
 def test_macwilliams_repetition_code():
     report = verify_macwilliams(CodeSet(frozenset({0b00, 0b11}), 2), 1)
     assert report.passed
-    assert report.identity_checked == 3  # one per weight 0..2
+    assert report.checked == 6  # identity and inequality, one per weight 0..2
 
 
 def test_macwilliams_transform_value_by_hand():
@@ -277,8 +277,7 @@ def test_macwilliams_inequality_all_small_codes():
 
 def test_macwilliams_identity_skipped_for_nonlinear():
     report = verify_macwilliams(CodeSet(frozenset({1, 2}), 2), 1)
-    assert report.identity_checked == 0
-    assert report.inequality_checked > 0
+    assert report.checked == 3  # inequality rows only, one per weight 0..2
 
 
 # ---------------------------------------------------------------------------

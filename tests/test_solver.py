@@ -296,6 +296,32 @@ def test_exact_verdicts_with_zero_rhs_rows():
     assert solve_float(lp).status == "unbounded"
 
 
+def _rule_programs():
+    # 129 programs: every d <= n + 1 and both flags.
+    for n in range(1, 7):
+        for d in range(1, n + 2):
+            yield build_delsarte(n, d)
+            for linear in (False, True):
+                yield build_hierarchy_lp(n, d, 1, linear)
+                if n <= 4:
+                    yield build_hierarchy_lp(n, d, 2, linear)
+                if n <= 2:
+                    for ell in (1, 2):
+                        yield build_fourier_lp(n, d, ell, linear)
+
+
+def test_bland_rule_from_the_first_pivot_reaches_the_same_optima(monkeypatch):
+    # No program here needs DANTZIG_PIVOTS pivots, so only a zero switch
+    # point runs the Bland branch that guarantees termination.
+    programs = list(_rule_programs())
+    assert len(programs) == 129
+    dantzig = [solve_exact(lp) for lp in programs]
+    monkeypatch.setattr(simplex, "DANTZIG_PIVOTS", 0)
+    for lp, want in zip(programs, dantzig):
+        got = solve_exact(lp)
+        assert (got.status, got.value) == (want.status, want.value), (lp.kind, lp.n, lp.d)
+
+
 # ---------------------------------------------------------------------------
 # solve_float
 # ---------------------------------------------------------------------------
