@@ -1,23 +1,27 @@
 """Exact and floating-point linear program solvers.
 
-The exact path is a two-phase primal simplex over a fraction-free integer
-tableau: each row is scaled to integers once, the tableau keeps one common
-denominator (the previous pivot), and every update is an exact integer
-division (Bareiss elimination), so no `fractions.Fraction` is formed while
-pivoting.  The tableau is the program as given: column j is variable j,
-and each row is one tableau row, made rhs >= 0 by a sign; there is no
-other presolve.  Rows ``>= 0`` are negated to ``<= 0``, so their slacks
-start basic and phase 1 needs artificials only for ``=`` rows and for
-``>=`` rows with a positive rhs.
+The exact path is a two-phase primal simplex over a condensed
+fraction-free integer tableau: each row is scaled to integers once, the
+tableau keeps one common denominator (the previous pivot), and every
+update is an exact integer division (Bareiss elimination), so no
+`fractions.Fraction` is formed while pivoting.  The columns are the
+program's variables, then its slacks and artificials; the tableau stores
+only the nonbasic ones, one slot each, since a basic column is den times
+a unit vector (integer pivoting as in Avis's ``lrs``).  Each row of the
+program is one tableau row, made rhs >= 0 by a sign; there is no other
+presolve.  Rows ``>= 0`` are negated to ``<= 0``, so their slacks start
+basic and phase 1 needs artificials only for ``=`` rows and for ``>=``
+rows with a positive rhs.
 The pivot rule is largest-coefficient for a bounded number of pivots, then
-Bland's rule, so termination is guaranteed.  ``integer_form`` serves only
-to build the tableau and the objective.  This module only pivots and
-reads x and y; ``lp`` states what certifies them.  Every optimal answer
-passes ``lp.check_point`` on x and ``lp.check_dual`` on y, both exact
-against the program's own rows, with equal objectives.  Each row's dual
-value is read one way: the final reduced cost of the row's starting
-basic column (its ``<=`` slack or its artificial), times the row's sign
-and integer scale.  A failed check raises instead of returning a wrong
+Bland's rule, so termination is guaranteed; both choose by column label,
+never by slot.  ``integer_form`` serves only to build the tableau and the
+objective.  This module only pivots and reads x and y; ``lp`` states
+what certifies them.  Every optimal answer passes ``lp.check_point`` on x
+and ``lp.check_dual`` on y, both exact against the program's own rows,
+with equal objectives.  Each row's dual value is read one way: the final
+reduced cost of the row's starting basic column (its ``<=`` slack or its
+artificial; 0 if that column ends basic), times the row's sign and
+integer scale.  A failed check raises instead of returning a wrong
 answer.
 
 The floating-point path wraps scipy's HiGHS solver and is only a fast
@@ -85,18 +89,26 @@ class SolveResult:
 
 
 class _Tableau:
-    """Fraction-free tableau: the true tableau is ``rows / den``.
+    """Condensed fraction-free tableau over the nonbasic columns only.
 
-    Each row holds integer coefficients with its rhs as the last entry.
-    A pivot on entry p = rows[r][c] replaces every other row by
-    ``(p*row - row[c]*rows[r]) // den`` and sets ``den = p`` (Bareiss
-    elimination); every entry stays den times a basis-system minor, so
-    the divisions are exact and ``den`` stays positive.
+    Row i reads ``den*x[basis[i]] + sum_k rows[i][k]*x[nonbasic[k]] =
+    rows[i][-1]``: the basic columns, which are den times a unit vector,
+    are not stored, and ``nonbasic[k]`` is the column label of slot k.
+    A pivot on entry p = rows[r][c] swaps ``basis[r]`` and
+    ``nonbasic[c]``.  Row r keeps its entries and gets s = den in slot c,
+    the leaving column's coefficient (-den if the row was negated to make
+    p positive).  Every other row, and the reduced-cost row, gets the
+    Bareiss update ``(p*a - f*q) // den`` with f its slot-c entry, which
+    leaves ``-f*s // den`` in slot c; then ``den = p``.  These are the
+    entries of the full Bareiss tableau (every one den times a
+    basis-system minor), so the divisions are exact, ``den`` stays
+    positive, and the pivots are those of the full tableau.
     """
 
-    def __init__(self, rows, basis):
-        self.rows = rows      # list[list[int]], constraint rows with rhs last
-        self.basis = basis    # basic variable (column) per row
+    def __init__(self, rows, basis, nonbasic):
+        self.rows = rows          # list[list[int]], one entry per slot, rhs last
+        self.basis = basis        # basic column label per row
+        self.nonbasic = nonbasic  # column label per slot
         self.den = 1
         self.pivots = 0
 
@@ -105,19 +117,23 @@ class _Tableau:
         rows, den = self.rows, self.den
         prow = rows[r]
         p = prow[c]
+        s = den
         if p < 0:
             # Only a zero-level artificial leaves on a negative entry;
             # negating the pivot row first keeps every eliminated row's
             # sign and makes den positive.
             prow = rows[r] = [-a for a in prow]
-            p = -p
+            p, s = -p, -den
+        # With q = p + s in slot c, (p*f - f*q) // den is -f*s // den.
+        prow[c] = p + s
         for i, row in enumerate(rows):
             if i != r:
                 rows[i] = _eliminate(row, prow, p, c, den)
         if obj is not None:
             obj[:] = _eliminate(obj, prow, p, c, den)
+        prow[c] = s
         self.den = p
-        self.basis[r] = c
+        self.basis[r], self.nonbasic[c] = self.nonbasic[c], self.basis[r]
         self.pivots += 1
 
 
@@ -131,10 +147,11 @@ def _eliminate(row, prow, p, c, den):
 
 
 def _objective_row(tab: _Tableau, cost):
-    # den times the reduced costs z_j - c_j of the integer costs ``cost``,
-    # with den times the objective value in the rhs slot.
+    # den times the reduced costs z_j - c_j of the integer costs ``cost``
+    # over the nonbasic slots, with den times the objective value in the
+    # rhs slot; every basic column's reduced cost is 0.
     den = tab.den
-    obj = [-den * cj for cj in cost] + [0]
+    obj = [-den * cost[j] for j in tab.nonbasic] + [0]
     for i, bi in enumerate(tab.basis):
         cb = cost[bi]
         if cb:
@@ -143,23 +160,25 @@ def _objective_row(tab: _Tableau, cost):
 
 
 def _run_phase(tab, obj, ncols):
-    # Pivot until optimal (all reduced costs >= 0) or unbounded; only the
-    # first ncols columns may enter.  Every reduced cost and every ratio
-    # shares the denominator den, so costs compare directly and ratios
-    # b_i / a_i by cross-multiplying.
+    # Pivot until optimal (all reduced costs >= 0) or unbounded; only
+    # columns labelled below ncols may enter.  Every reduced cost and every
+    # ratio shares the denominator den, so costs compare directly and
+    # ratios b_i / a_i by cross-multiplying.  Choices go by column label,
+    # never by slot, so ties break as on the full tableau.
+    nonbasic = tab.nonbasic
     while True:
         enter = -1
+        label = ncols
         if tab.pivots < DANTZIG_PIVOTS:
             best = 0
-            for j in range(ncols):
-                if obj[j] < best:
-                    best = obj[j]
-                    enter = j
+            for k, j in enumerate(nonbasic):
+                o = obj[k]
+                if o < 0 and j < ncols and (o < best or (o == best and j < label)):
+                    best, label, enter = o, j, k
         else:
-            for j in range(ncols):
-                if obj[j] < 0:
-                    enter = j
-                    break
+            for k, j in enumerate(nonbasic):
+                if j < label and obj[k] < 0:
+                    label, enter = j, k
         if enter < 0:
             return "optimal"
         leave = -1
@@ -185,27 +204,30 @@ def _run_phase(tab, obj, ncols):
 def solve_exact(lp: LinearProgram) -> SolveResult:
     """Exact rational optimum of a maximization LP with x >= 0.
 
-    The tableau is the program as given: column j is variable j, and each
-    row of ``lp.rows`` is one tableau row, normalized to a non-negative rhs
-    by a sign.  A ``>=`` row with rhs 0 is negated into a ``<= 0`` row, so
-    its slack starts basic and feasible; phase 1 runs only if an ``=`` row
-    or a ``>=`` row with positive rhs remains.  There is no other presolve.
-    Each row goes through ``integer_form`` straight into an integer tableau
+    The columns are the program's variables, then one slack or surplus
+    per inequality, then one artificial per ``=`` row and per ``>=`` row
+    left after each row of ``lp.rows`` is normalized to a non-negative
+    rhs by a sign.  A ``>=`` row with rhs 0 is negated into a ``<= 0``
+    row, so its slack starts basic and feasible; phase 1 runs only if an
+    ``=`` row or a ``>=`` row with positive rhs remains.  There is no
+    other presolve.  Each row goes through ``integer_form`` straight into
+    a condensed integer tableau that stores only the nonbasic columns,
     with one common denominator (see ``_Tableau``), so no ``Fraction`` is
-    formed until the optimum is read off.  The reported pivot count covers
-    both phases.
+    formed until the optimum is read off.  The reported pivot count
+    covers both phases.
 
-    The pivot rule is fixed: largest coefficient for the first
-    ``DANTZIG_PIVOTS`` pivots, then Bland's rule.  More than ``MAX_PIVOTS``
-    pivots over both phases raise ``IterationLimitError``.  Every row
-    starts with one +1 basic column, its ``<=`` slack or its artificial;
-    the dual value of the row is the final reduced cost of that column
-    times the row's sign and integer scale.  The certificate is
-    ``check_point`` on the primal point, over the tableau denominator
-    ``den``, and ``check_dual`` on the dual, over ``den * L`` with L the
-    objective's integer scale; both read ``lp.rows`` and ``lp.objective``
-    themselves, and their objectives must agree.  The reported value is
-    that objective.
+    The pivot rule is fixed and chooses by column label: largest
+    coefficient (ties to the smallest label) for the first
+    ``DANTZIG_PIVOTS`` pivots, then Bland's rule.  More than
+    ``MAX_PIVOTS`` pivots over both phases raise ``IterationLimitError``.
+    Every row starts with one +1 basic column, its ``<=`` slack or its
+    artificial; the dual value of the row is the final reduced cost of
+    that column (0 if it ends basic) times the row's sign and integer
+    scale.  The certificate is ``check_point`` on the primal point, over
+    the tableau denominator ``den``, and ``check_dual`` on the dual, over
+    ``den * L`` with L the objective's integer scale; both read
+    ``lp.rows`` and ``lp.objective`` themselves, and their objectives
+    must agree.  The reported value is that objective.
     """
     nv = lp.num_vars
 
@@ -219,34 +241,39 @@ def solve_exact(lp: LinearProgram) -> SolveResult:
         signs.append(sign)
         rels.append(rel if sign > 0 else {">=": "<=", "<=": ">=", "=": "="}[rel])
 
-    # Column layout: variables | slack/surplus (one per inequality) |
+    # Column labels: variables | slack/surplus (one per inequality) |
     # artificial (one per "=" and ">=" row).  Each row's +1 column (its
-    # "<=" slack or its artificial) starts basic.
+    # "<=" slack or its artificial) starts basic, so the starting slots
+    # are the variables and the -1 surplus columns of ">=" rows.
     art_start = nv + sum(rel != "=" for rel in rels)
     ncols = art_start + sum(rel != "<=" for rel in rels)
     slack, art = nv, art_start
     scale = []  # each row times its integer scale, rhs included, is integer
     T = []
     unit = []
-    for row, sign, rel in zip(lp.rows, signs, rels):
+    surplus = []  # (row, label) of each -1 surplus column
+    for i, (row, sign, rel) in enumerate(zip(lp.rows, signs, rels)):
         ints, s = integer_form(row.coeffs + (row.rhs,))
         scale.append(s)
-        trow = [sign * a for a in ints]
-        trow[nv:nv] = [0] * (ncols - nv)
+        T.append([sign * a for a in ints])
+        if rel == ">=":
+            surplus.append((i, slack))
         if rel != "=":
-            trow[slack] = 1 if rel == "<=" else -1
             slack += 1
         if rel != "<=":
-            trow[art] = 1
             art += 1
         unit.append(slack - 1 if rel == "<=" else art - 1)
-        T.append(trow)
-    tab = _Tableau(T, list(unit))
+    for trow in T:
+        trow[nv:nv] = [0] * len(surplus)
+    for k, (i, _) in enumerate(surplus):
+        T[i][nv + k] = -1
+    tab = _Tableau(T, list(unit), list(range(nv)) + [label for _, label in surplus])
 
     # Phase 1: drive the artificials to zero, then pivot each zero-level
-    # artificial out on a non-artificial entry of its row.  One whose row
-    # has none stays basic: that row is zero in every column phase 2 may
-    # pivot on, so it never leaves the basis and adds 0 to the objective.
+    # artificial out on a non-artificial entry of its row, the one with
+    # the smallest label.  One whose row has none stays basic: that row is
+    # zero in every column phase 2 may pivot on, so it never leaves the
+    # basis and adds 0 to the objective.
     if art_start < ncols:
         cost1 = [0] * art_start + [-1] * (ncols - art_start)
         status = _run_phase(tab, _objective_row(tab, cost1), ncols)
@@ -257,9 +284,12 @@ def solve_exact(lp: LinearProgram) -> SolveResult:
         for i, bi in enumerate(tab.basis):
             if bi >= art_start:
                 row = tab.rows[i]
-                target = next((j for j in range(art_start) if row[j]), -1)
-                if target >= 0:
-                    tab.pivot(i, target)
+                target = min(
+                    ((j, k) for k, j in enumerate(tab.nonbasic) if j < art_start and row[k]),
+                    default=None,
+                )
+                if target is not None:
+                    tab.pivot(i, target[1])
 
     # Phase 2 on the real objective, scaled by L to integers; artificial
     # columns may not re-enter.
@@ -270,14 +300,19 @@ def solve_exact(lp: LinearProgram) -> SolveResult:
         return SolveResult("unbounded", None, None, tab.pivots, True)
 
     # Certificate: x = xnum / den, and y = ynum / (den * L) from the final
-    # reduced cost of each row's +1 column, rescaled by the row's integer
-    # scale and signed back to the row as lp.rows states it.
+    # reduced cost of each row's +1 column (0 while basic), rescaled by
+    # the row's integer scale and signed back to the row as lp.rows
+    # states it.
     den = tab.den
     xnum = [0] * nv
     for row, bi in zip(tab.rows, tab.basis):
         if bi < nv:
             xnum[bi] = row[-1]
-    ynum = [sign * obj2[u] * s for sign, u, s in zip(signs, unit, scale)]
+    slot = {j: k for k, j in enumerate(tab.nonbasic)}
+    ynum = [
+        sign * obj2[slot[u]] * s if u in slot else 0
+        for sign, u, s in zip(signs, unit, scale)
+    ]
     point = check_point(lp, [(j, v) for j, v in enumerate(xnum) if v], den)
     if not point.feasible:
         raise SelfCheckError(f"optimal point violates {point.detail}")

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import krawlp
-from krawlp import cli, krawtchouk
+from krawlp import cli, krawtchouk, simplex
 from krawlp.errors import IterationLimitError, SelfCheckError, SolverNumericsError
 from krawlp.suites import SuiteResult
 
@@ -195,6 +195,16 @@ def test_internal_failures_exit_four(monkeypatch, capsys, command, target, error
     assert record["error"] == error.__name__
     assert record["message"] == "synthetic failure"
     assert "Traceback" not in out.out + out.err
+
+
+def test_solve_past_the_real_pivot_cap_exits_four(monkeypatch, capsys):
+    # (4,1,2,linear) needs 46 pivots, one more than the cap allows.
+    monkeypatch.setattr(simplex, "MAX_PIVOTS", 45)
+    code, records, out = _run(capsys, ["solve", "--n", "4", "--d", "1", "--l", "2", "--linear"])
+    assert code == cli.EXIT_INTERNAL == 4
+    assert len(out.out.splitlines()) == 1
+    assert records[0]["error"] == "IterationLimitError"
+    assert records[0]["message"] == "pivot cap 45 exceeded"
 
 
 def test_verify_small_caps(capsys):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from krawlp import simplex
-from krawlp.errors import ParameterError, SelfCheckError
+from krawlp.errors import IterationLimitError, ParameterError, SelfCheckError
 from krawlp.lp import LinearProgram, LPRow, build_delsarte, build_hierarchy_lp
 from krawlp.oracle import build_fourier_lp
 from krawlp.simplex import root_value, solve_exact, solve_float
@@ -223,6 +223,41 @@ def test_exact_drive_out_after_tied_phase_one_pivot():
     assert res.primal == (1,)
 
 
+@pytest.mark.parametrize("objective,value,primal", [((2, 1), 2, (0, 2)), ((1, 2), 4, (0, 2))])
+def test_exact_phase_two_pivot_after_negative_drive_out(objective, value, primal):
+    # On -x0 = 0, x0 + x1 <= 2 the drive-out pivots x0 in on the entry -1,
+    # so the artificial leaves into x0's slot with coefficient -den; the
+    # phase-2 pivot that brings x1 in then updates that slot.
+    rows = [_row("A", (-1, 0), "=", 0), _row("B", (1, 1), "<=", 2)]
+    res = solve_exact(_custom([0, 1], objective, rows))
+    assert res.status == "optimal" and res.value == value
+    assert res.primal == primal
+    assert res.pivots == 2
+
+
+def test_exact_largest_coefficient_ties_go_to_the_smallest_label():
+    # max x0 + x1 + x2 on 2x0 + x1 <= 2, 2x0 + x1 + x2 <= 3.  The first
+    # pivot puts the first row's slack in x0's slot, ahead of x1.  At the
+    # third pivot their reduced costs tie; x1, the smaller label, enters
+    # and ends at (0, 2, 1), where entering the slack would end at (0, 0, 3).
+    rows = [_row("A", (2, 1, 0), "<=", 2), _row("B", (2, 1, 1), "<=", 3)]
+    res = solve_exact(_custom([0, 1, 2], [1, 1, 1], rows))
+    assert res.status == "optimal" and res.value == 3
+    assert res.primal == (0, 2, 1)
+    assert res.pivots == 3
+
+
+def test_exact_pivot_cap_is_enforced(monkeypatch):
+    # The program needs 46 pivots: a cap of 45 stops it, a cap of 46 does not.
+    lp = build_hierarchy_lp(4, 1, 2, True)
+    monkeypatch.setattr(simplex, "MAX_PIVOTS", 45)
+    with pytest.raises(IterationLimitError, match="^pivot cap 45 exceeded$"):
+        solve_exact(lp)
+    monkeypatch.setattr(simplex, "MAX_PIVOTS", 46)
+    res = solve_exact(lp)
+    assert (res.status, res.value, res.pivots) == ("optimal", 256, 46)
+
+
 def test_exact_rational_coefficients():
     # (1/3) x0 + (2/5) x1 <= 1, x0 <= 3/2, x1 >= 1/7, max x0 + x1.
     # x0 earns 3 per unit of the first row and x1 earns 5/2, so x0 goes to
@@ -316,10 +351,14 @@ def test_bland_rule_from_the_first_pivot_reaches_the_same_optima(monkeypatch):
     programs = list(_rule_programs())
     assert len(programs) == 129
     dantzig = [solve_exact(lp) for lp in programs]
+    # The pivot totals pin the choice of entering column by label: Bland's
+    # rule taken over slots instead changes the second total.
+    assert sum(res.pivots for res in dantzig) == 572
     monkeypatch.setattr(simplex, "DANTZIG_PIVOTS", 0)
-    for lp, want in zip(programs, dantzig):
-        got = solve_exact(lp)
+    bland = [solve_exact(lp) for lp in programs]
+    for lp, got, want in zip(programs, bland, dantzig):
         assert (got.status, got.value) == (want.status, want.value), (lp.kind, lp.n, lp.d)
+    assert sum(res.pivots for res in bland) == 571
 
 
 # ---------------------------------------------------------------------------
