@@ -382,13 +382,9 @@ def solve_float(lp: LinearProgram) -> SolveResult:
 
 
 def _int_nthroot(x: int, k: int) -> int:
-    """Floor k-th root of a non-negative integer."""
-    if x < 0:
-        raise ParameterError("negative radicand")
+    """Floor k-th root of a non-negative integer, k >= 2."""
     if x == 0:
         return 0
-    if k == 1:
-        return x
     if k == 2:
         return math.isqrt(x)
     r = 1 << (x.bit_length() // k + 1)

@@ -78,7 +78,7 @@ def test_krawtchouk_csv_and_cache(tmp_path, capsys):
     assert list(tmp_path.glob("ktable-*.json.gz"))
 
 
-@pytest.mark.parametrize("kind", ["all-7s", "wrong-n", "truncated", "bad-deflate"])
+@pytest.mark.parametrize("kind", ["all-7s", "wrong-n", "diagonal", "truncated", "bad-deflate"])
 def test_krawtchouk_rebuilds_a_wrong_cache(tmp_path, capsys, kind):
     want = krawtchouk.build_table(2, 1)
     path = krawtchouk.table_cache_path(tmp_path, 2, 1)
@@ -93,6 +93,9 @@ def test_krawtchouk_rebuilds_a_wrong_cache(tmp_path, capsys, kind):
     else:
         if kind == "all-7s":
             n, values = 2, [[7] * 3] * 3
+        elif kind == "diagonal":
+            n, values = 2, [list(r) for r in want.values]
+            values[1][1] += 1
         else:  # a true table of (3, 1) under the (2, 1) file name
             n, values = 3, krawtchouk.build_table(3, 1).values
         payload = {"format": 1, "n": n, "l": 1, "values": [list(r) for r in values]}

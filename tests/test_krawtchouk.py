@@ -358,6 +358,15 @@ def test_cache_roundtrip(tmp_path):
     assert path.read_bytes() == first
 
 
+@pytest.mark.parametrize(
+    "n,ell", [(n, ell) for ell in (1, 2) for n in range(1, 5)] + [(4, 3), (1, 4)]
+)
+def test_cache_roundtrip_gives_back_every_true_table(tmp_path, n, ell):
+    table = cached_table(n, ell)
+    save_table(table, tmp_path)
+    assert load_table(n, ell, tmp_path) == table
+
+
 def test_level_9_cache_loads(tmp_path):
     # Caches written at gzip's default level 9 stay readable.
     table = cached_table(3, 2)
@@ -392,6 +401,11 @@ def _corrupt(kind, path):
     elif kind == "column-0":
         values = [list(r) for r in table.values]
         values[3][0] += 1
+        _write_cache(path, _payload(table, values=values))
+    elif kind in ("off-sample", "diagonal"):
+        # one entry off the trivial row and column
+        values = [list(r) for r in table.values]
+        values[1][2 if kind == "off-sample" else 1] += 1
         _write_cache(path, _payload(table, values=values))
     elif kind == "row-off":
         values = [list(r) for r in table.values]
@@ -441,6 +455,8 @@ CORRUPTIONS = [
     "row-0",
     "column-0",
     "row-off",
+    "off-sample",
+    "diagonal",
     "float-values",
     "bool-values",
     "not-a-dict",
@@ -461,6 +477,17 @@ def test_load_treats_a_wrong_cache_as_a_miss(tmp_path, kind):
     _corrupt(kind, path)
     assert path.is_file()
     assert load_table(3, 2, tmp_path) is None
+
+
+def test_load_misses_every_single_wrong_entry(tmp_path):
+    # Each entry changed alone breaks its column's sum, wherever it sits.
+    table = build_table(2, 2)
+    for a, b in itertools.product(range(table.size), repeat=2):
+        for delta in (1, -2):
+            values = [list(r) for r in table.values]
+            values[a][b] += delta
+            save_table(KrawtchoukTable(2, 2, tuple(map(tuple, values))), tmp_path)
+            assert load_table(2, 2, tmp_path) is None, (a, b, delta)
 
 
 def test_representative_is_valid_for_eval():

@@ -3,11 +3,17 @@
 import json
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from krawlp import simplex
-from krawlp.errors import IterationLimitError, ParameterError, SelfCheckError
+from krawlp.errors import (
+    IterationLimitError,
+    ParameterError,
+    SelfCheckError,
+    SolverNumericsError,
+)
 from krawlp.lp import LinearProgram, LPRow, build_delsarte, build_hierarchy_lp
 from krawlp.oracle import build_fourier_lp
 from krawlp.simplex import root_value, solve_exact, solve_float
@@ -100,6 +106,19 @@ def test_exact_certificate_reads_the_dual_scale(monkeypatch):
         solve_exact(lp)
 
 
+def test_exact_certificate_needs_strong_duality(monkeypatch):
+    # A feasible dual whose objective misses the primal's must not pass.
+    real = simplex.check_dual
+
+    def off_by_one(*args):
+        verdict = real(*args)
+        return replace(verdict, objective=verdict.objective + 1)
+
+    monkeypatch.setattr(simplex, "check_dual", off_by_one)
+    with pytest.raises(SelfCheckError, match="strong duality does not close; result discarded"):
+        solve_exact(build_delsarte(2, 2))
+
+
 def test_exact_infeasible_detection():
     base = build_delsarte(2, 2)
     clash = LPRow("CLASH", base.rows[0].coeffs, "=", Fraction(2))
@@ -132,6 +151,13 @@ def test_exact_result_json():
     assert data["status"] == "optimal"
     assert data["value"] == str(res.value)
     assert data["exact"] is True
+
+
+def test_result_json_without_a_point():
+    res = simplex.SolveResult("infeasible", None, None, 3, True)
+    assert res.to_json() == (
+        '{"exact":true,"pivots":3,"primal":null,"status":"infeasible","value":null}'
+    )
 
 
 def _row(name, coeffs, rel, rhs):
@@ -375,6 +401,24 @@ def test_float_agrees_with_exact(n, ell):
             screened = solve_float(lp).value
             assert abs(screened - float(exact)) <= 1e-6 * max(1.0, float(exact))
             assert solve_float(lp).exact is False
+
+
+@pytest.mark.parametrize(
+    "status,error,message",
+    [
+        (1, IterationLimitError, "iteration limit"),
+        (4, SolverNumericsError, "floating-point solver reported: numerical trouble"),
+    ],
+)
+def test_float_screen_raises_on_solver_trouble(monkeypatch, status, error, message):
+    import scipy.optimize
+
+    def failing(*args, **kwargs):
+        return SimpleNamespace(status=status, nit=7, message="numerical trouble")
+
+    monkeypatch.setattr(scipy.optimize, "linprog", failing)
+    with pytest.raises(error, match=message):
+        solve_float(build_delsarte(2, 2))
 
 
 def test_exact_agrees_with_float_on_random_programs():

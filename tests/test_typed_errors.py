@@ -1,0 +1,56 @@
+"""Malformed inputs and out-of-range parameters raise their typed errors."""
+
+from dataclasses import replace
+
+import pytest
+
+from krawlp.configs import SDConfig, VennConfig, WordTuple
+from krawlp.errors import InvalidInputError, ParameterError
+from krawlp.krawtchouk import classical_krawtchouk, eval_direct, eval_explicit
+from krawlp.lp import CodeSet, LPRow, build_delsarte, check_feasibility, profile_of_code
+from krawlp.oracle import build_fourier_lp, max_code, max_linear_code
+
+L1, L2 = SDConfig((0, 1)), SDConfig((0, 1, 1, 0))
+
+# call, error type, message fragment
+CASES = [
+    (lambda: SDConfig((0, 1, 1)), InvalidInputError, "not a power of two"),
+    (lambda: SDConfig((1, 1)), InvalidInputError, "empty combination"),
+    (lambda: SDConfig((0, -1)), InvalidInputError, "cannot be negative"),
+    (lambda: VennConfig((1, 0, 0), 1), InvalidInputError, "not a power of two"),
+    (lambda: VennConfig((0, 0), 0), InvalidInputError, "blocklength"),
+    (lambda: VennConfig((2, -1), 1), InvalidInputError, "cannot be negative"),
+    (lambda: VennConfig((1, 1), 3), InvalidInputError, "add up to 2"),
+    (lambda: WordTuple.from_strings([]), InvalidInputError, "empty"),
+    (lambda: WordTuple.from_strings(["012"]), InvalidInputError, "0/1 string"),
+    (lambda: CodeSet(frozenset({0}), 0), InvalidInputError, "blocklength"),
+    (lambda: CodeSet(frozenset(), 3), InvalidInputError, "nonempty"),
+    (lambda: classical_krawtchouk(4, 0, 3), ParameterError, "0 <= i, j <= n"),
+    (lambda: eval_direct(L1, L2, 2), InvalidInputError, "mixed levels"),
+    (lambda: eval_explicit(L1, L2, 2), InvalidInputError, "mixed levels"),
+    (lambda: LPRow("R", (1,), "<", 1), InvalidInputError, "unsupported relation"),
+    (
+        lambda: replace(build_delsarte(3, 2), objective=build_delsarte(3, 2).objective[:-1]),
+        InvalidInputError,
+        "objective length",
+    ),
+    (
+        lambda: replace(build_delsarte(3, 2), rows=(LPRow("R", (1,), "<=", 1),)),
+        InvalidInputError,
+        "row R length",
+    ),
+    (
+        lambda: check_feasibility(build_fourier_lp(1, 1, 1, False), profile_of_code([0], 1, 1)),
+        InvalidInputError,
+        "word tuples",
+    ),
+    (lambda: max_code(3, -1), ParameterError, "d >= 0"),
+    (lambda: max_code(0, 1), ParameterError, "n >= 1"),
+    (lambda: max_linear_code(3, -1), ParameterError, "d >= 0"),
+]
+
+
+@pytest.mark.parametrize("call,error,fragment", CASES)
+def test_bad_input_raises_its_typed_error(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()
