@@ -30,22 +30,35 @@ At l = 1 the product is the classical (1 + z)^(n-j) (1 - z)^j.
 
 All values are arbitrary-precision integers: entries reach 2^(l*n).
 
-The orthogonality sweep packs the table by Kronecker substitution: column
-g becomes one integer with K_b(g) as its signed digit b in base 2^w, so
-row a's sums against all rows are one linear combination of the packed
-columns.  The digit width w is set from the table's own largest entry
-and orbit size, wide enough for every sum, so the digits stay exact for
-any table.  A row whose packed sum differs from its one expected digit
-is recounted pair by pair as plain weighted dot products, and each pair
-that fails is reported.
+Two sweeps pack the table by Kronecker substitution (``pack_columns``):
+column g becomes one integer with K_b(g) as its signed digit b in base
+2^w, so the sums of every row against one vector are one linear
+combination of the packed columns.  Each sweep sets w from the table's
+own largest entry, wide enough for every sum it forms, so the digits
+stay exact for any table:
+
+* the orthogonality sweep takes w past 2^(l n) big^2, with big the
+  largest |entry| or orbit size.  A row whose packed sum differs from
+  its one expected digit is recounted pair by pair as plain weighted dot
+  products, and each pair that fails is reported;
+* ``KrawtchoukTable.transform_packing``, the MacWilliams transform of a
+  code profile, takes w = bits(2^(2 l n) big) + 2, with big the largest
+  |entry|.  Profile counts sum to at most |C|^(2l) <= 2^(2 l n), so every
+  digit lies strictly inside (-2^(w-2), 2^(w-2)).  Adding
+  T = sum_h 2^(w h + w - 1) then moves each digit into [0, 2^w) with no
+  carry, and ``digits_nonnegative`` reads every sign at once: all
+  digits are >= 0 iff (s + T) & T == T.
 
 ``check_table_args`` is the table gate: ``configs.check_config_args``,
 then the table's level and cell budgets.  ``build_table`` runs it before
 any work, and ``krawlp table`` on its largest table before any solve.
 
-``load_table`` trusts a cache file through one identity: summed over all
-h, K_h(g) is the character sum over every tuple y, so each column g sums
-to 2^(l n) [g = 0].  A single wrong entry breaks its column's sum.
+``load_table`` trusts a cache file through two identities.  Summed over
+all h, K_h(g) is the character sum over every tuple y, so each column g
+sums to 2^(l n) [g = 0]; a single wrong entry breaks its column's sum.
+Orthogonality against the trivial row gives the weighted row sums
+sum_g |g| K_h(g) = 2^(l n) [h = 0]; a swap of two unequal entries of one
+column keeps the column sum but breaks both rows' weighted sums.
 """
 
 from __future__ import annotations
@@ -54,7 +67,7 @@ import gzip
 import json
 import zlib
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 from math import comb
 from operator import add, mul, sub
@@ -199,6 +212,22 @@ class KrawtchoukTable:
     def size(self) -> int:
         return len(self.values)
 
+    @cached_property
+    def transform_packing(self) -> tuple[int, int, list[int]]:
+        """``(w, T, columns)``: the columns packed for profile transforms.
+
+        ``columns[g]`` is ``pack_columns(values, w)[g]``, with w wide enough
+        for sum_g count_g K_h(g) over any non-negative counts that total at
+        most 2^(2 l n), and T = sum_h 2^(w h + w - 1) is the top bit of every
+        digit, for ``digits_nonnegative``.  Packed once per table object.
+        """
+        # big >= 1 also fits a wanted transform, |C|^l times a dual profile,
+        # whose digits reach 2^(l n).
+        big = max(map(abs, chain.from_iterable(self.values))) or 1
+        width = (big << (2 * self.ell * self.n)).bit_length() + 2
+        tops = sum(1 << (width * h + width - 1) for h in range(self.size))
+        return width, tops, pack_columns(self.values, width)
+
 
 def check_table_args(n: int, ell: int) -> int:
     """``config_count(n, ell)``, after ``check_config_args`` and the table budgets."""
@@ -261,6 +290,39 @@ def cached_table(n: int, ell: int) -> KrawtchoukTable:
 
 
 # ---------------------------------------------------------------------------
+# Packed columns
+# ---------------------------------------------------------------------------
+
+
+def pack_columns(values: tuple[tuple[int, ...], ...], width: int) -> list[int]:
+    """Column g of a square table as one integer, sum_b values[b][g] 2^(width b).
+
+    Each entry is a signed digit; the packing is exact, and a linear
+    combination of columns has the row sums as its digits, as long as
+    every digit of it stays inside (-2^(width-1), 2^(width-1)).
+    """
+    # One column at a time, so only one partly packed column is alive.
+    packed = []
+    for g in range(len(values)):
+        p = 0
+        for row in reversed(values):
+            p = (p << width) + row[g]
+        packed.append(p)
+    return packed
+
+
+def digits_nonnegative(s: int, tops: int) -> bool:
+    """Whether every signed base-2^w digit of ``s`` is >= 0.
+
+    ``tops`` is sum_h 2^(w h + w - 1) over the digits, and each digit must
+    lie in [-2^(w-1), 2^(w-1)).  Adding ``tops`` adds 2^(w-1) to every
+    digit, which moves each into [0, 2^w) with no carry, so a digit's top
+    bit is then set exactly when the digit was >= 0.
+    """
+    return (s + tops) & tops == tops
+
+
+# ---------------------------------------------------------------------------
 # Identity checks
 # ---------------------------------------------------------------------------
 
@@ -304,13 +366,7 @@ def verify_orthogonality(table: KrawtchoukTable) -> CheckReport:
     scale = 1 << (table.ell * table.n)
     big = max(max(map(abs, chain.from_iterable(values))), max(sizes))
     width = (scale * big * big).bit_length() + 2
-    # One column at a time, so only one partly packed column is alive.
-    packed = []
-    for g in range(size):
-        p = 0
-        for row in reversed(values):
-            p = (p << width) + row[g]
-        packed.append(p)
+    packed = pack_columns(values, width)
     violations = []
     for a in range(size):
         weighted = list(map(mul, sizes, values[a]))
@@ -382,8 +438,9 @@ def load_table(n: int, ell: int, cache_dir: str | Path) -> KrawtchoukTable | Non
     A missing or undecodable file (a bad gzip header or a garbled deflate
     body included), another format version, another (n, l), an entry that
     is not an int (a float or a JSON boolean, which compare equal to ints),
-    or a table whose columns do not sum to 2^(l n) [g = 0] is a miss, so
-    the caller rebuilds the table and overwrites the file.
+    a table whose columns do not sum to 2^(l n) [g = 0], or one whose rows
+    weighted by the orbit sizes do not sum to 2^(l n) [h = 0] is a miss,
+    so the caller rebuilds the table and overwrites the file.
     """
     path = table_cache_path(cache_dir, n, ell)
     if not path.is_file():
@@ -399,5 +456,9 @@ def load_table(n: int, ell: int, cache_dir: str | Path) -> KrawtchoukTable | Non
         return None
     if set(map(type, chain.from_iterable(table.values))) != {int}:
         return None
-    sums = list(map(sum, zip(*table.values)))
-    return table if sums == [1 << (ell * n)] + [0] * (table.size - 1) else None
+    want = [1 << (ell * n)] + [0] * (table.size - 1)
+    if list(map(sum, zip(*table.values))) != want:
+        return None
+    sizes = _orbit_sizes(table)
+    weighted = [sum(map(mul, sizes, row)) for row in table.values]
+    return table if weighted == want else None

@@ -21,15 +21,16 @@ Coefficients are exact rationals: plain ints from the builders (the rows
 are integer character sums), ``Fraction``s from ``lp_from_json``.
 ``integer_form`` scales them to integers; only the exact simplex uses it,
 to build its tableau and objective.
-``CodeSet`` is the one code type.  A code profile is a set of integer
-tuple counts (``configs.tuple_census``) by canonical config index (as in ``var_indices``) over one
-shared denominator: |C|^l for the general formula, 1 for the span
-formula of a linear code.  ``row_sums`` sums rows over a sparse
+``CodeSet`` is the one code type.  ``code_census`` is the one count of a
+code's l-tuples (``configs.tuple_census``), keyed by sd entries.  A code
+profile is that census by canonical config index (as in ``var_indices``)
+over one shared denominator: |C|^l for the general formula, 1 for the
+span formula of a linear code.  ``row_sums`` sums rows over a sparse
 ``(index, count)`` support.  ``check_point`` checks x = counts / denom
 exactly against every bound and row, and ``check_dual`` checks y the
 same way against every dual sign and column: the two are the whole
-certificate of an optimum.  Profiles, simplex optima and the MacWilliams
-transforms all go through them.
+certificate of an optimum.  Profiles and simplex optima go through them,
+and the MacWilliams check recounts a failing transform with ``row_sums``.
 """
 
 from __future__ import annotations
@@ -287,34 +288,40 @@ class CodeProfile:
         return Fraction(sum(self.counts.values()), self.denom)
 
 
+def code_census(code: CodeSet, ell: int, linear: bool = False) -> Counter:
+    """Integer tuple counts of a code at level l, keyed by sd entries.
+
+    With ``linear`` set the code must be XOR-closed and the census counts
+    l-tuples of codewords; otherwise it counts the difference tuples of
+    all pairs of l-tuples, |C|^(2l) in total.
+    """
+    if linear:
+        if not code.linear:
+            raise NotLinearError("code is not XOR-closed (or misses 0)")
+        return tuple_census([[(w, 1) for w in code.words]] * ell)
+    diff = Counter(x ^ y for x in code.words for y in code.words)
+    return tuple_census([list(diff.items())] * ell)
+
+
 def profile_of_code(
     words: Iterable[int], n: int, ell: int, linear: bool = False
 ) -> CodeProfile:
     """Configuration profile of a code given as n-bit integer words.
 
-    With ``linear`` set the code must pass an XOR-closure check and the
-    profile counts tuples of codewords directly; otherwise it averages
-    difference tuples over all pairs of l-tuples.
+    The counts are ``code_census`` by canonical config index: tuples of
+    codewords with ``linear`` set (denominator 1), else difference tuples
+    of all pairs of l-tuples (denominator |C|^l).
     """
     check_config_args(n, ell)
     code = CodeSet(frozenset(map(int, words)), n)
     index = config_index(n, ell)
-    ws = sorted(code.words)
-    if linear:
-        if not code.linear:
-            raise NotLinearError("code is not XOR-closed (or misses 0)")
-        raw = tuple_census([[(w, 1) for w in ws]] * ell)
-        denom = 1
-    else:
-        diff = Counter(x ^ y for x in ws for y in ws)
-        raw = tuple_census([list(diff.items())] * ell)
-        denom = code.size**ell
+    raw = code_census(code, ell, linear)
     return CodeProfile(
         n=n,
         ell=ell,
         size=code.size,
         counts={index[key]: count for key, count in sorted(raw.items())},
-        denom=denom,
+        denom=1 if linear else code.size**ell,
     )
 
 

@@ -18,7 +18,13 @@ an independent oracle for the LP machinery:
 * ``verify_macwilliams`` - the transform identity (linear codes) and the
                         transform inequality (any code), checked exactly
                         and reported as a ``krawtchouk.CheckReport``, one
-                        check per identity or inequality row;
+                        check per identity or inequality row.  Each
+                        transform is one integer, a combination of the
+                        table's packed columns with digit width
+                        w = bits(2^(2 l n) big) + 2: the identity is one
+                        compare, the inequality one AND (s + T) & T == T
+                        with T the top bit of every digit.  A failing
+                        transform is recounted with ``lp.row_sums``;
 * ``build_fourier_lp`` - the unsymmetrized LP with one variable per
                         l-tuple of words and one character row per tuple,
                         for equivalence testing against the configuration
@@ -38,15 +44,15 @@ import itertools
 from functools import lru_cache
 from typing import Iterator
 
-from .configs import _sd_entries, _subset_xors, too_close
+from .configs import _sd_entries, _subset_xors, config_index, too_close
 from .errors import CapacityError, NotLinearError, ParameterError, SelfCheckError
-from .krawtchouk import CheckReport, cached_table
+from .krawtchouk import CheckReport, cached_table, digits_nonnegative
 from .lp import (
     CodeSet,
     LinearProgram,
     check_program_args,
+    code_census,
     packing_lp,
-    profile_of_code,
     row_sums,
 )
 
@@ -256,24 +262,40 @@ def verify_macwilliams(c: CodeSet, ell: int) -> CheckReport:
     the dual code's profile, entry by entry.  For any code, the transform
     of the (pair-count) profile must be non-negative in every entry.  The
     report counts one check per identity row and per inequality row.
+
+    A transform s is one linear combination of the table's packed columns
+    (``KrawtchoukTable.transform_packing``), its entry h the signed digit h
+    in base 2^w.  The width w = bits(2^(2 l n) big) + 2, with big the
+    table's largest |entry|, bounds every digit: the counts sum to at most
+    |C|^(2l) <= 2^(2 l n).  So the identity is one compare of s with the
+    packed dual profile, and the inequality holds in every row iff
+    (s + T) & T == T, T = sum_h 2^(w h + w - 1).  A transform that fails
+    is recounted row by row with ``lp.row_sums`` to name each failing row.
     """
     table = cached_table(c.n, ell)
+    width, tops, columns = table.transform_packing
+    index = config_index(c.n, ell)
     violations = []
     if c.linear:
-        prof = profile_of_code(c.words, c.n, ell, linear=True).counts
-        dual_prof = profile_of_code(dual_code(c).words, c.n, ell, linear=True).counts
+        prof = [(index[key], m) for key, m in code_census(c, ell, linear=True).items()]
+        dual_prof = {
+            index[key]: m for key, m in code_census(dual_code(c), ell, linear=True).items()
+        }
         scale = c.size**ell
-        for h_idx, rhs in enumerate(row_sums(table.values, prof.items())):
-            lhs = scale * dual_prof.get(h_idx, 0)
-            if lhs != rhs:
-                violations.append(
-                    f"identity at h={h_idx}: {lhs} != {rhs} (|C|={c.size}, l={ell})"
-                )
+        want = scale * sum(m << (width * h) for h, m in dual_prof.items())
+        if sum(columns[g] * m for g, m in prof) != want:
+            for h_idx, rhs in enumerate(row_sums(table.values, prof)):
+                lhs = scale * dual_prof.get(h_idx, 0)
+                if lhs != rhs:
+                    violations.append(
+                        f"identity at h={h_idx}: {lhs} != {rhs} (|C|={c.size}, l={ell})"
+                    )
     # |C|^l times the profile: counts of pairs of l-tuples.
-    pair_prof = profile_of_code(c.words, c.n, ell).counts
-    for h_idx, s in enumerate(row_sums(table.values, pair_prof.items())):
-        if s < 0:
-            violations.append(f"inequality at h={h_idx}: transform {s} < 0")
+    pair_prof = [(index[key], m) for key, m in code_census(c, ell).items()]
+    if not digits_nonnegative(sum(columns[g] * m for g, m in pair_prof), tops):
+        for h_idx, s in enumerate(row_sums(table.values, pair_prof)):
+            if s < 0:
+                violations.append(f"inequality at h={h_idx}: transform {s} < 0")
     checked = table.size * (2 if c.linear else 1)
     return CheckReport("macwilliams", checked, tuple(violations))
 

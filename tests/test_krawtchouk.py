@@ -22,6 +22,7 @@ from krawlp.krawtchouk import (
     build_table,
     cached_table,
     classical_krawtchouk,
+    digits_nonnegative,
     eval_direct,
     eval_explicit,
     load_table,
@@ -317,6 +318,44 @@ def test_packed_orthogonality_sees_a_diagonal_plus_one_above_a_negative_sum():
     assert verify_orthogonality(table) == report
 
 
+# Signed base-2^6 digits, least significant first: at width 6 each digit
+# lies in [-32, 32).
+DIGIT_CASES = [
+    [0],
+    [0, 0, 0],
+    [-1, 1],  # a -1 borrows from the positive digit above it
+    [-1, 5, 0],
+    [3, -1, 2],
+    [-32],
+    [31],
+    [-32, 31],
+    [31, -32],
+    [31, 31, 31],
+    [0, -32, 31, 0],
+    [-1],
+    [0, 0, -1],
+]
+
+
+@pytest.mark.parametrize("digits", DIGIT_CASES, ids=str)
+def test_digits_nonnegative_at_the_digit_edges(digits):
+    width = 6
+    s = sum(d << (width * h) for h, d in enumerate(digits))
+    tops = sum(1 << (width * h + width - 1) for h in range(len(digits)))
+    assert digits_nonnegative(s, tops) is all(d >= 0 for d in digits)
+
+
+def test_transform_packing_packs_every_column_once():
+    table = cached_table(3, 2)
+    width, tops, columns = table.transform_packing
+    big = max(abs(v) for row in table.values for v in row)
+    assert width == (big << 12).bit_length() + 2  # 2^(2 l n) big, plus two bits
+    assert tops == sum(1 << (width * h + width - 1) for h in range(table.size))
+    for g, col in enumerate(columns):
+        assert col == sum(table.values[h][g] << (width * h) for h in range(table.size))
+    assert table.transform_packing is table.transform_packing
+
+
 def test_orthogonality_at_level_three():
     report = verify_orthogonality(cached_table(3, 3))
     assert report.passed and report.checked == 120 * 121 // 2
@@ -488,6 +527,22 @@ def test_load_misses_every_single_wrong_entry(tmp_path):
             values[a][b] += delta
             save_table(KrawtchoukTable(2, 2, tuple(map(tuple, values))), tmp_path)
             assert load_table(2, 2, tmp_path) is None, (a, b, delta)
+
+
+def test_load_misses_every_swap_within_a_column(tmp_path):
+    # A swap keeps its column's sum; the weighted row sums catch it.
+    table = build_table(2, 2)
+    swaps = 0
+    for g in range(table.size):
+        for a, b in itertools.combinations(range(table.size), 2):
+            if table.values[a][g] == table.values[b][g]:
+                continue
+            values = [list(r) for r in table.values]
+            values[a][g], values[b][g] = values[b][g], values[a][g]
+            save_table(KrawtchoukTable(2, 2, tuple(map(tuple, values))), tmp_path)
+            assert load_table(2, 2, tmp_path) is None, (a, b, g)
+            swaps += 1
+    assert swaps > 0
 
 
 def test_representative_is_valid_for_eval():

@@ -9,9 +9,11 @@ from math import inf
 
 import pytest
 
+from krawlp import oracle
 from krawlp.configs import WordTuple, config_index, config_of_tuple
 from krawlp.errors import CapacityError, InvalidInputError, NotLinearError
-from krawlp.lp import build_hierarchy_lp, profile_of_code
+from krawlp.krawtchouk import CheckReport, KrawtchoukTable, build_table
+from krawlp.lp import build_hierarchy_lp, profile_of_code, row_sums
 from krawlp.oracle import (
     CodeSet,
     _max_independent_set,
@@ -278,6 +280,82 @@ def test_macwilliams_inequality_all_small_codes():
 def test_macwilliams_identity_skipped_for_nonlinear():
     report = verify_macwilliams(CodeSet(frozenset({1, 2}), 2), 1)
     assert report.checked == 3  # inequality rows only, one per weight 0..2
+
+
+def _macwilliams_by_rows(c, ell):
+    # Reference: every transform entry as its own row sum over the profile,
+    # each code profile from profile_of_code.
+    table = oracle.cached_table(c.n, ell)
+    violations = []
+    if c.linear:
+        prof = profile_of_code(c.words, c.n, ell, linear=True).counts
+        dual_prof = profile_of_code(dual_code(c).words, c.n, ell, linear=True).counts
+        scale = c.size**ell
+        for h_idx, rhs in enumerate(row_sums(table.values, prof.items())):
+            lhs = scale * dual_prof.get(h_idx, 0)
+            if lhs != rhs:
+                violations.append(
+                    f"identity at h={h_idx}: {lhs} != {rhs} (|C|={c.size}, l={ell})"
+                )
+    pair_prof = profile_of_code(c.words, c.n, ell).counts
+    for h_idx, s in enumerate(row_sums(table.values, pair_prof.items())):
+        if s < 0:
+            violations.append(f"inequality at h={h_idx}: transform {s} < 0")
+    checked = table.size * (2 if c.linear else 1)
+    return CheckReport("macwilliams", checked, tuple(violations))
+
+
+def _suite_codes(n):
+    # The macwilliams suite's codes at n: every linear code, then every
+    # nonlinear code of 1 to 4 words.
+    codes = list(iter_linear_codes(n))
+    for size in range(1, 5):
+        for words in itertools.combinations(range(1 << n), size):
+            code = CodeSet(frozenset(words), n)
+            if not code.linear:
+                codes.append(code)
+    return codes
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_packed_macwilliams_matches_row_sums_on_the_suite_grid(n):
+    for code in _suite_codes(n):
+        for ell in (1, 2):
+            assert verify_macwilliams(code, ell) == _macwilliams_by_rows(code, ell)
+
+
+def _with_values(table, values):
+    return KrawtchoukTable(table.n, table.ell, tuple(map(tuple, values)))
+
+
+@pytest.mark.parametrize("n,ell", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)])
+def test_packed_macwilliams_matches_row_sums_on_wrong_tables(monkeypatch, n, ell):
+    true = build_table(n, ell)
+    size = true.size
+    rng = random.Random(100 * n + ell)
+    cases = []
+    for _ in range(6):
+        values = [list(r) for r in true.values]
+        values[rng.randrange(size)][rng.randrange(size)] += rng.choice((1, -1))
+        cases.append(_with_values(true, values))
+    cases.append(_with_values(true, [[-v for v in true.values[0]], *true.values[1:]]))
+    # An entry far past 2^(2 l n): only the table's own largest entry
+    # makes the digits wide enough.  A narrower digit of a negative sum
+    # would wrap to a positive one and hide a violation.
+    for sign in (1, -1):
+        values = [list(r) for r in true.values]
+        values[rng.randrange(1, size)][rng.randrange(size)] = sign << (3 * ell * n)
+        cases.append(_with_values(true, values))
+    kinds = set()
+    codes = _suite_codes(n)
+    for case in cases:
+        monkeypatch.setattr(oracle, "cached_table", lambda n_, ell_, t=case: t)
+        for code in codes:
+            want = _macwilliams_by_rows(code, ell)
+            assert verify_macwilliams(code, ell) == want, (case.values, sorted(code.words))
+            kinds.update(v.split(" at ")[0] for v in want.violations)
+    # Both failure paths ran.
+    assert kinds == {"identity", "inequality"}
 
 
 # ---------------------------------------------------------------------------
