@@ -1,8 +1,11 @@
 """Batch command-line interface.
 
-Every run prints one machine-readable JSON record to stdout and writes any
-requested artifact files; wall-clock timings go to stderr so the primary
-outputs stay byte-identical across runs.  Numeric output defaults to exact
+Every run prints one machine-readable JSON record to stdout, encoded by
+``errors.canonical_json``, and writes any requested artifact file through
+``_write``, which also names it in the record's ``output``; wall-clock
+timings go to stderr so the primary outputs stay byte-identical across
+runs.  ``build-lp`` and ``solve`` build their program and the record
+fields that name it in one helper.  Numeric output defaults to exact
 fraction strings; ``--decimal`` opts into rounded display.
 
 Exit codes: 0 success, 1 verification violation, 2 invalid parameters
@@ -30,6 +33,7 @@ from .errors import (
     ParameterError,
     SelfCheckError,
     SolverNumericsError,
+    canonical_json,
 )
 from .krawtchouk import cached_table, check_table_args, load_table, save_table, table_to_csv
 from .lp import build_delsarte, build_hierarchy_lp, export_lp
@@ -47,17 +51,18 @@ EXIT_INTERNAL = 4
 
 
 def _emit(record: dict) -> None:
-    record = {"version": __version__, **record}
-    print(json.dumps(record, sort_keys=True, separators=(",", ":")))
+    print(canonical_json({"version": __version__, **record}))
 
 
 def _timing(label: str, seconds: float) -> None:
     print(f"[timing] {label}: {seconds:.3f}s", file=sys.stderr)
 
 
-def _write(path: str, data: bytes) -> None:
+def _write(record: dict, path: str, data: bytes) -> None:
+    """Write the artifact ``data`` to ``path`` and name it in the record."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_bytes(data)
+    record["output"] = path
 
 
 def _cache_dir(args) -> str | None:
@@ -76,8 +81,7 @@ def cmd_configs(args) -> int:
     record = {"command": "configs", "n": args.n, "l": args.l, "count": count}
     if args.out:
         lines = [config_to_json(g, args.n) for g in enumerate_configs(args.n, args.l)]
-        _write(args.out, ("\n".join(lines) + "\n").encode("ascii"))
-        record["output"] = args.out
+        _write(record, args.out, ("\n".join(lines) + "\n").encode("ascii"))
     elif not args.count:
         configs = enumerate_configs(args.n, args.l)
         record["configs"] = [json.loads(config_to_json(g, args.n)) for g in configs]
@@ -94,8 +98,7 @@ def cmd_krawtchouk(args) -> int:
             save_table(table, cache)
     record = {"command": "krawtchouk", "n": args.n, "l": args.l, "size": table.size}
     if args.out:
-        _write(args.out, table_to_csv(table).encode("ascii"))
-        record["output"] = args.out
+        _write(record, args.out, table_to_csv(table).encode("ascii"))
     else:
         record["values"] = [list(row) for row in table.values]
     _emit(record)
@@ -103,30 +106,23 @@ def cmd_krawtchouk(args) -> int:
 
 
 def _build_program(args):
+    """The program the arguments name, and the record fields that name it."""
     if args.family == "delsarte":
-        return build_delsarte(args.n, args.d)
-    if args.family == "fourier":
-        return build_fourier_lp(args.n, args.d, args.l, args.linear)
-    return build_hierarchy_lp(args.n, args.d, args.l, args.linear)
+        lp = build_delsarte(args.n, args.d)
+    elif args.family == "fourier":
+        lp = build_fourier_lp(args.n, args.d, args.l, args.linear)
+    else:
+        lp = build_hierarchy_lp(args.n, args.d, args.l, args.linear)
+    record = {"command": args.command, "family": args.family, "n": args.n, "d": args.d}
+    return lp, {**record, "l": lp.ell, "linear": lp.linear}
 
 
 def cmd_build_lp(args) -> int:
-    lp = _build_program(args)
+    lp, record = _build_program(args)
     data = export_lp(lp, args.format)
-    record = {
-        "command": "build-lp",
-        "family": args.family,
-        "n": args.n,
-        "d": args.d,
-        "l": lp.ell,
-        "linear": lp.linear,
-        "variables": lp.num_vars,
-        "rows": len(lp.rows),
-        "format": args.format,
-    }
+    record.update(variables=lp.num_vars, rows=len(lp.rows), format=args.format)
     if args.out:
-        _write(args.out, data)
-        record["output"] = args.out
+        _write(record, args.out, data)
     else:
         sys.stdout.write(data.decode("ascii"))
     _emit(record)
@@ -134,29 +130,19 @@ def cmd_build_lp(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    lp = _build_program(args)
+    lp, record = _build_program(args)
     result = solve_float(lp) if args.float else solve_exact(lp)
-    record = {
-        "command": "solve",
-        "family": args.family,
-        "n": args.n,
-        "d": args.d,
-        "l": lp.ell,
-        "linear": lp.linear,
-        "status": result.status,
-        "exact": result.exact,
-        "pivots": result.pivots,
-        "value": format_value(result.value, args.decimal),
-    }
+    record.update(
+        status=result.status,
+        exact=result.exact,
+        pivots=result.pivots,
+        value=format_value(result.value, args.decimal),
+    )
     if result.status == "optimal":
-        record["root"] = (
-            float(result.value) ** (1.0 / lp.ell)
-            if args.float
-            else root_value(result.value, lp.ell)
-        )
-    if args.out and result.status == "optimal":
-        _write(args.out, (result.to_json() + "\n").encode("ascii"))
-        record["output"] = args.out
+        value, ell = result.value, lp.ell
+        record["root"] = float(value) ** (1.0 / ell) if args.float else root_value(value, ell)
+        if args.out:
+            _write(record, args.out, (result.to_json() + "\n").encode("ascii"))
     _emit(record)
     return EXIT_OK
 
@@ -175,8 +161,7 @@ def cmd_oracle(args) -> int:
         "witness": json.loads(witness.to_json()),
     }
     if args.out:
-        _write(args.out, (witness.to_json() + "\n").encode("ascii"))
-        record["output"] = args.out
+        _write(record, args.out, (witness.to_json() + "\n").encode("ascii"))
     _emit(record)
     return EXIT_OK
 
@@ -225,8 +210,7 @@ def cmd_table(args) -> int:
         "rows": len(lines) - 1,
     }
     if args.out:
-        _write(args.out, csv.encode("ascii"))
-        record["output"] = args.out
+        _write(record, args.out, csv.encode("ascii"))
     else:
         sys.stdout.write(csv)
     _emit(record)

@@ -63,6 +63,7 @@ from .errors import (
     InvalidInputError,
     NotAConfigurationError,
     ParameterError,
+    canonical_json,
     parsing,
     require_int,
 )
@@ -96,11 +97,12 @@ def check_config_args(n: int, ell: int) -> int:
 
 
 def check_words(words: Iterable[int], n: int) -> None:
-    """Raise ``InvalidInputError`` unless n >= 1 and every word is an n-bit integer."""
+    """Raise ``InvalidInputError`` unless n >= 1 and every word is an n-bit
+    int (exactly an int: not a bool, a float or a string)."""
     if n < 1:
         raise InvalidInputError("blocklength must be positive")
     top = 1 << n
-    if any(w < 0 or w >= top for w in words):
+    if any(type(w) is not int or w < 0 or w >= top for w in words):
         raise InvalidInputError(f"words must be {n}-bit integers")
 
 
@@ -423,11 +425,7 @@ def representative_tuple(g: SDConfig, n: int) -> WordTuple:
 def config_to_json(g: SDConfig, n: int) -> str:
     """Serialize a configuration with both forms for cross-checking."""
     v = sd_to_venn(g, n)
-    return json.dumps(
-        {"n": n, "l": g.ell, "venn": list(v.entries), "sd": list(g.entries)},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    return canonical_json({"n": n, "l": g.ell, "venn": list(v.entries), "sd": list(g.entries)})
 
 
 def config_from_json(text: str) -> SDConfig:

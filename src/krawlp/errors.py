@@ -1,5 +1,10 @@
-"""Exception hierarchy shared by all krawlp modules."""
+"""Exception hierarchy shared by all krawlp modules, and the two halves of
+the JSON contract: ``canonical_json`` is the one encoder of every record,
+artifact and cache payload (sorted keys, no spaces, so equal values give
+equal bytes), and ``parsing`` turns the built-in errors of reading one
+back into ``InvalidInputError``."""
 
+import json
 from contextlib import contextmanager
 from typing import Iterator
 
@@ -44,6 +49,11 @@ class SelfCheckError(KrawlpError, RuntimeError):
     """An internal re-verification pass failed; the result was discarded."""
 
 
+def canonical_json(value: object) -> str:
+    """``value`` as JSON with sorted keys and no spaces: one text per value."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
 @contextmanager
 def parsing(what: str) -> Iterator[None]:
     """Re-raise the built-in errors of reading ``what`` (bad JSON, a missing
@@ -62,4 +72,11 @@ def require_int(value: object, what: str, low: int | None = None) -> int:
     if type(value) is not int or (low is not None and value < low):
         floor = "" if low is None else f" >= {low}"
         raise InvalidInputError(f"{what} must be an int{floor}, got {value!r}")
+    return value
+
+
+def require_list(value: object, what: str) -> list:
+    """``value`` itself if it is a list; otherwise ``InvalidInputError``."""
+    if type(value) is not list:
+        raise InvalidInputError(f"{what} must be a list, got {value!r}")
     return value

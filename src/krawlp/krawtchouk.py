@@ -84,7 +84,7 @@ from .configs import (
     sd_to_venn,
     tuple_census,
 )
-from .errors import CapacityError, InvalidInputError, ParameterError, parsing
+from .errors import CapacityError, InvalidInputError, ParameterError, canonical_json, parsing
 
 # 2^(n*l) tuples enumerated by the direct route at most, once per column g.
 DIRECT_ENUM_BUDGET = 1 << 20
@@ -204,6 +204,8 @@ class KrawtchoukTable:
     values: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        if min(self.n, self.ell) < 1:
+            raise InvalidInputError(f"table needs n, l >= 1, got n={self.n}, l={self.ell}")
         size = config_count(self.n, self.ell)
         if len(self.values) != size or any(len(r) != size for r in self.values):
             raise InvalidInputError(f"table must be {size}x{size} for n={self.n}, l={self.ell}")
@@ -386,17 +388,16 @@ def verify_orthogonality(table: KrawtchoukTable) -> CheckReport:
 def verify_reflection(table: KrawtchoukTable) -> CheckReport:
     """Check K_h(g) |g| = K_g(h) |h| for all pairs (cross-multiplied form)."""
     sizes = _orbit_sizes(table)
+    size = table.size
     violations = []
-    checked = 0
-    for a in range(table.size):
-        for b in range(a, table.size):
-            checked += 1
+    for a in range(size):
+        for b in range(a, size):
             if table.values[a][b] * sizes[b] != table.values[b][a] * sizes[a]:
                 violations.append(
                     f"(h={a}, g={b}): {table.values[a][b]}*{sizes[b]} != "
                     f"{table.values[b][a]}*{sizes[a]}"
                 )
-    return CheckReport("reflection", checked, tuple(violations))
+    return CheckReport("reflection", size * (size + 1) // 2, tuple(violations))
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +428,7 @@ def save_table(table: KrawtchoukTable, cache_dir: str | Path) -> Path:
         "l": table.ell,
         "values": [list(row) for row in table.values],
     }
-    raw = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("ascii")
+    raw = canonical_json(payload).encode("ascii")
     path.write_bytes(gzip.compress(raw, compresslevel=6, mtime=0))
     return path
 

@@ -54,7 +54,15 @@ from .configs import (
     too_close,
     tuple_census,
 )
-from .errors import InvalidInputError, NotLinearError, ParameterError, parsing, require_int
+from .errors import (
+    InvalidInputError,
+    NotLinearError,
+    ParameterError,
+    canonical_json,
+    parsing,
+    require_int,
+    require_list,
+)
 from .krawtchouk import cached_table, classical_krawtchouk
 
 LP_SCHEMA_VERSION = 1
@@ -240,21 +248,14 @@ class CodeSet:
 
     def to_json(self) -> str:
         width = (self.n + 3) // 4
-        return json.dumps(
-            {
-                "n": self.n,
-                "linear": self.linear,
-                "words": [format(w, f"0{width}x") for w in sorted(self.words)],
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        words = [format(w, f"0{width}x") for w in sorted(self.words)]
+        return canonical_json({"n": self.n, "linear": self.linear, "words": words})
 
     @classmethod
     def from_json(cls, text: str) -> "CodeSet":
         with parsing("code JSON"):
             data = json.loads(text)
-            words = frozenset(int(w, 16) for w in data["words"])
+            words = frozenset(int(w, 16) for w in require_list(data["words"], "words"))
             return cls(words, require_int(data["n"], "n"))
 
 
@@ -313,7 +314,7 @@ def profile_of_code(
     of all pairs of l-tuples (denominator |C|^l).
     """
     check_config_args(n, ell)
-    code = CodeSet(frozenset(map(int, words)), n)
+    code = CodeSet(frozenset(words), n)
     index = config_index(n, ell)
     raw = code_census(code, ell, linear)
     return CodeProfile(
@@ -471,7 +472,7 @@ def lp_to_json(lp: LinearProgram) -> str:
             for r in lp.rows
         ],
     }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return canonical_json(payload)
 
 
 def lp_from_json(text: str) -> LinearProgram:
@@ -482,11 +483,11 @@ def lp_from_json(text: str) -> LinearProgram:
         rows = tuple(
             LPRow(
                 r["name"],
-                tuple(Fraction(c) for c in r["coeffs"]),
+                tuple(Fraction(c) for c in require_list(r["coeffs"], "coeffs")),
                 r["relation"],
                 Fraction(r["rhs"]),
             )
-            for r in data["rows"]
+            for r in require_list(data["rows"], "rows")
         )
         return LinearProgram(
             kind=data["kind"],
@@ -495,9 +496,10 @@ def lp_from_json(text: str) -> LinearProgram:
             ell=require_int(data["l"], "l", 1),
             linear=data["linear"],
             var_indices=tuple(
-                require_int(i, "variable index", 0) for i in data["var_indices"]
+                require_int(i, "variable index", 0)
+                for i in require_list(data["var_indices"], "var_indices")
             ),
-            objective=tuple(Fraction(c) for c in data["objective"]),
+            objective=tuple(Fraction(c) for c in require_list(data["objective"], "objective")),
             rows=rows,
         )
 

@@ -18,7 +18,9 @@ an independent oracle for the LP machinery:
 * ``verify_macwilliams`` - the transform identity (linear codes) and the
                         transform inequality (any code), checked exactly
                         and reported as a ``krawtchouk.CheckReport``, one
-                        check per identity or inequality row.  Each
+                        check per identity or inequality row.  A linear
+                        code's pair counts are |C|^l times its codeword
+                        counts, so only a nonlinear code counts pairs.  Each
                         transform is one integer, a combination of the
                         table's packed columns with digit width
                         w = bits(2^(2 l n) big) + 2: the identity is one
@@ -260,8 +262,10 @@ def verify_macwilliams(c: CodeSet, ell: int) -> CheckReport:
 
     For a linear code, the transform of its profile must equal |C|^l times
     the dual code's profile, entry by entry.  For any code, the transform
-    of the (pair-count) profile must be non-negative in every entry.  The
-    report counts one check per identity row and per inequality row.
+    of the (pair-count) profile must be non-negative in every entry.  A
+    linear code's pair counts are |C|^l times its codeword-tuple counts, so
+    only a nonlinear code counts pairs.  The report counts one check per
+    identity row and per inequality row.
 
     A transform s is one linear combination of the table's packed columns
     (``KrawtchoukTable.transform_packing``), its entry h the signed digit h
@@ -290,8 +294,9 @@ def verify_macwilliams(c: CodeSet, ell: int) -> CheckReport:
                     violations.append(
                         f"identity at h={h_idx}: {lhs} != {rhs} (|C|={c.size}, l={ell})"
                     )
-    # |C|^l times the profile: counts of pairs of l-tuples.
-    pair_prof = [(index[key], m) for key, m in code_census(c, ell).items()]
+        pair_prof = [(g, scale * m) for g, m in prof]
+    else:
+        pair_prof = [(index[key], m) for key, m in code_census(c, ell).items()]
     if not digits_nonnegative(sum(columns[g] * m for g, m in pair_prof), tops):
         for h_idx, s in enumerate(row_sums(table.values, pair_prof)):
             if s < 0:

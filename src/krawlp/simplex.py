@@ -31,7 +31,6 @@ decide an identity.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,6 +40,7 @@ from .errors import (
     ParameterError,
     SelfCheckError,
     SolverNumericsError,
+    canonical_json,
 )
 from .lp import LinearProgram, check_dual, check_point, integer_form
 
@@ -80,7 +80,7 @@ class SolveResult:
             "pivots": self.pivots,
             "exact": self.exact,
         }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return canonical_json(payload)
 
 
 # ---------------------------------------------------------------------------

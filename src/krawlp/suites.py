@@ -1,7 +1,9 @@
 """End-to-end verification suites.
 
 Each suite sweeps one family of identities, inequalities or exact values
-over its full grid and reports every violation.  The grids default to the
+over its full grid and reports every violation; a sweep that returns a
+``krawtchouk.CheckReport`` is folded in by ``SuiteResult.merge``, its
+violations led by the grid point.  The grids default to the
 largest sizes the package commits to (the acceptance grid); callers can
 shrink them with ``n_cap``/``l_cap``.  The CLI ``verify`` command runs the
 suites and exits nonzero on any violation; the acceptance tests run the
@@ -30,6 +32,7 @@ from .configs import (
 )
 from .errors import ParameterError
 from .krawtchouk import (
+    CheckReport,
     cached_table,
     eval_direct,
     eval_explicit,
@@ -58,6 +61,11 @@ class SuiteResult:
     @property
     def passed(self) -> bool:
         return not self.violations
+
+    def merge(self, report: CheckReport, prefix: str) -> None:
+        """Fold one sweep's report in, each of its violations led by ``prefix``."""
+        self.checked += report.checked
+        self.violations.extend(prefix + v for v in report.violations)
 
 
 # ---------------------------------------------------------------------------
@@ -159,10 +167,7 @@ def suite_orthogonality_reflection(
         for n in range(1, n_max + 1):
             table = cached_table(n, ell)
             for report in (verify_orthogonality(table), verify_reflection(table)):
-                res.checked += report.checked
-                res.violations.extend(
-                    f"(n={n}, l={ell}) {report.name}: {v}" for v in report.violations
-                )
+                res.merge(report, f"(n={n}, l={ell}) {report.name}: ")
     return res
 
 
@@ -178,11 +183,7 @@ def suite_macwilliams(n_cap: int | None = None, l_cap: int | None = None) -> Sui
     for n in range(1, id_n_max + 1):
         for code in iter_linear_codes(n):
             for ell in range(1, l_max + 1):
-                report = verify_macwilliams(code, ell)
-                res.checked += report.checked
-                res.violations.extend(
-                    f"(n={n}, l={ell}, |C|={code.size}): {v}" for v in report.violations
-                )
+                res.merge(verify_macwilliams(code, ell), f"(n={n}, l={ell}, |C|={code.size}): ")
     for n in range(1, ineq_n_max + 1):
         space = range(1 << n)
         for size in range(1, 5):
@@ -191,12 +192,8 @@ def suite_macwilliams(n_cap: int | None = None, l_cap: int | None = None) -> Sui
                 if code.linear:
                     continue  # already swept above
                 for ell in range(1, l_max + 1):
-                    report = verify_macwilliams(code, ell)
-                    res.checked += report.checked
-                    res.violations.extend(
-                        f"(n={n}, l={ell}, C={sorted(words)}): {v}"
-                        for v in report.violations
-                    )
+                    prefix = f"(n={n}, l={ell}, C={sorted(words)}): "
+                    res.merge(verify_macwilliams(code, ell), prefix)
     return res
 
 
@@ -205,32 +202,24 @@ def suite_soundness(n_cap: int | None = None, l_cap: int | None = None) -> Suite
     n_max, l_max = _cap(5, n_cap), _cap(2, l_cap)
     res = SuiteResult("soundness", {"n_max": n_max, "l_max": l_max})
     # Named oracle spot values, recomputed from scratch by the oracles.
-    if n_cap is None or n_cap >= 5:
-        res.checked += 1
-        if max_code(5, 3)[0] != 4:
-            res.violations.append(f"oracle A_2(5,3) = {max_code(5, 3)[0]}, want 4")
-    if n_cap is None or n_cap >= 7:
-        res.checked += 1
-        if max_linear_code(7, 3)[0] != 16:
-            res.violations.append(
-                f"oracle A_2^Lin(7,3) = {max_linear_code(7, 3)[0]}, want 16"
-            )
+    for name, search, n, want in (("A_2", max_code, 5, 4), ("A_2^Lin", max_linear_code, 7, 16)):
+        if n_cap is None or n_cap >= n:
+            res.checked += 1
+            size = search(n, 3)[0]
+            if size != want:
+                res.violations.append(f"oracle {name}({n},3) = {size}, want {want}")
     for n in range(1, n_max + 1):
         for d in range(1, n + 1):
-            a_gen = max_code(n, d)[0]
-            a_lin = max_linear_code(n, d)[0]
+            sizes = ((False, max_code(n, d)[0]), (True, max_linear_code(n, d)[0]))
             for ell in range(1, l_max + 1):
-                v_gen = hierarchy_value(n, d, ell, False)
-                v_lin = hierarchy_value(n, d, ell, True)
-                res.checked += 2
-                if v_gen < Fraction(a_gen) ** ell:
-                    res.violations.append(
-                        f"(n={n}, d={d}, l={ell}) general: value {v_gen} < {a_gen}^{ell}"
-                    )
-                if v_lin < Fraction(a_lin) ** ell:
-                    res.violations.append(
-                        f"(n={n}, d={d}, l={ell}) linear: value {v_lin} < {a_lin}^{ell}"
-                    )
+                for linear, size in sizes:
+                    res.checked += 1
+                    value = hierarchy_value(n, d, ell, linear)
+                    if value < Fraction(size) ** ell:
+                        flag = "linear" if linear else "general"
+                        res.violations.append(
+                            f"(n={n}, d={d}, l={ell}) {flag}: value {value} < {size}^{ell}"
+                        )
     return res
 
 

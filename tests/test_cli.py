@@ -326,3 +326,43 @@ def test_stdout_record_is_deterministic(capsys):
     _, _, out1 = _run(capsys, argv)
     _, _, out2 = _run(capsys, argv)
     assert out1.out == out2.out
+
+
+# The whole stdout of one run each, byte for byte: the record contract.
+# ``solve`` is left out, since its pivot counts follow the pivot rule.
+PINNED_STDOUT = [
+    (
+        ["configs", "--n", "2", "--l", "1"],
+        '{"command":"configs","configs":[{"l":1,"n":2,"sd":[0,0],"venn":[2,0]},'
+        '{"l":1,"n":2,"sd":[0,1],"venn":[1,1]},{"l":1,"n":2,"sd":[0,2],"venn":[0,2]}],'
+        '"count":3,"l":1,"n":2,"version":"0.1.0"}\n',
+    ),
+    (
+        ["oracle", "--n", "5", "--d", "3", "--linear"],
+        '{"command":"oracle","d":3,"linear":true,"n":5,"size":4,"version":"0.1.0",'
+        '"witness":{"linear":true,"n":5,"words":["00","0e","15","1b"]}}\n',
+    ),
+    (
+        ["build-lp", "--n", "2", "--d", "2", "--format", "json"],
+        '{"d":2,"kind":"krawtchouk","l":1,"linear":false,"n":2,"objective":["1","1"],'
+        '"rows":[{"coeffs":["1","0"],"name":"NORM","relation":"=","rhs":"1"},'
+        '{"coeffs":["1","1"],"name":"MW_0","relation":">=","rhs":"0"},'
+        '{"coeffs":["2","-2"],"name":"MW_1","relation":">=","rhs":"0"},'
+        '{"coeffs":["1","1"],"name":"MW_2","relation":">=","rhs":"0"}],'
+        '"schema":1,"var_indices":[0,2]}\n'
+        '{"command":"build-lp","d":2,"family":"krawtchouk","format":"json","l":1,'
+        '"linear":false,"n":2,"rows":4,"variables":2,"version":"0.1.0"}\n',
+    ),
+    (
+        ["verify", "--suite", "level1", "--n", "2"],
+        '{"checked":10,"command":"verify","params":{"n_max":2},"passed":true,'
+        '"suite":"level1","version":"0.1.0","violations":[]}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, stdout", PINNED_STDOUT, ids=[a[0] for a, _ in PINNED_STDOUT])
+def test_stdout_bytes_are_pinned(capsys, argv, stdout):
+    code, _, out = _run(capsys, argv)
+    assert code == 0
+    assert out.out == stdout

@@ -1,9 +1,11 @@
 """Every name a library module imports is used in that module, every
-private helper is used somewhere in the package, and private names are
-imported only from ``configs``.
+private helper is used somewhere in the package, private names are
+imported only from ``configs``, and JSON is encoded only by
+``errors.canonical_json``.
 
 No linter ships with the project, so these are stdlib-``ast`` stand-ins
-for an unused-import check, a dead-code check and a layering check.
+for an unused-import check, a dead-code check, a layering check and a
+one-encoder check.
 ``__init__.py`` is exempt from the import check (its imports are the
 package's re-exports), and so are ``__future__`` imports.
 """
@@ -73,3 +75,23 @@ def test_private_imports_come_only_from_configs():
                 names = [n for n in names if n.startswith("_") and not n.startswith("__")]
                 stray += [f"{path.name}:{node.lineno}: {node.module}.{n}" for n in names]
     assert stray == []
+
+
+def test_json_is_encoded_only_by_canonical_json():
+    # Byte-identical records, artifacts and cache files rest on one
+    # encoding (sorted keys, no spaces), so ``json.dumps`` (or a bare
+    # ``dumps``) is called in one place: the body of errors.canonical_json.
+    allowed, calls = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "canonical_json":
+                if path.name == "errors.py":
+                    allowed.update(map(id, ast.walk(node)))
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                if name == "dumps":
+                    calls.append((id(node), f"{path.name}:{node.lineno}"))
+    assert len([where for key, where in calls if key in allowed]) == 1
+    assert [where for key, where in calls if key not in allowed] == []

@@ -427,6 +427,10 @@ def _malformed_lp_json(edit):
         _malformed_lp_json(lambda data: data.__setitem__("l", 3)),
         _malformed_lp_json(lambda data: data.__setitem__("linear", True)),
         _malformed_lp_json(lambda data: data.__setitem__("kind", "krawtchouk")),
+        _malformed_lp_json(lambda data: data.__setitem__("objective", "11")),
+        _malformed_lp_json(lambda data: data["rows"][1].__setitem__("coeffs", "10")),
+        _malformed_lp_json(lambda data: data.__setitem__("rows", {})),
+        _malformed_lp_json(lambda data: data.__setitem__("var_indices", "01")),
         "{",
     ],
     ids=[
@@ -452,6 +456,10 @@ def _malformed_lp_json(edit):
         "delsarte-l3",
         "delsarte-linear-true",
         "hierarchy-linear-null",
+        "objective-string",
+        "coeffs-string",
+        "rows-object",
+        "var-indices-string",
         "not-json",
     ],
 )

@@ -58,6 +58,8 @@ def test_codeset_json_roundtrip():
         '{"n":3}',
         '{"n":true,"words":["0","1"]}',
         '{"n":1.0,"words":["0","1"]}',
+        '{"n":8,"words":"ff"}',
+        '{"n":8,"words":{"ff":1}}',
         "[]",
         "{",
     ],

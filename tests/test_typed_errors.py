@@ -6,7 +6,7 @@ import pytest
 
 from krawlp.configs import SDConfig, VennConfig, WordTuple
 from krawlp.errors import InvalidInputError, ParameterError
-from krawlp.krawtchouk import classical_krawtchouk, eval_direct, eval_explicit
+from krawlp.krawtchouk import KrawtchoukTable, classical_krawtchouk, eval_direct, eval_explicit
 from krawlp.lp import CodeSet, LPRow, build_delsarte, check_feasibility, profile_of_code
 from krawlp.oracle import build_fourier_lp, max_code, max_linear_code
 
@@ -25,6 +25,13 @@ CASES = [
     (lambda: WordTuple.from_strings(["012"]), InvalidInputError, "0/1 string"),
     (lambda: CodeSet(frozenset({0}), 0), InvalidInputError, "blocklength"),
     (lambda: CodeSet(frozenset(), 3), InvalidInputError, "nonempty"),
+    (lambda: CodeSet(frozenset({2.5}), 3), InvalidInputError, "3-bit integers"),
+    (lambda: CodeSet(frozenset({0, 2.5}), 3), InvalidInputError, "3-bit integers"),
+    (lambda: CodeSet(frozenset({True}), 1), InvalidInputError, "1-bit integers"),
+    (lambda: WordTuple((2.5,), 3), InvalidInputError, "3-bit integers"),
+    (lambda: profile_of_code([0, 2.7], 3, 1), InvalidInputError, "3-bit integers"),
+    (lambda: profile_of_code(["0", "7"], 3, 1), InvalidInputError, "3-bit integers"),
+    (lambda: KrawtchoukTable(1, -1, ()), InvalidInputError, "n, l >= 1"),
     (lambda: classical_krawtchouk(4, 0, 3), ParameterError, "0 <= i, j <= n"),
     (lambda: eval_direct(L1, L2, 2), InvalidInputError, "mixed levels"),
     (lambda: eval_explicit(L1, L2, 2), InvalidInputError, "mixed levels"),
