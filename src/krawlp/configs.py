@@ -99,9 +99,7 @@ def check_config_args(n: int, ell: int) -> int:
 def check_words(words: Iterable[int], n: int) -> None:
     """Raise ``InvalidInputError`` unless n >= 1 and every word is an n-bit
     int (exactly an int: not a bool, a float or a string)."""
-    if n < 1:
-        raise InvalidInputError("blocklength must be positive")
-    top = 1 << n
+    top = 1 << require_int(n, "blocklength n", 1)
     if any(type(w) is not int or w < 0 or w >= top for w in words):
         raise InvalidInputError(f"words must be {n}-bit integers")
 

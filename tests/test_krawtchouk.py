@@ -4,6 +4,7 @@ import gzip
 import itertools
 import json
 import random
+import re
 
 import pytest
 
@@ -16,7 +17,7 @@ from krawlp.configs import (
     orbit_size,
     representative_tuple,
 )
-from krawlp.errors import CapacityError, ParameterError
+from krawlp.errors import CapacityError, ParameterError, canonical_json
 from krawlp.krawtchouk import (
     KrawtchoukTable,
     build_table,
@@ -26,6 +27,7 @@ from krawlp.krawtchouk import (
     eval_direct,
     eval_explicit,
     load_table,
+    pack_columns,
     save_table,
     table_cache_path,
     table_to_csv,
@@ -318,6 +320,77 @@ def test_packed_orthogonality_sees_a_diagonal_plus_one_above_a_negative_sum():
     assert verify_orthogonality(table) == report
 
 
+def test_packed_orthogonality_matches_pairwise_sums_across_windows():
+    # (5,2) has 56 rows: windows start at rows 16, 32 and 48, so the edits
+    # sit on both sides of every window start.
+    table = cached_table(5, 2)
+    assert table.size == 56 and krawtchouk.ORTHOGONALITY_WINDOW == 16
+    size = table.size
+    rng = random.Random(52)
+    cases = [
+        table,
+        _edited(table, [(a, rng.randrange(size), 1) for a in (15, 16, 31, 32, 48)]),
+        _edited(table, [(a, rng.randrange(size), -3) for a in (15, 16, 31, 32, 48)]),
+        _edited(table, [(31, 17, 1 << 200)]),
+        _edited(table, [(16, 40, -(1 << 200)), (32, 3, 5)]),
+    ]
+    for _ in range(10):
+        rows = rng.choices((15, 16, 31, 32, 48), k=rng.randint(1, 4))
+        edits = [(a, rng.randrange(size), rng.choice((1, -1, -7, 1 << 30))) for a in rows]
+        cases.append(_edited(table, edits))
+    for case in cases:
+        assert verify_orthogonality(case) == _pairwise_orthogonality(case)
+
+
+def test_packed_orthogonality_sees_a_diagonal_plus_one_above_a_window_start():
+    # Row 16 of the (5,2) table opens the second window.  Its diagonal
+    # reads want + 1 while its sum against row 15, the digit just below
+    # the window start, is negative: a floor shift of row 16's sum past
+    # the rows before the window would read exactly want.
+    table = _edited(cached_table(5, 2), [(16, 0, 1), (16, 2, 2), (15, 0, -9)])
+    report = _pairwise_orthogonality(table)
+    assert "(h=16, h'=16): got 10241, want 10240" in report.violations
+    assert "(h=15, h'=16): got -9, want 0" in report.violations
+    assert verify_orthogonality(table) == report
+
+
+def test_packed_orthogonality_recounts_only_rows_that_fail(monkeypatch):
+    # The packed test is the fast path: a true table recounts no row, and
+    # a row is recounted only if some pair of it fails.  A wrong shift or
+    # slot offset would still report correctly, through recounts.
+    recounted = []
+    recount = krawtchouk._recount_row
+
+    def spy(a, *args):
+        recounted.append(a)
+        return recount(a, *args)
+
+    monkeypatch.setattr(krawtchouk, "_recount_row", spy)
+    for n, ell in [(5, 2), (4, 2), (2, 3), (5, 1)]:
+        assert verify_orthogonality(cached_table(n, ell)).passed
+    assert recounted == []
+    table = _edited(cached_table(5, 2), [(16, 0, 1), (16, 2, 2), (15, 0, -9)])
+    report = verify_orthogonality(table)
+    involved = {int(h) for v in report.violations for h in re.findall(r"h'?=(\d+)", v)}
+    assert recounted and set(recounted) <= involved
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 16, 17, 33])
+def test_pack_columns_is_the_signed_digit_sum(size):
+    rng = random.Random(size)
+    digits = (0, 1, -1, 5, -(1 << 6), (1 << 200), -(1 << 200) + 3)
+
+    def entry():
+        return rng.choice(digits) if rng.random() < 0.5 else rng.randint(-99, 99)
+
+    values = tuple(tuple(entry() for _ in range(size)) for _ in range(size))
+    width = 7
+    packed = pack_columns(values, width)
+    assert packed == [
+        sum(values[b][g] << (width * b) for b in range(size)) for g in range(size)
+    ]
+
+
 # Signed base-2^6 digits, least significant first: at width 6 each digit
 # lies in [-32, 32).
 DIGIT_CASES = [
@@ -395,6 +468,15 @@ def test_cache_roundtrip(tmp_path):
     first = path.read_bytes()
     save_table(table, tmp_path)
     assert path.read_bytes() == first
+
+
+@pytest.mark.parametrize("n, ell", [(1, 1), (3, 2), (2, 3)])
+def test_cache_file_is_the_canonical_json_of_the_whole_payload(tmp_path, n, ell):
+    # save_table encodes the rows one at a time; the bytes must be those of
+    # one canonical_json call over the payload.
+    table = cached_table(n, ell)
+    want = gzip.compress(canonical_json(_payload(table)).encode("ascii"), compresslevel=6, mtime=0)
+    assert save_table(table, tmp_path).read_bytes() == want
 
 
 @pytest.mark.parametrize(

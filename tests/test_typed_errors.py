@@ -61,3 +61,20 @@ CASES = [
 def test_bad_input_raises_its_typed_error(call, error, fragment):
     with pytest.raises(error, match=fragment):
         call()
+
+
+NON_INT_BLOCKLENGTHS = {
+    "table-float-n": lambda: KrawtchoukTable(1.5, 1, ()),
+    "table-bool-n": lambda: KrawtchoukTable(True, 1, ((1, 1), (1, -1))),
+    "table-float-l": lambda: KrawtchoukTable(1, 1.0, ((1, 1), (1, -1))),
+    "code-float-n": lambda: CodeSet(frozenset({0}), 1.5),
+    "code-bool-n": lambda: CodeSet(frozenset({0}), True),
+}
+
+
+@pytest.mark.parametrize("call", NON_INT_BLOCKLENGTHS.values(), ids=NON_INT_BLOCKLENGTHS)
+def test_non_int_blocklength_or_level_is_refused(call):
+    # A bool is an int to Python and a float reaches a shift or a count;
+    # each must stop at the typed check, not construct or raise TypeError.
+    with pytest.raises(InvalidInputError, match="must be an int"):
+        call()
