@@ -15,15 +15,22 @@ The two forms are linked by a mutually inverse pair of linear maps:
     sd(J)   = sum over T with |T & J| odd of venn(T)
     venn(J) = n*[J = empty] + 2^(1-l) * sum over T of (-1)^(|T & J| - 1) sd(T)
 
-The first map is the subset-parity transform; ``enumerate_configs``,
-``venn_to_sd`` and ``sd_to_venn`` (which doubles it and subtracts the
-total) all evaluate it.  Each level l gets one generated straight-line
-expression, compiled by ``_build_parity_transform``.  Levels 1..3, which
-every suite, table and program uses, are compiled at import (~0.35 ms in
-all): a fresh process pays that once, where a compile behind an
-``lru_cache`` would be paid again after every cache clear.  Levels 4..6
-compile on first use behind an ``lru_cache``; above ``MAX_SUBSET_ELL`` every
-conversion raises ``CapacityError`` before compiling anything.
+The first map is the subset-parity transform; ``enumerate_configs`` and
+``venn_to_sd`` evaluate it.  The second is, up to sign and scale, the
+Walsh-Hadamard transform H(sd)(J) = sum over T of (-1)^|T & J| sd(T):
+2^(l-1) venn = (n 2^(l-1) - H(0), -H(1), ..., -H(2^l - 1)), which
+``sd_to_venn`` evaluates by the fast butterfly (Fino and Algazi 1976) in
+l 2^l additions and subtractions.
+
+Each level l gets one kernel bundle, generated as straight-line code by
+``_build_kernels``: the forward transform, the inverse with its
+divisibility check, and the inner loop of ``tuple_census``.  The
+``_kernels`` accessor serves all three.  Levels 1..3, which every suite,
+table and program uses, are compiled at import (~1.2 ms in all): a
+fresh process pays that once, where a compile behind an ``lru_cache`` would
+be paid again after every cache clear.  Levels 4..6 compile on first use
+behind that ``lru_cache``; above ``MAX_SUBSET_ELL`` every conversion and
+census raises ``CapacityError`` before compiling anything.
 
 ``_subset_xors`` turns words into their subset XORs (popcounts: sd entries;
 over a basis: its span).  ``tuple_census``, the one weighted count of word
@@ -40,7 +47,9 @@ keeps exactly the points it does not exclude.
 
 Two gates run before any work.  ``check_config_args`` is the one (n, l)
 range check, with the enumeration budget; table and profile builders call
-it too.  ``check_words`` is the one word check, shared by ``WordTuple`` and
+it too.  An n or l that is not exactly an int (a float, a bool) is an
+``InvalidInputError`` there, in ``sd_to_venn`` and in ``VennConfig``.
+``check_words`` is the one word check, shared by ``WordTuple`` and
 ``lp.CodeSet``.
 
 Subsets are encoded as bitmasks (bit j-1 of the mask is element j),
@@ -53,10 +62,10 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import comb, factorial, prod
-from operator import itemgetter, or_
-from typing import Callable, Iterable, Iterator, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     CapacityError,
@@ -84,6 +93,8 @@ def check_config_args(n: int, ell: int) -> int:
 
     Enumeration, tables and code profiles run it before any work.
     """
+    require_int(n, "blocklength n")
+    require_int(ell, "level l")
     if n < 1 or ell < 1:
         raise ParameterError(f"need n >= 1 and l >= 1, got n={n}, l={ell}")
     if ell > MAX_SUBSET_ELL:
@@ -144,7 +155,7 @@ class VennConfig:
         m = len(self.entries)
         if m < 2 or m & (m - 1):
             raise InvalidInputError(f"entry count {m} is not a power of two >= 2")
-        if self.n < 1:
+        if require_int(self.n, "blocklength n") < 1:
             raise InvalidInputError("blocklength must be positive")
         if min(self.entries) < 0:
             raise InvalidInputError("cell sizes cannot be negative")
@@ -211,34 +222,109 @@ def _gather(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
     return lambda seq: ()
 
 
-def _build_parity_transform(ell: int) -> Callable[[Sequence[int]], tuple[int, ...]]:
-    """The map x -> (sum over T with |T & J| odd of x[T], for every J) at level l.
+class _Kernels(NamedTuple):
+    forward: Callable[[Sequence[int]], tuple[int, ...]]
+    inverse: Callable[[Sequence[int], int], tuple[int, ...] | None]
+    census: Callable[[list, Sequence[tuple[int, int]], Counter], None]
 
-    Generated as one straight-line tuple expression, ``lambda x: (0,
-    x[1]+x[3], x[2]+x[3], x[1]+x[2])`` at l = 2, and compiled once.  Every
-    nonempty J has 2^(l-1) such T; J = 0 has none.  The source holds only
-    integer indices derived from ``ell``.
+
+def _build_kernels(ell: int) -> _Kernels:
+    """The kernel bundle of level l: three straight-line functions, compiled once.
+
+    The source holds only integer indices derived from ``ell``; at l = 2 it is
+
+        def forward(x):
+            return (0, x[1]+x[3], x[2]+x[3], x[1]+x[2])
+
+        def inverse(x, n):
+            x0, x1, x2, x3 = x
+            x0, x1 = -x0-x1, x1-x0
+            x2, x3 = -x2-x3, x3-x2
+            x0, x2 = x0+x2, x0-x2
+            x1, x3 = x1+x3, x1-x3
+            x0 += n << 1
+            merged = x0 | x1 | x2 | x3
+            if merged < 0 or merged & 1:
+                return None
+            return (x0 >> 1, x1 >> 1, x2 >> 1, x3 >> 1)
+
+        def census(prefixes, last, counts):
+            for (_, x1), weight in prefixes:
+                h1 = x1.bit_count()
+                for u, mult in last:
+                    counts[(0, h1, u.bit_count(), (x1 ^ u).bit_count())] += weight * mult
+
+    ``forward`` is the subset-parity transform: entry J sums the 2^(l-1)
+    entries T with |T & J| odd (none for J = 0).  ``inverse`` is the
+    Walsh-Hadamard butterfly, l stages of 2^(l-1) pairs, with the sign
+    folded into the first stage: it yields -H(x), and with n * 2^(l-1) added
+    to cell 0 the 2^(l-1)-scaled Venn cells.  It returns them divided by
+    2^(l-1), or None when a cell is negative (then so is ``merged``, the OR
+    of all cells) or has a remainder (a low bit of ``merged``).  ``census``
+    adds the weight of every (prefix, last word) pair of ``tuple_census``
+    under its sd entries, in one tuple display; the prefix XORs start with
+    the empty subset's 0.
     """
     m = 1 << ell
-    rows = ["0"] + [
-        "+".join(f"x[{t}]" for t in range(m) if (t & j).bit_count() & 1) for j in range(1, m)
-    ]
-    return eval(compile(f"lambda x: ({', '.join(rows)})", f"<parity transform l={ell}>", "eval"))
+    half = m >> 1
+    shift = ell - 1
+    cells = [f"x{j}" for j in range(m)]
+    forward = ", ".join(
+        ["0"]
+        + ["+".join(f"x[{t}]" for t in range(m) if (t & j).bit_count() & 1) for j in range(1, m)]
+    )
+    butterfly = []
+    for bit in (1 << k for k in range(ell)):
+        for i in range(m):
+            if not i & bit:
+                a, b = f"x{i}", f"x{i | bit}"
+                sums = f"-{a}-{b}, {b}-{a}" if bit == 1 else f"{a}+{b}, {a}-{b}"
+                butterfly.append(f"    {a}, {b} = {sums}")
+    scaled = [f"{c} >> {shift}" for c in cells] if shift else cells
+    low = f" or merged & {half - 1}" if shift else ""
+    xors = [f"x{i}" for i in range(1, half)]
+    unpack = ", ".join(["_", *xors]) if xors else "_,"
+    heads = [f"h{i}" for i in range(1, half)]
+    key = ["0", *heads, "u.bit_count()", *(f"({x} ^ u).bit_count()" for x in xors)]
+    source = "\n".join(
+        [
+            "def forward(x):",
+            f"    return ({forward})",
+            "def inverse(x, n):",
+            f"    {', '.join(cells)} = x",
+            *butterfly,
+            f"    x0 += n << {shift}" if shift else "    x0 += n",
+            f"    merged = {' | '.join(cells)}",
+            f"    if merged < 0{low}:",
+            "        return None",
+            f"    return ({', '.join(scaled)})",
+            "def census(prefixes, last, counts):",
+            f"    for ({unpack}), weight in prefixes:",
+            *(f"        {h} = {x}.bit_count()" for h, x in zip(heads, xors)),
+            "        for u, mult in last:",
+            f"            counts[({', '.join(key)})] += weight * mult",
+        ]
+    )
+    namespace: dict = {}
+    exec(compile(source, f"<kernels l={ell}>", "exec"), namespace)
+    return _Kernels(namespace["forward"], namespace["inverse"], namespace["census"])
 
 
 # Compiled at import, not behind the lru_cache; see the module docstring.
 _EAGER_ELL = 3
-_EAGER_TRANSFORMS = tuple(_build_parity_transform(ell) for ell in range(1, _EAGER_ELL + 1))
+_EAGER_KERNELS = tuple(_build_kernels(ell) for ell in range(1, _EAGER_ELL + 1))
 
 
 @lru_cache(maxsize=None)
-def _parity_transform(ell: int) -> Callable[[Sequence[int]], tuple[int, ...]]:
-    """The subset-parity transform of level ``ell``; see ``_build_parity_transform``."""
+def _kernels(ell: int) -> _Kernels:
+    """The kernel bundle of level ``ell``; see ``_build_kernels``."""
     if ell > MAX_SUBSET_ELL:  # refused before compiling 2^(2l-1) terms
         raise CapacityError(f"l={ell} exceeds the configuration budget l <= {MAX_SUBSET_ELL}")
+    if ell < 1:
+        raise InvalidInputError(f"level l={ell} is below 1")
     if ell <= _EAGER_ELL:
-        return _EAGER_TRANSFORMS[ell - 1]
-    return _build_parity_transform(ell)
+        return _EAGER_KERNELS[ell - 1]
+    return _build_kernels(ell)
 
 
 def _subset_xors(words: Sequence[int]) -> list[int]:
@@ -260,6 +346,7 @@ def tuple_census(positions: Sequence[Sequence[tuple[int, int]]]) -> Counter:
     Position j lists the ``(u_j, m_j)`` pairs it draws from; the subset XORs
     of the first l-1 words are built once and shared by every last word.
     """
+    census_tail = _kernels(len(positions)).census
     prefixes = [([0], 1)]
     for items in positions[:-1]:
         prefixes = [
@@ -268,10 +355,7 @@ def tuple_census(positions: Sequence[Sequence[tuple[int, int]]]) -> Counter:
             for u, mult in items
         ]
     census: Counter = Counter()
-    for xors, weight in prefixes:
-        head = tuple(map(int.bit_count, xors))
-        for u, mult in positions[-1]:
-            census[head + tuple([(x ^ u).bit_count() for x in xors])] += weight * mult
+    census_tail(prefixes, positions[-1], census)
     return census
 
 
@@ -303,29 +387,25 @@ def venn_of_tuple(t: WordTuple) -> VennConfig:
 def sd_to_venn(g: SDConfig, n: int) -> VennConfig:
     """Invert the weight vector into Venn cell sizes for blocklength n.
 
-    Evaluated in exact integers: the 2^(l-1)-scaled cell value is computed
-    first and divided with a divisibility check.  A remainder or a negative
-    cell signals that ``g`` is not the configuration of any tuple in F_2^n.
+    Evaluated in exact integers by the level's ``inverse`` kernel: the
+    2^(l-1)-scaled cells come first and are divided with a divisibility
+    check.  A remainder or a negative cell signals that ``g`` is not the
+    configuration of any tuple in F_2^n.
     """
+    require_int(n, "blocklength n")
     if n < 1:
         raise ParameterError("blocklength must be positive")
-    shift = g.ell - 1
-    half = 1 << shift
-    entries = g.entries
-    total = sum(entries)
-    scaled = [2 * s - total for s in _parity_transform(g.ell)(entries)]
-    scaled[0] += n * half
-    # half is a power of two: a nonzero low bit is a nonzero remainder.
-    if min(scaled) < 0 or reduce(or_, scaled) & (half - 1):
+    cells = _kernels(g.ell).inverse(g.entries, n)
+    if cells is None:
         raise NotAConfigurationError(
-            f"weight vector {entries} is not a configuration at n={n}"
+            f"weight vector {g.entries} is not a configuration at n={n}"
         )
-    return VennConfig(tuple([c >> shift for c in scaled]), n)
+    return VennConfig(cells, n)
 
 
 def venn_to_sd(v: VennConfig) -> SDConfig:
     """Weights of all XOR combinations from Venn cell sizes."""
-    return SDConfig(_parity_transform(v.ell)(v.entries))
+    return SDConfig(_kernels(v.ell).forward(v.entries))
 
 
 def _compositions_desc(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -349,7 +429,8 @@ def _compositions_desc(total: int, parts: int) -> Iterator[tuple[int, ...]]:
         comp[i + 1] = moved
 
 
-@lru_cache(maxsize=None)
+# typed: 3.0 and True hash like 3 and 1, and must reach the gate, not the cache.
+@lru_cache(maxsize=None, typed=True)
 def enumerate_configs(n: int, ell: int) -> tuple[SDConfig, ...]:
     """All configurations for (n, l), in canonical order.
 
@@ -359,11 +440,11 @@ def enumerate_configs(n: int, ell: int) -> tuple[SDConfig, ...]:
     serialization contract: LP variables, table rows and columns all use it.
     """
     check_config_args(n, ell)
-    transform = _parity_transform(ell)
+    transform = _kernels(ell).forward
     return tuple([SDConfig(transform(venn)) for venn in _compositions_desc(n, 1 << ell)])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def config_index(n: int, ell: int) -> dict[tuple[int, ...], int]:
     """Sd entry tuple -> position in the canonical enumeration.  Treat as read-only."""
     return {g.entries: i for i, g in enumerate(enumerate_configs(n, ell))}

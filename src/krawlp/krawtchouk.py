@@ -96,6 +96,7 @@ from .errors import (
     canonical_json,
     parsing,
     require_int,
+    require_list,
 )
 
 # 2^(n*l) tuples enumerated by the direct route at most, once per column g.
@@ -502,7 +503,12 @@ def load_table(n: int, ell: int, cache_dir: str | Path) -> KrawtchoukTable | Non
                 payload = json.load(fh)
             if (payload["format"], payload["n"], payload["l"]) != (TABLE_FORMAT_VERSION, n, ell):
                 return None
-            table = KrawtchoukTable(n, ell, tuple(tuple(row) for row in payload["values"]))
+            # Each row list is replaced by its tuple as it is read, so the
+            # JSON lists are freed as the conversion goes.
+            values = require_list(payload.pop("values"), "table values")
+            for i, row in enumerate(values):
+                values[i] = tuple(row)
+            table = KrawtchoukTable(n, ell, tuple(values))
     except (gzip.BadGzipFile, zlib.error, EOFError, InvalidInputError):
         return None
     if set(map(type, chain.from_iterable(table.values))) != {int}:

@@ -2,11 +2,16 @@
 
 import itertools
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
+import krawlp
 from krawlp import configs
 from krawlp.configs import (
     SDConfig,
@@ -21,6 +26,7 @@ from krawlp.configs import (
     orbit_size,
     representative_tuple,
     sd_to_venn,
+    tuple_census,
     venn_of_tuple,
     venn_to_sd,
 )
@@ -355,18 +361,46 @@ def test_config_json_rejects_malformed(text):
 
 @pytest.mark.parametrize("ell", [7, 9])
 def test_conversions_stop_at_the_level_budget(monkeypatch, ell):
-    # Above MAX_SUBSET_ELL the parity transform would compile 2^(2l-1)
-    # terms; the conversions refuse before compiling anything.
+    # Above MAX_SUBSET_ELL a kernel bundle would compile 2^(2l-1) terms;
+    # the conversions and the census refuse before compiling anything.
     def no_compile(ell):
-        raise AssertionError(f"parity transform compiled at l={ell}")
+        raise AssertionError(f"kernel bundle compiled at l={ell}")
 
-    monkeypatch.setattr(configs, "_build_parity_transform", no_compile)
+    monkeypatch.setattr(configs, "_build_kernels", no_compile)
     m = 1 << ell
     text = json.dumps({"n": 1, "l": ell, "venn": [1] + [0] * (m - 1), "sd": [0] * m})
     with pytest.raises(CapacityError):
         config_from_json(text)
     with pytest.raises(CapacityError):
         sd_to_venn(SDConfig((0,) * m), 1)
+    with pytest.raises(CapacityError):
+        tuple_census([[(0, 1), (1, 1)]] * 7)
+
+
+def test_import_compiles_no_lazy_level():
+    # Levels 1..3 compile at import; 4..6 only on first use, so a bare
+    # ``import krawlp`` leaves the lazy cache without them and each call
+    # below reaches the builder.  The child imports the same krawlp as
+    # this process, installed or not.
+    script = (
+        "import krawlp\n"
+        "from krawlp import configs\n"
+        "built = []\n"
+        "configs._build_kernels = built.append\n"
+        "for ell in range(1, configs.MAX_SUBSET_ELL + 1):\n"
+        "    configs._kernels(ell)\n"
+        "print(built)\n"
+    )
+    pkg_root = str(Path(krawlp.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [pkg_root, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[4, 5, 6]"
 
 
 def test_config_index_matches_enumeration():

@@ -4,7 +4,17 @@ from dataclasses import replace
 
 import pytest
 
-from krawlp.configs import SDConfig, VennConfig, WordTuple
+from krawlp.configs import (
+    SDConfig,
+    VennConfig,
+    WordTuple,
+    check_config_args,
+    config_index,
+    enumerate_configs,
+    orbit_size,
+    sd_to_venn,
+    tuple_census,
+)
 from krawlp.errors import InvalidInputError, ParameterError
 from krawlp.krawtchouk import KrawtchoukTable, classical_krawtchouk, eval_direct, eval_explicit
 from krawlp.lp import CodeSet, LPRow, build_delsarte, check_feasibility, profile_of_code
@@ -32,6 +42,11 @@ CASES = [
     (lambda: profile_of_code([0, 2.7], 3, 1), InvalidInputError, "3-bit integers"),
     (lambda: profile_of_code(["0", "7"], 3, 1), InvalidInputError, "3-bit integers"),
     (lambda: KrawtchoukTable(1, -1, ()), InvalidInputError, "n, l >= 1"),
+    (lambda: check_config_args(0, 2), ParameterError, "need n >= 1 and l >= 1"),
+    (lambda: check_config_args(2, 0), ParameterError, "need n >= 1 and l >= 1"),
+    (lambda: sd_to_venn(L1, 0), ParameterError, "blocklength must be positive"),
+    (lambda: orbit_size(L2, -1), ParameterError, "blocklength must be positive"),
+    (lambda: tuple_census([]), InvalidInputError, "level l=0 is below 1"),
     (lambda: classical_krawtchouk(4, 0, 3), ParameterError, "0 <= i, j <= n"),
     (lambda: eval_direct(L1, L2, 2), InvalidInputError, "mixed levels"),
     (lambda: eval_explicit(L1, L2, 2), InvalidInputError, "mixed levels"),
@@ -69,6 +84,18 @@ NON_INT_BLOCKLENGTHS = {
     "table-float-l": lambda: KrawtchoukTable(1, 1.0, ((1, 1), (1, -1))),
     "code-float-n": lambda: CodeSet(frozenset({0}), 1.5),
     "code-bool-n": lambda: CodeSet(frozenset({0}), True),
+    "gate-float-n": lambda: check_config_args(3.0, 2),
+    "gate-bool-l": lambda: check_config_args(3, True),
+    "sd-to-venn-float-n": lambda: sd_to_venn(L2, 2.5),
+    "sd-to-venn-bool-n": lambda: sd_to_venn(L2, True),
+    "orbit-float-n": lambda: orbit_size(L2, 3.0),
+    "venn-float-n": lambda: VennConfig((1, 1), 2.0),
+    "venn-bool-n": lambda: VennConfig((0, 1), True),
+    "enumerate-bool-n": lambda: enumerate_configs(True, 2),
+    # 3.0 hashes like 3: a cached (3, 2) enumeration must not answer it
+    "enumerate-float-n-cached": lambda: (enumerate_configs(3, 2), enumerate_configs(3.0, 2)),
+    "enumerate-float-l-cached": lambda: (enumerate_configs(3, 2), enumerate_configs(3, 2.0)),
+    "index-float-n-cached": lambda: (config_index(3, 2), config_index(3.0, 2)),
 }
 
 
