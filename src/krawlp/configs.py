@@ -29,12 +29,14 @@ divisibility check, and the inner loop of ``tuple_census``.  The
 table and program uses, are compiled at import (~1.2 ms in all): a
 fresh process pays that once, where a compile behind an ``lru_cache`` would
 be paid again after every cache clear.  Levels 4..6 compile on first use
-behind that ``lru_cache``; above ``MAX_SUBSET_ELL`` every conversion and
+behind ``_lazy_kernels``' ``lru_cache``; above ``MAX_SUBSET_ELL`` every conversion and
 census raises ``CapacityError`` before compiling anything.
 
 ``_subset_xors`` turns words into their subset XORs (popcounts: sd entries;
 over a basis: its span).  ``tuple_census``, the one weighted count of word
 tuples by sd entries, serves code profiles and the direct Krawtchouk sum.
+``row_sums`` is the one sum of rows at a sparse point, each row read by
+``_gather``: the LP certificates and the transform recounts use it.
 
 Two tuples have equal configurations exactly when one is a coordinate
 permutation of the other, so a configuration names an S_n-orbit of tuples;
@@ -64,8 +66,8 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial, prod
-from operator import itemgetter
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from operator import itemgetter, mul
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     CapacityError,
@@ -222,6 +224,18 @@ def _gather(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
     return lambda seq: ()
 
 
+def row_sums(rows: Iterable[Sequence], support: Collection[tuple[int, int]]) -> Iterator:
+    """Yield ``sum(row[i] * count for i, count in support)`` for each row.
+
+    The sum runs over the ``(index, count)`` support only; integer rows
+    give ints and ``Fraction`` rows give ``Fraction``s.
+    """
+    pick = _gather([i for i, _ in support])
+    counts = [c for _, c in support]
+    for row in rows:
+        yield sum(map(mul, pick(row), counts))
+
+
 class _Kernels(NamedTuple):
     forward: Callable[[Sequence[int]], tuple[int, ...]]
     inverse: Callable[[Sequence[int], int], tuple[int, ...] | None]
@@ -315,15 +329,20 @@ _EAGER_ELL = 3
 _EAGER_KERNELS = tuple(_build_kernels(ell) for ell in range(1, _EAGER_ELL + 1))
 
 
-@lru_cache(maxsize=None)
 def _kernels(ell: int) -> _Kernels:
-    """The kernel bundle of level ``ell``; see ``_build_kernels``."""
+    """The kernel bundle of level ``ell``; see ``_build_kernels``.  An eager
+    level skips the typed cache, whose key tuple every conversion would pay."""
+    if 0 < ell <= _EAGER_ELL:
+        return _EAGER_KERNELS[ell - 1]
+    return _lazy_kernels(ell)
+
+
+@lru_cache(maxsize=None, typed=True)
+def _lazy_kernels(ell: int) -> _Kernels:
     if ell > MAX_SUBSET_ELL:  # refused before compiling 2^(2l-1) terms
         raise CapacityError(f"l={ell} exceeds the configuration budget l <= {MAX_SUBSET_ELL}")
     if ell < 1:
         raise InvalidInputError(f"level l={ell} is below 1")
-    if ell <= _EAGER_ELL:
-        return _EAGER_KERNELS[ell - 1]
     return _build_kernels(ell)
 
 
@@ -473,7 +492,7 @@ def too_close(entries: Sequence[int], d: int, linear: bool) -> bool:
 
 def forbidden_configs(n: int, d: int, ell: int, linear: bool = False) -> frozenset[SDConfig]:
     """Configurations that ``too_close`` excludes at distance d."""
-    if not 0 <= d <= n + 1:
+    if not 0 <= require_int(d, "distance d") <= require_int(n, "blocklength n") + 1:
         raise ParameterError(f"need 0 <= d <= n+1, got d={d} at n={n}")
     return frozenset(g for g in enumerate_configs(n, ell) if too_close(g.entries, d, linear))
 

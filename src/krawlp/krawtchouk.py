@@ -43,9 +43,9 @@ sum it forms, so the digits stay exact for any table:
   are equal.  Rows go in windows of 16, and before each window every
   packed column is round-shifted in place past the rows already done, so
   a row multiplies only the rows from its window onward.  A row whose
-  packed sum differs from its one expected digit is recounted pair by
-  pair as plain weighted dot products, and each pair that fails is
-  reported;
+  packed sum differs from its one expected digit is recounted with
+  ``configs.row_sums``, every later row summed at the weighted row, and
+  each pair that fails is reported;
 * ``KrawtchoukTable.transform_packing``, the MacWilliams transform of a
   code profile, takes w = bits(2^(2 l n) big) + 2, with big the largest
   |entry|.  Profile counts sum to at most |C|^(2l) <= 2^(2 l n), so every
@@ -86,6 +86,7 @@ from .configs import (
     enumerate_configs,
     orbit_size,
     representative_tuple,
+    row_sums,
     sd_to_venn,
     tuple_census,
 )
@@ -114,6 +115,9 @@ ORTHOGONALITY_WINDOW = 16
 
 def classical_krawtchouk(i: int, j: int, n: int) -> int:
     """Binary Krawtchouk value K_i(j) = sum_t (-1)^t C(j,t) C(n-j, i-t)."""
+    require_int(i, "index i")
+    require_int(j, "index j")
+    require_int(n, "blocklength n")
     if not (0 <= i <= n and 0 <= j <= n):
         raise ParameterError(f"need 0 <= i, j <= n, got i={i}, j={j}, n={n}")
     lo = max(0, i - (n - j))
@@ -126,7 +130,7 @@ def classical_krawtchouk(i: int, j: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _direct_column(g: SDConfig, n: int) -> dict[tuple[int, ...], int]:
     # K_h(g) for every h, keyed by h's sd entries: the census of all tuples
     # y, y_j weighted by (-1)^<x_j, y_j> for the representative x of g.
@@ -303,7 +307,7 @@ def build_table(n: int, ell: int) -> KrawtchoukTable:
     return KrawtchoukTable(n, ell, tuple(zip(*columns.values())))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def cached_table(n: int, ell: int) -> KrawtchoukTable:
     """Process-wide table cache; tables are immutable and safely shared."""
     return build_table(n, ell)
@@ -397,7 +401,8 @@ def verify_orthogonality(table: KrawtchoukTable) -> CheckReport:
 
     A row passes when its whole s_a equals its only expected digit,
     2^(l n) |a| in slot a; a row that does not has its pairs (a, b >= a)
-    recounted as plain weighted dot products and reported one by one.
+    recounted by ``configs.row_sums`` (rows b at the point |g| K_a(g))
+    and reported one by one.
     """
     sizes = _orbit_sizes(table)
     values = table.values
@@ -419,21 +424,13 @@ def verify_orthogonality(table: KrawtchoukTable) -> CheckReport:
             # The whole sum, not a shifted part: a floor shift would fold a
             # negative lower digit into slot a as -1.
             if sum(map(mul, weighted, packed)) != want << (width * (a - start)):
-                violations.extend(_recount_row(a, weighted, want, values))
+                # Recount the pairs (a, b >= a): rows b summed at row a.
+                recounts = row_sums(values[a:], list(enumerate(weighted)))
+                for b, got in enumerate(recounts, a):
+                    target = want if a == b else 0
+                    if got != target:
+                        violations.append(f"(h={a}, h'={b}): got {got}, want {target}")
     return CheckReport("orthogonality", size * (size + 1) // 2, tuple(violations))
-
-
-def _recount_row(
-    a: int, weighted: list[int], want: int, values: tuple[tuple[int, ...], ...]
-) -> list[str]:
-    # Row a's pairs (a, b >= a) as plain weighted dot products: the failures.
-    violations = []
-    for b in range(a, len(values)):
-        got = sum(map(mul, weighted, values[b]))
-        target = want if a == b else 0
-        if got != target:
-            violations.append(f"(h={a}, h'={b}): got {got}, want {target}")
-    return violations
 
 
 def verify_reflection(table: KrawtchoukTable) -> CheckReport:

@@ -12,10 +12,11 @@ row per character.  The three families differ only in points and rows:
 * the unsymmetrized variant with one variable per l-tuple of words
   (built in :mod:`krawlp.oracle`, solved through the same machinery).
 
-``check_program_args`` is their one parameter range.  Distance constraints
-are realized by variable elimination (``configs.too_close``), not equality
-rows; rows are generated for every character, including those of
-eliminated points, because they still constrain the surviving variables.
+``check_program_args`` is their one parameter gate: n, d and l must be
+ints in its range.  Distance constraints are realized by variable
+elimination (``configs.too_close``), not equality rows; rows are
+generated for every character, including those of eliminated points,
+because they still constrain the surviving variables.
 
 Coefficients are exact rationals: plain ints from the builders (the rows
 are integer character sums), ``Fraction``s from ``lp_from_json``.
@@ -25,12 +26,11 @@ to build its tableau and objective.
 code's l-tuples (``configs.tuple_census``), keyed by sd entries.  A code
 profile is that census by canonical config index (as in ``var_indices``)
 over one shared denominator: |C|^l for the general formula, 1 for the
-span formula of a linear code.  ``row_sums`` sums rows over a sparse
-``(index, count)`` support.  ``check_point`` checks x = counts / denom
+span formula of a linear code.  ``check_point`` checks x = counts / denom
 exactly against every bound and row, and ``check_dual`` checks y the
 same way against every dual sign and column: the two are the whole
-certificate of an optimum.  Profiles and simplex optima go through them,
-and the MacWilliams check recounts a failing transform with ``row_sums``.
+certificate of an optimum.  Profiles and simplex optima go through them.
+Both sum rows at a sparse ``(index, count)`` point by ``configs.row_sums``.
 """
 
 from __future__ import annotations
@@ -41,8 +41,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import inf, lcm
-from operator import mul
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .configs import (
     _gather,
@@ -51,6 +50,7 @@ from .configs import (
     config_count,
     config_index,
     enumerate_configs,
+    row_sums,
     too_close,
     tuple_census,
 )
@@ -165,7 +165,11 @@ class LinearProgram:
 
 
 def check_program_args(n: int, d: int, ell: int = 1) -> None:
-    """Raise ``ParameterError`` unless n >= 1, l >= 1 and 1 <= d <= n+1."""
+    """Raise ``InvalidInputError`` unless n, d and l are ints, and
+    ``ParameterError`` unless n >= 1, l >= 1 and 1 <= d <= n+1."""
+    require_int(n, "blocklength n")
+    require_int(d, "distance d")
+    require_int(ell, "level l")
     if n < 1 or ell < 1 or not 1 <= d <= n + 1:
         raise ParameterError(f"need n, l >= 1 and 1 <= d <= n+1, got n={n}, d={d}, l={ell}")
 
@@ -279,6 +283,8 @@ class CodeProfile:
     denom: int
 
     def __post_init__(self) -> None:
+        for field_name in ("n", "ell", "size", "denom"):
+            require_int(getattr(self, field_name), f"profile {field_name}")
         if min(self.n, self.ell, self.denom) < 1:
             raise InvalidInputError("profile needs n, l and denominator >= 1")
         count = config_count(self.n, self.ell)
@@ -337,20 +343,6 @@ class FeasibilityVerdict:
     status: str  # "feasible" | "distance-violation" | "bound-violation" | "row-violation"
     detail: str | None
     objective: Fraction | None
-
-
-def row_sums(
-    rows: Iterable[Sequence[Rational]], support: Collection[tuple[int, int]]
-) -> Iterator[Rational]:
-    """Yield ``sum(row[i] * count for i, count in support)`` for each row.
-
-    The sum runs over the ``(index, count)`` support only; integer rows
-    give ints and ``Fraction`` rows give ``Fraction``s.
-    """
-    pick = _gather([i for i, _ in support])
-    counts = [c for _, c in support]
-    for row in rows:
-        yield sum(map(mul, pick(row), counts))
 
 
 def check_point(
@@ -491,9 +483,9 @@ def lp_from_json(text: str) -> LinearProgram:
         )
         return LinearProgram(
             kind=data["kind"],
-            n=require_int(data["n"], "n", 1),
-            d=require_int(data["d"], "d"),
-            ell=require_int(data["l"], "l", 1),
+            n=data["n"],
+            d=data["d"],
+            ell=data["l"],
             linear=data["linear"],
             var_indices=tuple(
                 require_int(i, "variable index", 0)

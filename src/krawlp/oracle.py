@@ -6,14 +6,16 @@ an independent oracle for the LP machinery:
 * ``max_code``        - exact A_2(n, d) as a maximum independent set in the
                         graph joining words at distance 1..d-1, via
                         branch-and-bound over bitset adjacency.  The graph
-                        is a Cayley graph on F_2^n, so the search fixes the
-                        zero word in the code; it prunes with a greedy
+                        is a Cayley graph on F_2^n, v ~ v ^ w for each w
+                        of weight 1..d-1, so the search fixes the zero word
+                        in the code.  Its first descent, the greedy scan in
+                        index order, seeds the bound; it prunes with a greedy
                         clique cover built one clique at a time by big-int
                         ANDs (Tomita & Seki 2003; San Segundo et al. 2011);
 * ``max_linear_code`` - exact A_2^Lin(n, d) by enumerating all reduced
                         row-echelon generator matrices over F_2 and
-                        checking span minimum weights (a span is the
-                        ``configs._subset_xors`` of its rows);
+                        testing each span (the ``configs._subset_xors`` of
+                        its rows) for a nonzero word lighter than d;
 * ``dual_code``       - orthogonal complement of a linear code;
 * ``verify_macwilliams`` - the transform identity (linear codes) and the
                         transform inequality (any code), checked exactly
@@ -26,7 +28,7 @@ an independent oracle for the LP machinery:
                         w = bits(2^(2 l n) big) + 2: the identity is one
                         compare, the inequality one AND (s + T) & T == T
                         with T the top bit of every digit.  A failing
-                        transform is recounted with ``lp.row_sums``;
+                        transform is recounted with ``configs.row_sums``;
 * ``build_fourier_lp`` - the unsymmetrized LP with one variable per
                         l-tuple of words and one character row per tuple,
                         for equivalence testing against the configuration
@@ -36,8 +38,8 @@ an independent oracle for the LP machinery:
                         j-th n-bit block), so each character is
                         (-1)^popcount(alpha & p).
 
-Codes are ``lp.CodeSet`` values.  Oracle results are memoized in-process
-keyed by (n, d) per function.
+Codes are ``lp.CodeSet`` values.  Both searches pass one gate (ints n >= 1,
+d >= 0) and are memoized in-process keyed by (n, d) and their types.
 """
 
 from __future__ import annotations
@@ -46,17 +48,10 @@ import itertools
 from functools import lru_cache
 from typing import Iterator
 
-from .configs import _sd_entries, _subset_xors, config_index, too_close
-from .errors import CapacityError, NotLinearError, ParameterError, SelfCheckError
+from .configs import _sd_entries, _subset_xors, config_index, row_sums, too_close
+from .errors import CapacityError, NotLinearError, ParameterError, SelfCheckError, require_int
 from .krawtchouk import CheckReport, cached_table, digits_nonnegative
-from .lp import (
-    CodeSet,
-    LinearProgram,
-    check_program_args,
-    code_census,
-    packing_lp,
-    row_sums,
-)
+from .lp import CodeSet, LinearProgram, check_program_args, code_census, packing_lp
 
 # Independent-set search budget: 2^n graph vertices.
 MAX_BB_VERTICES = 128
@@ -91,17 +86,10 @@ def _max_independent_set(adj: list[int]) -> tuple[int, int]:
     # only), as the distance-<d graph is: translating an independent set by
     # one of its words gives one that contains 0, so the search fixes
     # vertex 0.  Such a graph is regular, so a degree order is the index
-    # order, and vertices are taken in index order throughout.
-    nverts = len(adj)
-    # Greedy seed: scan in index order, keep whatever fits.
-    best_mask = 0
-    taken_block = 0
-    for v in range(nverts):
-        bit = 1 << v
-        if not (taken_block & bit):
-            best_mask |= bit
-            taken_block |= bit | adj[v]
-    best = best_mask.bit_count()
+    # order, and vertices are taken in index order throughout.  The first
+    # descent takes the lowest candidate at every step, so it is the greedy
+    # index-order scan and seeds the bound itself.
+    best = best_mask = 0
 
     def expand(candidates: int, cur: int, cur_mask: int) -> None:
         nonlocal best, best_mask
@@ -115,26 +103,29 @@ def _max_independent_set(adj: list[int]) -> tuple[int, int]:
         expand(candidates & ~adj[bit.bit_length() - 1] & ~bit, cur + 1, cur_mask | bit)
         expand(candidates & ~bit, cur, cur_mask)
 
-    expand(((1 << nverts) - 1) & ~adj[0] & ~1, 1, 1)
+    expand(((1 << len(adj)) - 1) & ~adj[0] & ~1, 1, 1)
     return best, best_mask
 
 
-@lru_cache(maxsize=None)
-def max_code(n: int, d: int) -> tuple[int, CodeSet]:
-    """Exact A_2(n, d) with one witness code, which contains the zero word."""
+def _check_search_args(n: int, d: int) -> None:
+    require_int(n, "blocklength n")
+    require_int(d, "distance d")
     if n < 1 or d < 0:
         raise ParameterError(f"need n >= 1 and d >= 0, got n={n}, d={d}")
+
+
+@lru_cache(maxsize=None, typed=True)
+def max_code(n: int, d: int) -> tuple[int, CodeSet]:
+    """Exact A_2(n, d) with one witness code, which contains the zero word."""
+    _check_search_args(n, d)
     nverts = 1 << n
     if nverts > MAX_BB_VERTICES:
         raise CapacityError(f"2^n = {nverts} vertices exceed the budget {MAX_BB_VERTICES}")
     if d <= 1:
         return nverts, CodeSet(frozenset(range(nverts)), n)
-    adj = [0] * nverts
-    for v in range(nverts):
-        for u in range(v + 1, nverts):
-            if (u ^ v).bit_count() < d:
-                adj[v] |= 1 << u
-                adj[u] |= 1 << v
+    # A Cayley graph: v is joined to v ^ w for every w in the ball.
+    ball = [w for w in range(1, nverts) if w.bit_count() < d]
+    adj = [sum(1 << (v ^ w) for w in ball) for v in range(nverts)]
     size, mask = _max_independent_set(adj)
     witness = CodeSet(frozenset(v for v in range(nverts) if (mask >> v) & 1), n)
     if witness.min_distance() < d:
@@ -173,21 +164,18 @@ def _iter_rref(n: int, k: int) -> Iterator[tuple[int, ...]]:
             yield tuple(rows)
 
 
-def _span_min_weight(rows: tuple[int, ...], d: int) -> int:
-    # Gray-code walk over all nonzero combinations; early exit below d.
+def _span_has_distance(rows: tuple[int, ...], d: int) -> bool:
+    # Gray-code walk over all nonzero combinations; stops at the first
+    # one lighter than d.
     cur = 0
-    minw = 1 << 62
     for i in range(1, 1 << len(rows)):
         cur ^= rows[(i & -i).bit_length() - 1]
-        w = cur.bit_count()
-        if w < d:
-            return w
-        if w < minw:
-            minw = w
-    return minw
+        if cur.bit_count() < d:
+            return False
+    return True
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def max_linear_code(n: int, d: int) -> tuple[int, CodeSet]:
     """Exact A_2^Lin(n, d) with one witness code.
 
@@ -195,8 +183,7 @@ def max_linear_code(n: int, d: int) -> tuple[int, CodeSet]:
     after all its generator matrices failed, and then no larger dimension
     can succeed (subspaces of a distance-d code keep distance d).
     """
-    if n < 1 or d < 0:
-        raise ParameterError(f"need n >= 1 and d >= 0, got n={n}, d={d}")
+    _check_search_args(n, d)
     if n > MAX_LINEAR_N:
         raise CapacityError(f"n={n} exceeds the enumeration budget n <= {MAX_LINEAR_N}")
     best_words = frozenset({0})
@@ -204,7 +191,7 @@ def max_linear_code(n: int, d: int) -> tuple[int, CodeSet]:
     for k in range(1, n + 1):
         found = None
         for rows in _iter_rref(n, k):
-            if _span_min_weight(rows, d) >= d:
+            if _span_has_distance(rows, d):
                 found = rows
                 break
         if found is None:
@@ -274,7 +261,7 @@ def verify_macwilliams(c: CodeSet, ell: int) -> CheckReport:
     |C|^(2l) <= 2^(2 l n).  So the identity is one compare of s with the
     packed dual profile, and the inequality holds in every row iff
     (s + T) & T == T, T = sum_h 2^(w h + w - 1).  A transform that fails
-    is recounted row by row with ``lp.row_sums`` to name each failing row.
+    is recounted with ``configs.row_sums`` to name each failing row.
     """
     table = cached_table(c.n, ell)
     width, tops, columns = table.transform_packing

@@ -41,6 +41,7 @@ from .errors import (
     SelfCheckError,
     SolverNumericsError,
     canonical_json,
+    require_int,
 )
 from .lp import LinearProgram, check_dual, check_point, integer_form
 
@@ -402,7 +403,7 @@ def _int_nthroot(x: int, k: int) -> int:
 
 def root_value(value: Fraction | int, ell: int) -> float:
     """value**(1/l) as a float within 1 ulp of the exact real root."""
-    if ell < 1:
+    if require_int(ell, "root order") < 1:
         raise ParameterError("root order must be >= 1")
     frac = Fraction(value)
     if frac < 0:

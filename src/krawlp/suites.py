@@ -73,17 +73,17 @@ class SuiteResult:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def delsarte_value(n: int, d: int) -> Fraction:
     return solve_exact(build_delsarte(n, d)).value
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def hierarchy_value(n: int, d: int, ell: int, linear: bool) -> Fraction:
     return solve_exact(build_hierarchy_lp(n, d, ell, linear)).value
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def fourier_value(n: int, d: int, ell: int, linear: bool) -> Fraction:
     return solve_exact(build_fourier_lp(n, d, ell, linear)).value
 

@@ -165,8 +165,9 @@ def test_oracle_record(capsys):
 
 
 def test_oracle_witness_words_are_pinned(capsys):
-    # The greedy seed, scanning words in index order, yields this code (the
-    # lexicode, a Hamming code); another code of size 16 fails here.
+    # The search's first descent, scanning words in index order, yields this
+    # code (the lexicode, a Hamming code) and no later branch beats it;
+    # another code of size 16 fails here.
     code, records, _ = _run(capsys, ["oracle", "--n", "7", "--d", "3"])
     assert code == 0
     assert records[0]["witness"]["words"] == [

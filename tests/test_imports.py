@@ -1,11 +1,11 @@
 """Every name a library module imports is used in that module, every
 private helper is used somewhere in the package, private names are
-imported only from ``configs``, and JSON is encoded only by
-``errors.canonical_json``.
+imported only from ``configs``, JSON is encoded only by
+``errors.canonical_json``, and every memo cache is typed.
 
 No linter ships with the project, so these are stdlib-``ast`` stand-ins
-for an unused-import check, a dead-code check, a layering check and a
-one-encoder check.
+for an unused-import check, a dead-code check, a layering check, a
+one-encoder check and a typed-cache check.
 ``__init__.py`` is exempt from the import check (its imports are the
 package's re-exports), and so are ``__future__`` imports.
 """
@@ -95,3 +95,22 @@ def test_json_is_encoded_only_by_canonical_json():
                     calls.append((id(node), f"{path.name}:{node.lineno}"))
     assert len([where for key, where in calls if key in allowed]) == 1
     assert [where for key, where in calls if key not in allowed] == []
+
+
+def test_every_lru_cache_is_typed():
+    # An untyped cache keys 3.0 and True like 3 and 1, so once warm it
+    # answers an argument that its function's gate refuses when cold.
+    # Every use of ``lru_cache`` must be a call that passes typed=True.
+    typed, uses = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and any(
+                k.arg == "typed" and isinstance(k.value, ast.Constant) and k.value.value is True
+                for k in node.keywords
+            ):
+                typed.add(id(node.func))
+            elif getattr(node, "id", getattr(node, "attr", None)) == "lru_cache":
+                uses.append((id(node), f"{path.name}:{node.lineno}"))
+    assert uses, "no lru_cache found"
+    assert [where for key, where in uses if key not in typed] == []

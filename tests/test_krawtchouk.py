@@ -359,13 +359,14 @@ def test_packed_orthogonality_recounts_only_rows_that_fail(monkeypatch):
     # a row is recounted only if some pair of it fails.  A wrong shift or
     # slot offset would still report correctly, through recounts.
     recounted = []
-    recount = krawtchouk._recount_row
+    recount = krawtchouk.row_sums
 
-    def spy(a, *args):
-        recounted.append(a)
-        return recount(a, *args)
+    def spy(rows, support):
+        # A recount of row a sums the rows a, a+1, ... at row a.
+        recounted.append(table.size - len(rows))
+        return recount(rows, support)
 
-    monkeypatch.setattr(krawtchouk, "_recount_row", spy)
+    monkeypatch.setattr(krawtchouk, "row_sums", spy)
     for n, ell in [(5, 2), (4, 2), (2, 3), (5, 1)]:
         assert verify_orthogonality(cached_table(n, ell)).passed
     assert recounted == []

@@ -135,14 +135,27 @@ def _reference_independence_number(adj):
     return best(full)
 
 
+def _lexicode(n, d):
+    # The greedy scan in index order: keep each word at distance >= d from
+    # every word kept so far.
+    code = []
+    for v in range(1 << n):
+        if all((v ^ u).bit_count() >= d for u in code):
+            code.append(v)
+    return code
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_max_code_full_budget_table(n):
-    for d in range(0, n + 2):
+    # The search's first descent is the greedy scan, and within the budget
+    # no later branch beats it, so every witness is the lexicode.
+    for d in range(0, n + 3):
         size, witness = max_code(n, d)
         assert size == _known_a2(n, d), (n, d)
         assert witness.size == size
         assert witness.min_distance() >= d
         assert 0 in witness.words
+        assert sorted(witness.words) == _lexicode(n, d), (n, d)
 
 
 def test_max_code_matches_unbounded_reference():
@@ -155,9 +168,10 @@ def test_max_code_matches_unbounded_reference():
 
 
 def test_independent_set_search_on_random_cayley_graphs():
-    # On every distance graph within the budget the greedy seed is already
-    # maximum, so the search can only improve on it elsewhere; for several
-    # of these graphs the seed is not maximum.
+    # On every distance graph within the budget the search's first descent,
+    # the greedy index-order scan, is already maximum, so only other Cayley
+    # graphs make it improve; for several of these graphs the scan is not
+    # maximum.
     rng = random.Random(1)
     for n, sizes in ((4, (3, 7)), (5, (8, 16))):
         for _ in range(20):

@@ -11,14 +11,31 @@ from krawlp.configs import (
     check_config_args,
     config_index,
     enumerate_configs,
+    forbidden_configs,
     orbit_size,
     sd_to_venn,
     tuple_census,
 )
 from krawlp.errors import InvalidInputError, ParameterError
-from krawlp.krawtchouk import KrawtchoukTable, classical_krawtchouk, eval_direct, eval_explicit
-from krawlp.lp import CodeSet, LPRow, build_delsarte, check_feasibility, profile_of_code
+from krawlp.krawtchouk import (
+    KrawtchoukTable,
+    cached_table,
+    classical_krawtchouk,
+    eval_direct,
+    eval_explicit,
+)
+from krawlp.lp import (
+    CodeProfile,
+    CodeSet,
+    LPRow,
+    build_delsarte,
+    check_feasibility,
+    check_program_args,
+    profile_of_code,
+)
 from krawlp.oracle import build_fourier_lp, max_code, max_linear_code
+from krawlp.simplex import root_value
+from krawlp.suites import hierarchy_value
 
 L1, L2 = SDConfig((0, 1)), SDConfig((0, 1, 1, 0))
 
@@ -69,6 +86,41 @@ CASES = [
     (lambda: max_code(3, -1), ParameterError, "d >= 0"),
     (lambda: max_code(0, 1), ParameterError, "n >= 1"),
     (lambda: max_linear_code(3, -1), ParameterError, "d >= 0"),
+    (lambda: max_linear_code(0, 1), ParameterError, "n >= 1"),
+    # A float or bool n, d or l stops at its function's typed gate.
+    (lambda: max_code(2.5, 3), InvalidInputError, "must be an int"),
+    (lambda: max_code(3, True), InvalidInputError, "must be an int"),
+    (lambda: max_linear_code(3.0, 2), InvalidInputError, "must be an int"),
+    (lambda: max_linear_code(3, 2.0), InvalidInputError, "must be an int"),
+    (lambda: check_program_args(3, 2, 1.0), InvalidInputError, "must be an int"),
+    (lambda: build_delsarte(3, 2.5), InvalidInputError, "must be an int"),
+    (lambda: build_delsarte(3.0, 2), InvalidInputError, "must be an int"),
+    (lambda: build_fourier_lp(2.0, 2, 1, False), InvalidInputError, "must be an int"),
+    (lambda: forbidden_configs(3, 2.5, 1), InvalidInputError, "must be an int"),
+    (lambda: forbidden_configs("3", 2, 1), InvalidInputError, "must be an int"),
+    (lambda: classical_krawtchouk(1.0, 0, 3), InvalidInputError, "must be an int"),
+    (lambda: classical_krawtchouk(1, 0, True), InvalidInputError, "must be an int"),
+    (lambda: root_value(4, 2.0), InvalidInputError, "must be an int"),
+    (lambda: CodeProfile(2.0, 1, 1, {}, 1), InvalidInputError, "must be an int"),
+    (lambda: CodeProfile(2, 1, 1, {}, 1.0), InvalidInputError, "must be an int"),
+    # 3.0 and True hash like 3 and 1: a warm cache must not answer them.
+    (lambda: (cached_table(3, 2), cached_table(3.0, 2)), InvalidInputError, "must be an int"),
+    (lambda: (cached_table(1, 1), cached_table(True, 1)), InvalidInputError, "must be an int"),
+    (
+        lambda: (hierarchy_value(3, 2, 1, False), hierarchy_value(3.0, 2, 1, False)),
+        InvalidInputError,
+        "must be an int",
+    ),
+    (
+        lambda: (max_linear_code(3, 2), max_linear_code(3.0, 2)),
+        InvalidInputError,
+        "must be an int",
+    ),
+    (lambda: (max_code(3, 2), max_code(3, 2.0)), InvalidInputError, "must be an int"),
+    # Out-of-range values keep their ParameterError and message.
+    (lambda: build_delsarte(3, 5), ParameterError, r"1 <= d <= n\+1"),
+    (lambda: forbidden_configs(3, 5, 1), ParameterError, r"0 <= d <= n\+1"),
+    (lambda: root_value(4, 0), ParameterError, "root order must be >= 1"),
 ]
 
 
