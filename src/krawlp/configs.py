@@ -20,17 +20,21 @@ The first map is the subset-parity transform; ``enumerate_configs`` and
 Walsh-Hadamard transform H(sd)(J) = sum over T of (-1)^|T & J| sd(T):
 2^(l-1) venn = (n 2^(l-1) - H(0), -H(1), ..., -H(2^l - 1)), which
 ``sd_to_venn`` evaluates by the fast butterfly (Fino and Algazi 1976) in
-l 2^l additions and subtractions.
+l 2^l additions and subtractions.  ``_venn_cells`` is that inversion with
+its n gate and ``NotAConfigurationError``; ``orbit_size``,
+``representative_tuple``, ``config_to_json`` and the Krawtchouk routes read
+its cells directly, since the kernel already proves what ``VennConfig``
+would check again, and only ``sd_to_venn`` wraps them in a ``VennConfig``.
 
 Each level l gets one kernel bundle, generated as straight-line code by
 ``_build_kernels``: the forward transform, the inverse with its
 divisibility check, and the inner loop of ``tuple_census``.  The
-``_kernels`` accessor serves all three.  Levels 1..3, which every suite,
-table and program uses, are compiled at import (~1.2 ms in all): a
-fresh process pays that once, where a compile behind an ``lru_cache`` would
-be paid again after every cache clear.  Levels 4..6 compile on first use
-behind ``_lazy_kernels``' ``lru_cache``; above ``MAX_SUBSET_ELL`` every conversion and
-census raises ``CapacityError`` before compiling anything.
+``_kernels`` accessor serves all three from one dict and compiles each
+level on its first use: a process compiles only the levels it uses
+(``krawlp solve --l 2`` never compiles level 3), and as a dict has no
+``cache_clear``, emptying the ``lru_cache``s never compiles a level again.
+Above ``MAX_SUBSET_ELL`` every conversion and census raises
+``CapacityError`` before compiling anything.
 
 ``_subset_xors`` turns words into their subset XORs (popcounts: sd entries;
 over a basis: its span).  ``tuple_census``, the one weighted count of word
@@ -324,26 +328,21 @@ def _build_kernels(ell: int) -> _Kernels:
     return _Kernels(namespace["forward"], namespace["inverse"], namespace["census"])
 
 
-# Compiled at import, not behind the lru_cache; see the module docstring.
-_EAGER_ELL = 3
-_EAGER_KERNELS = tuple(_build_kernels(ell) for ell in range(1, _EAGER_ELL + 1))
+_KERNELS: dict[int, _Kernels] = {}
 
 
 def _kernels(ell: int) -> _Kernels:
-    """The kernel bundle of level ``ell``; see ``_build_kernels``.  An eager
-    level skips the typed cache, whose key tuple every conversion would pay."""
-    if 0 < ell <= _EAGER_ELL:
-        return _EAGER_KERNELS[ell - 1]
-    return _lazy_kernels(ell)
-
-
-@lru_cache(maxsize=None, typed=True)
-def _lazy_kernels(ell: int) -> _Kernels:
+    """The kernel bundle of level ``ell``, compiled on first use; see ``_build_kernels``."""
+    try:
+        return _KERNELS[ell]
+    except KeyError:
+        pass
     if ell > MAX_SUBSET_ELL:  # refused before compiling 2^(2l-1) terms
         raise CapacityError(f"l={ell} exceeds the configuration budget l <= {MAX_SUBSET_ELL}")
     if ell < 1:
         raise InvalidInputError(f"level l={ell} is below 1")
-    return _build_kernels(ell)
+    bundle = _KERNELS[ell] = _build_kernels(ell)
+    return bundle
 
 
 def _subset_xors(words: Sequence[int]) -> list[int]:
@@ -378,10 +377,6 @@ def tuple_census(positions: Sequence[Sequence[tuple[int, int]]]) -> Counter:
     return census
 
 
-def _multinomial(n: int, parts: Sequence[int]) -> int:
-    return factorial(n) // prod(map(factorial, parts))
-
-
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
@@ -403,14 +398,8 @@ def venn_of_tuple(t: WordTuple) -> VennConfig:
     return VennConfig(tuple(counts), t.n)
 
 
-def sd_to_venn(g: SDConfig, n: int) -> VennConfig:
-    """Invert the weight vector into Venn cell sizes for blocklength n.
-
-    Evaluated in exact integers by the level's ``inverse`` kernel: the
-    2^(l-1)-scaled cells come first and are divided with a divisibility
-    check.  A remainder or a negative cell signals that ``g`` is not the
-    configuration of any tuple in F_2^n.
-    """
+def _venn_cells(g: SDConfig, n: int) -> tuple[int, ...]:
+    """The Venn cells of ``sd_to_venn(g, n)``, without building a ``VennConfig``."""
     require_int(n, "blocklength n")
     if n < 1:
         raise ParameterError("blocklength must be positive")
@@ -419,7 +408,18 @@ def sd_to_venn(g: SDConfig, n: int) -> VennConfig:
         raise NotAConfigurationError(
             f"weight vector {g.entries} is not a configuration at n={n}"
         )
-    return VennConfig(cells, n)
+    return cells
+
+
+def sd_to_venn(g: SDConfig, n: int) -> VennConfig:
+    """Invert the weight vector into Venn cell sizes for blocklength n.
+
+    Evaluated in exact integers by the level's ``inverse`` kernel: the
+    2^(l-1)-scaled cells come first and are divided with a divisibility
+    check.  A remainder or a negative cell signals that ``g`` is not the
+    configuration of any tuple in F_2^n.
+    """
+    return VennConfig(_venn_cells(g, n), n)
 
 
 def venn_to_sd(v: VennConfig) -> SDConfig:
@@ -474,8 +474,8 @@ def orbit_size(g: SDConfig, n: int) -> int:
 
     This is the multinomial n! / prod over cells J of venn(J)!.
     """
-    v = sd_to_venn(g, n)
-    return _multinomial(n, v.entries)
+    cells = _venn_cells(g, n)  # first: it refuses a bad n before factorial(n) can
+    return factorial(n) // prod(map(factorial, cells))
 
 
 def too_close(entries: Sequence[int], d: int, linear: bool) -> bool:
@@ -503,10 +503,9 @@ def representative_tuple(g: SDConfig, n: int) -> WordTuple:
     Positions are assigned to Venn cells in increasing bitmask order; the
     result is the orbit representative used for character sums.
     """
-    v = sd_to_venn(g, n)
     words = [0] * g.ell
     pos = 0
-    for cell_mask, size in enumerate(v.entries):
+    for cell_mask, size in enumerate(_venn_cells(g, n)):
         block = ((1 << size) - 1) << pos
         for j in range(g.ell):
             if (cell_mask >> j) & 1:
@@ -522,8 +521,8 @@ def representative_tuple(g: SDConfig, n: int) -> WordTuple:
 
 def config_to_json(g: SDConfig, n: int) -> str:
     """Serialize a configuration with both forms for cross-checking."""
-    v = sd_to_venn(g, n)
-    return canonical_json({"n": n, "l": g.ell, "venn": list(v.entries), "sd": list(g.entries)})
+    venn = list(_venn_cells(g, n))
+    return canonical_json({"n": n, "l": g.ell, "venn": venn, "sd": list(g.entries)})
 
 
 def config_from_json(text: str) -> SDConfig:

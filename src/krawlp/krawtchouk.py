@@ -18,7 +18,9 @@ Three independent evaluation routes are implemented:
                       gives column g whole.  Columns are cached, but each
                       further g costs its own 2^(nl) enumeration;
 * ``eval_explicit`` - a finite sum over contingency tables whose margins
-                      are the two Venn vectors; polynomially many terms;
+                      are the two Venn vectors, read as bare cells by
+                      ``configs._venn_cells``, g checked before h; polynomially
+                      many terms;
 * ``build_table``   - the generating function: column g is the coefficient
                       vector of prod_J L_J(z)^venn_g(J) with
                       L_J(z) = sum_K (-1)^|J & K| z_K, multiplied out one
@@ -81,13 +83,13 @@ from pathlib import Path
 from .configs import (
     SDConfig,
     _compositions_desc,
+    _venn_cells,
     check_config_args,
     config_count,
     enumerate_configs,
     orbit_size,
     representative_tuple,
     row_sums,
-    sd_to_venn,
     tuple_census,
 )
 from .errors import (
@@ -145,7 +147,7 @@ def eval_direct(h: SDConfig, g: SDConfig, n: int) -> int:
     """K_h(g) by brute force: one 2^(nl)-tuple census per g, cached, read at h."""
     if h.ell != g.ell:
         raise InvalidInputError(f"mixed levels l={h.ell} and l={g.ell}")
-    sd_to_venn(h, n)  # validates h and n before the budget's shift by n
+    _venn_cells(h, n)  # validates h and n before the budget's shift by n
     total = 1 << (n * h.ell)
     if total > DIRECT_ENUM_BUDGET:
         raise CapacityError(
@@ -200,9 +202,7 @@ def eval_explicit(h: SDConfig, g: SDConfig, n: int) -> int:
     """K_h(g) via the contingency-table formula; O(n^(2^(2l))) terms."""
     if h.ell != g.ell:
         raise InvalidInputError(f"mixed levels l={h.ell} and l={g.ell}")
-    vg = sd_to_venn(g, n).entries
-    vh = sd_to_venn(h, n).entries
-    return _explicit_from_venn(vg, vh)
+    return _explicit_from_venn(_venn_cells(g, n), _venn_cells(h, n))
 
 
 # ---------------------------------------------------------------------------

@@ -285,8 +285,8 @@ class CodeProfile:
     def __post_init__(self) -> None:
         for field_name in ("n", "ell", "size", "denom"):
             require_int(getattr(self, field_name), f"profile {field_name}")
-        if min(self.n, self.ell, self.denom) < 1:
-            raise InvalidInputError("profile needs n, l and denominator >= 1")
+        if min(self.n, self.ell, self.size, self.denom) < 1:
+            raise InvalidInputError("profile needs n, l, size and denominator >= 1")
         count = config_count(self.n, self.ell)
         if not all(type(k) is int and 0 <= k < count for k in self.counts):
             raise InvalidInputError(f"profile keys must be config indices 0..{count - 1}")
@@ -496,48 +496,35 @@ def lp_from_json(text: str) -> LinearProgram:
         )
 
 
-def _decimal(x: Rational) -> tuple[str, bool]:
-    # Shortest round-trip decimal; flag whether it is exact.
-    if x.denominator == 1:
-        return str(x.numerator), True
-    f = float(x)
-    return repr(f), Fraction(f) == x
+def _decimal(x: Rational) -> str:
+    # An integer exactly, any other value as its shortest round-trip float.
+    return str(x.numerator) if x.denominator == 1 else repr(float(x))
 
 
-def _render_terms(coeffs: Sequence[Rational], names: Sequence[str]) -> tuple[str, bool]:
-    parts = []
-    exact = True
-    for c, name in zip(coeffs, names):
-        if c == 0:
-            continue
-        mag, ok = _decimal(abs(c))
-        exact = exact and ok
-        sign = "-" if c < 0 else "+"
-        parts.append(f"{sign} {mag} {name}")
-    if not parts:
-        return f"+ 0 {names[0]}", True
-    return " ".join(parts), exact
+def _render_terms(coeffs: Sequence[Rational], names: Sequence[str]) -> str:
+    parts = [
+        f"{'-' if c < 0 else '+'} {_decimal(abs(c))} {name}"
+        for c, name in zip(coeffs, names)
+        if c != 0
+    ]
+    return " ".join(parts) if parts else f"+ 0 {names[0]}"
 
 
 def _to_lp_text(lp: LinearProgram) -> str:
     names = lp.variable_names
-    body = []
-    exact = True
-    obj, ok = _render_terms(lp.objective, names)
-    exact = exact and ok
-    body.append("Maximize")
-    body.append(f" obj: {obj}")
-    body.append("Subject To")
+    body = ["Maximize", f" obj: {_render_terms(lp.objective, names)}", "Subject To"]
     for row in lp.rows:
-        terms, ok = _render_terms(row.coeffs, names)
-        exact = exact and ok
-        rhs, ok2 = _decimal(row.rhs)
-        exact = exact and ok2
-        body.append(f" {row.name}: {terms} {row.relation} {rhs}")
+        terms = _render_terms(row.coeffs, names)
+        body.append(f" {row.name}: {terms} {row.relation} {_decimal(row.rhs)}")
     body.append("Bounds")
     for name in names:
         body.append(f" 0 <= {name}")
     body.append("End")
+    # exact-decimals: every value is an integer or a float that round-trips to it.
+    values = itertools.chain(
+        lp.objective, *(row.coeffs for row in lp.rows), (row.rhs for row in lp.rows)
+    )
+    exact = all(x.denominator == 1 or Fraction(float(x)) == x for x in values)
     flag = {True: "linear", False: "general", None: "-"}[lp.linear]
     header = [
         f"\\ {lp.kind} n={lp.n} d={lp.d} l={lp.ell} flag={flag}",

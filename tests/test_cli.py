@@ -355,6 +355,24 @@ PINNED_STDOUT = [
         '"linear":false,"n":2,"rows":4,"variables":2,"version":"0.1.0"}\n',
     ),
     (
+        ["build-lp", "--n", "2", "--d", "2", "--linear"],
+        "\\ krawtchouk n=2 d=2 l=1 flag=linear\n"
+        "\\ exact-decimals=yes\n"
+        "Maximize\n"
+        " obj: + 1 a_0 + 1 a_2\n"
+        "Subject To\n"
+        " NORM: + 1 a_0 = 1\n"
+        " MW_0: + 1 a_0 + 1 a_2 >= 0\n"
+        " MW_1: + 2 a_0 - 2 a_2 >= 0\n"
+        " MW_2: + 1 a_0 + 1 a_2 >= 0\n"
+        "Bounds\n"
+        " 0 <= a_0\n"
+        " 0 <= a_2\n"
+        "End\n"
+        '{"command":"build-lp","d":2,"family":"krawtchouk","format":"lp-text","l":1,'
+        '"linear":true,"n":2,"rows":4,"variables":2,"version":"0.1.0"}\n',
+    ),
+    (
         ["verify", "--suite", "level1", "--n", "2"],
         '{"checked":10,"command":"verify","params":{"n_max":2},"passed":true,'
         '"suite":"level1","version":"0.1.0","violations":[]}\n',
@@ -362,7 +380,11 @@ PINNED_STDOUT = [
 ]
 
 
-@pytest.mark.parametrize("argv, stdout", PINNED_STDOUT, ids=[a[0] for a, _ in PINNED_STDOUT])
+@pytest.mark.parametrize(
+    "argv, stdout",
+    PINNED_STDOUT,
+    ids=["configs", "oracle", "build-lp", "build-lp-text", "verify"],
+)
 def test_stdout_bytes_are_pinned(capsys, argv, stdout):
     code, _, out = _run(capsys, argv)
     assert code == 0

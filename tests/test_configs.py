@@ -377,18 +377,22 @@ def test_conversions_stop_at_the_level_budget(monkeypatch, ell):
         tuple_census([[(0, 1), (1, 1)]] * 7)
 
 
-def test_import_compiles_no_lazy_level():
-    # Levels 1..3 compile at import; 4..6 only on first use, so a bare
-    # ``import krawlp`` leaves the lazy cache without them and each call
-    # below reaches the builder.  The child imports the same krawlp as
-    # this process, installed or not.
+def test_kernels_compile_once_on_first_use():
+    # A bare ``import krawlp`` compiles no level; each level reaches the
+    # builder on its first use only, however often it is asked for.  The
+    # child imports the same krawlp as this process, installed or not.
     script = (
         "import krawlp\n"
         "from krawlp import configs\n"
+        "print(sorted(configs._KERNELS))\n"
         "built = []\n"
-        "configs._build_kernels = built.append\n"
-        "for ell in range(1, configs.MAX_SUBSET_ELL + 1):\n"
-        "    configs._kernels(ell)\n"
+        "def build(ell):\n"
+        "    built.append(ell)\n"
+        "    return object()\n"
+        "configs._build_kernels = build\n"
+        "for _ in range(2):\n"
+        "    for ell in range(1, configs.MAX_SUBSET_ELL + 1):\n"
+        "        configs._kernels(ell)\n"
         "print(built)\n"
     )
     pkg_root = str(Path(krawlp.__file__).resolve().parents[1])
@@ -400,7 +404,7 @@ def test_import_compiles_no_lazy_level():
         env={**os.environ, "PYTHONPATH": pythonpath},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[4, 5, 6]"
+    assert proc.stdout.split("\n") == ["[]", "[1, 2, 3, 4, 5, 6]", ""]
 
 
 def test_config_index_matches_enumeration():

@@ -1,5 +1,6 @@
 """Malformed inputs and out-of-range parameters raise their typed errors."""
 
+import re
 from dataclasses import replace
 
 import pytest
@@ -10,13 +11,15 @@ from krawlp.configs import (
     WordTuple,
     check_config_args,
     config_index,
+    config_to_json,
     enumerate_configs,
     forbidden_configs,
     orbit_size,
+    representative_tuple,
     sd_to_venn,
     tuple_census,
 )
-from krawlp.errors import InvalidInputError, ParameterError
+from krawlp.errors import InvalidInputError, NotAConfigurationError, ParameterError
 from krawlp.krawtchouk import (
     KrawtchoukTable,
     cached_table,
@@ -38,6 +41,9 @@ from krawlp.simplex import root_value
 from krawlp.suites import hierarchy_value
 
 L1, L2 = SDConfig((0, 1)), SDConfig((0, 1, 1, 0))
+# Three nonzero weights need n >= 2: at n = 1 the empty Venn cell would be -1/2.
+BAD = SDConfig((0, 1, 1, 1))
+NOT_AT_N1 = re.escape("weight vector (0, 1, 1, 1) is not a configuration at n=1")
 
 # call, error type, message fragment
 CASES = [
@@ -63,7 +69,17 @@ CASES = [
     (lambda: check_config_args(2, 0), ParameterError, "need n >= 1 and l >= 1"),
     (lambda: sd_to_venn(L1, 0), ParameterError, "blocklength must be positive"),
     (lambda: orbit_size(L2, -1), ParameterError, "blocklength must be positive"),
+    (lambda: representative_tuple(L2, 0), ParameterError, "blocklength must be positive"),
+    (lambda: config_to_json(L2, 0), ParameterError, "blocklength must be positive"),
     (lambda: tuple_census([]), InvalidInputError, "level l=0 is below 1"),
+    # Every reader of the Venn cells refuses a weight vector that has none.
+    (lambda: sd_to_venn(BAD, 1), NotAConfigurationError, NOT_AT_N1),
+    (lambda: orbit_size(BAD, 1), NotAConfigurationError, NOT_AT_N1),
+    (lambda: representative_tuple(BAD, 1), NotAConfigurationError, NOT_AT_N1),
+    (lambda: config_to_json(BAD, 1), NotAConfigurationError, NOT_AT_N1),
+    (lambda: eval_explicit(L2, BAD, 1), NotAConfigurationError, NOT_AT_N1),
+    (lambda: eval_explicit(BAD, L2, 1), NotAConfigurationError, NOT_AT_N1),
+    (lambda: eval_direct(BAD, L2, 1), NotAConfigurationError, NOT_AT_N1),
     (lambda: classical_krawtchouk(4, 0, 3), ParameterError, "0 <= i, j <= n"),
     (lambda: eval_direct(L1, L2, 2), InvalidInputError, "mixed levels"),
     (lambda: eval_explicit(L1, L2, 2), InvalidInputError, "mixed levels"),
@@ -103,6 +119,8 @@ CASES = [
     (lambda: root_value(4, 2.0), InvalidInputError, "must be an int"),
     (lambda: CodeProfile(2.0, 1, 1, {}, 1), InvalidInputError, "must be an int"),
     (lambda: CodeProfile(2, 1, 1, {}, 1.0), InvalidInputError, "must be an int"),
+    (lambda: CodeProfile(1, 1, 0, {0: 1}, 1), InvalidInputError, "size and denominator >= 1"),
+    (lambda: CodeProfile(1, 1, -5, {0: 1}, 1), InvalidInputError, "size and denominator >= 1"),
     # 3.0 and True hash like 3 and 1: a warm cache must not answer them.
     (lambda: (cached_table(3, 2), cached_table(3.0, 2)), InvalidInputError, "must be an int"),
     (lambda: (cached_table(1, 1), cached_table(True, 1)), InvalidInputError, "must be an int"),
