@@ -39,7 +39,7 @@ from .krawtchouk import cached_table, check_table_args, load_table, save_table, 
 from .lp import build_delsarte, build_hierarchy_lp, export_lp
 from .oracle import build_fourier_lp, max_code, max_linear_code
 from .simplex import format_value, root_value, solve_exact, solve_float
-from .suites import SUITES, hierarchy_value, run_suite
+from .suites import SUITES, check_suite_args, hierarchy_value, run_suite
 
 CACHE_ENV = "KRAWLP_CACHE_DIR"
 
@@ -139,8 +139,7 @@ def cmd_solve(args) -> int:
         value=format_value(result.value, args.decimal),
     )
     if result.status == "optimal":
-        value, ell = result.value, lp.ell
-        record["root"] = float(value) ** (1.0 / ell) if args.float else root_value(value, ell)
+        record["root"] = root_value(result.value, lp.ell)
         if args.out:
             _write(record, args.out, (result.to_json() + "\n").encode("ascii"))
     _emit(record)
@@ -168,9 +167,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_verify(args) -> int:
     names = args.suite or list(SUITES)
-    for name in names:
-        if name not in SUITES:
-            raise ParameterError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    check_suite_args(names, args.n, args.l)
     failed = False
     for name in names:
         result = run_suite(name, n_cap=args.n, l_cap=args.l)

@@ -65,7 +65,8 @@ all h, K_h(g) is the character sum over every tuple y, so each column g
 sums to 2^(l n) [g = 0]; a single wrong entry breaks its column's sum.
 Orthogonality against the trivial row gives the weighted row sums
 sum_g |g| K_h(g) = 2^(l n) [h = 0]; a swap of two unequal entries of one
-column keeps the column sum but breaks both rows' weighted sums.
+column keeps the column sum but breaks both rows' weighted sums.  This
+check and both sweeps read ``KrawtchoukTable.orbit_sizes``, one per table.
 """
 
 from __future__ import annotations
@@ -237,6 +238,11 @@ class KrawtchoukTable:
         return len(self.values)
 
     @cached_property
+    def orbit_sizes(self) -> tuple[int, ...]:
+        """|g| for each configuration g in index order, counted once per table."""
+        return tuple(orbit_size(c, self.n) for c in enumerate_configs(self.n, self.ell))
+
+    @cached_property
     def transform_packing(self) -> tuple[int, int, list[int]]:
         """``(w, T, columns)``: the columns packed for profile transforms.
 
@@ -371,11 +377,6 @@ class CheckReport:
         return not self.violations
 
 
-def _orbit_sizes(table: KrawtchoukTable) -> list[int]:
-    # |g| for each configuration g, in the table's index order.
-    return [orbit_size(c, table.n) for c in enumerate_configs(table.n, table.ell)]
-
-
 def verify_orthogonality(table: KrawtchoukTable) -> CheckReport:
     """Check sum_g |g| K_h(g) K_h'(g) = 2^(l n) |h| [h = h'] for all pairs.
 
@@ -404,7 +405,7 @@ def verify_orthogonality(table: KrawtchoukTable) -> CheckReport:
     recounted by ``configs.row_sums`` (rows b at the point |g| K_a(g))
     and reported one by one.
     """
-    sizes = _orbit_sizes(table)
+    sizes = table.orbit_sizes
     values = table.values
     size = table.size
     scale = 1 << (table.ell * table.n)
@@ -435,7 +436,7 @@ def verify_orthogonality(table: KrawtchoukTable) -> CheckReport:
 
 def verify_reflection(table: KrawtchoukTable) -> CheckReport:
     """Check K_h(g) |g| = K_g(h) |h| for all pairs (cross-multiplied form)."""
-    sizes = _orbit_sizes(table)
+    sizes = table.orbit_sizes
     size = table.size
     violations = []
     for a in range(size):
@@ -513,6 +514,6 @@ def load_table(n: int, ell: int, cache_dir: str | Path) -> KrawtchoukTable | Non
     want = [1 << (ell * n)] + [0] * (table.size - 1)
     if list(map(sum, zip(*table.values))) != want:
         return None
-    sizes = _orbit_sizes(table)
+    sizes = table.orbit_sizes
     weighted = [sum(map(mul, sizes, row)) for row in table.values]
     return table if weighted == want else None

@@ -20,15 +20,15 @@ an independent oracle for the LP machinery:
 * ``verify_macwilliams`` - the transform identity (linear codes) and the
                         transform inequality (any code), checked exactly
                         and reported as a ``krawtchouk.CheckReport``, one
-                        check per identity or inequality row.  A linear
-                        code's pair counts are |C|^l times its codeword
-                        counts, so only a nonlinear code counts pairs.  Each
-                        transform is one integer, a combination of the
-                        table's packed columns with digit width
+                        check per identity or inequality row.  Each code's
+                        profile has one transform s, one integer combining
+                        the table's packed columns with digit width
                         w = bits(2^(2 l n) big) + 2: the identity is one
                         compare, the inequality one AND (s + T) & T == T
-                        with T the top bit of every digit.  A failing
-                        transform is recounted with ``configs.row_sums``;
+                        with T the top bit of every digit, since a linear
+                        code's pair transform |C|^l s has the signs of s.
+                        A failing transform is recounted with
+                        ``configs.row_sums``;
 * ``build_fourier_lp`` - the unsymmetrized LP with one variable per
                         l-tuple of words and one character row per tuple,
                         for equivalence testing against the configuration
@@ -39,13 +39,12 @@ an independent oracle for the LP machinery:
                         (-1)^popcount(alpha & p).
 
 Codes are ``lp.CodeSet`` values.  Both searches pass one gate (ints n >= 1,
-d >= 0) and are memoized in-process keyed by (n, d) and their types.
+d >= 0) and keep no memo: a full ``krawlp verify`` repeats only (5, 3).
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 from typing import Iterator
 
 from .configs import _sd_entries, _subset_xors, config_index, row_sums, too_close
@@ -114,7 +113,6 @@ def _check_search_args(n: int, d: int) -> None:
         raise ParameterError(f"need n >= 1 and d >= 0, got n={n}, d={d}")
 
 
-@lru_cache(maxsize=None, typed=True)
 def max_code(n: int, d: int) -> tuple[int, CodeSet]:
     """Exact A_2(n, d) with one witness code, which contains the zero word."""
     _check_search_args(n, d)
@@ -175,7 +173,6 @@ def _span_has_distance(rows: tuple[int, ...], d: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None, typed=True)
 def max_linear_code(n: int, d: int) -> tuple[int, CodeSet]:
     """Exact A_2^Lin(n, d) with one witness code.
 
@@ -249,45 +246,43 @@ def verify_macwilliams(c: CodeSet, ell: int) -> CheckReport:
 
     For a linear code, the transform of its profile must equal |C|^l times
     the dual code's profile, entry by entry.  For any code, the transform
-    of the (pair-count) profile must be non-negative in every entry.  A
-    linear code's pair counts are |C|^l times its codeword-tuple counts, so
-    only a nonlinear code counts pairs.  The report counts one check per
-    identity row and per inequality row.
+    of the (pair-count) profile must be non-negative in every entry.  The
+    report counts one check per identity row and per inequality row.
 
-    A transform s is one linear combination of the table's packed columns
-    (``KrawtchoukTable.transform_packing``), its entry h the signed digit h
-    in base 2^w.  The width w = bits(2^(2 l n) big) + 2, with big the
-    table's largest |entry|, bounds every digit: the counts sum to at most
-    |C|^(2l) <= 2^(2 l n).  So the identity is one compare of s with the
-    packed dual profile, and the inequality holds in every row iff
-    (s + T) & T == T, T = sum_h 2^(w h + w - 1).  A transform that fails
-    is recounted with ``configs.row_sums`` to name each failing row.
+    The code's own profile (codeword-tuple counts if linear, else pair
+    counts) has one transform s, a linear combination of the table's
+    packed columns (``KrawtchoukTable.transform_packing``), its entry h
+    the signed digit h in base 2^w.  The width w = bits(2^(2 l n) big) + 2,
+    with big the table's largest |entry|, bounds every digit: the counts
+    sum to at most |C|^(2l) <= 2^(2 l n).  So the identity is one compare
+    of s with the packed dual profile.  A linear code's pair transform is
+    |C|^l s, whose digits have the signs of s's, so for every code the
+    inequality holds in every row iff (s + T) & T == T,
+    T = sum_h 2^(w h + w - 1).  A transform that fails is recounted with
+    ``configs.row_sums`` to name each failing row.
     """
     table = cached_table(c.n, ell)
     width, tops, columns = table.transform_packing
     index = config_index(c.n, ell)
+    prof = [(index[key], m) for key, m in code_census(c, ell, c.linear).items()]
+    s = sum(columns[g] * m for g, m in prof)
+    scale = c.size**ell if c.linear else 1
     violations = []
     if c.linear:
-        prof = [(index[key], m) for key, m in code_census(c, ell, linear=True).items()]
         dual_prof = {
             index[key]: m for key, m in code_census(dual_code(c), ell, linear=True).items()
         }
-        scale = c.size**ell
-        want = scale * sum(m << (width * h) for h, m in dual_prof.items())
-        if sum(columns[g] * m for g, m in prof) != want:
+        if s != scale * sum(m << (width * h) for h, m in dual_prof.items()):
             for h_idx, rhs in enumerate(row_sums(table.values, prof)):
                 lhs = scale * dual_prof.get(h_idx, 0)
                 if lhs != rhs:
                     violations.append(
                         f"identity at h={h_idx}: {lhs} != {rhs} (|C|={c.size}, l={ell})"
                     )
-        pair_prof = [(g, scale * m) for g, m in prof]
-    else:
-        pair_prof = [(index[key], m) for key, m in code_census(c, ell).items()]
-    if not digits_nonnegative(sum(columns[g] * m for g, m in pair_prof), tops):
-        for h_idx, s in enumerate(row_sums(table.values, pair_prof)):
-            if s < 0:
-                violations.append(f"inequality at h={h_idx}: transform {s} < 0")
+    if not digits_nonnegative(s, tops):
+        for h_idx, t in enumerate(row_sums(table.values, prof)):
+            if t < 0:
+                violations.append(f"inequality at h={h_idx}: transform {scale * t} < 0")
     checked = table.size * (2 if c.linear else 1)
     return CheckReport("macwilliams", checked, tuple(violations))
 

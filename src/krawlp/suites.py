@@ -30,7 +30,7 @@ from .configs import (
     sd_to_venn,
     venn_to_sd,
 )
-from .errors import ParameterError
+from .errors import ParameterError, require_int
 from .krawtchouk import (
     CheckReport,
     cached_table,
@@ -69,11 +69,10 @@ class SuiteResult:
 
 
 # ---------------------------------------------------------------------------
-# Shared exact LP values
+# Exact LP values
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None, typed=True)
 def delsarte_value(n: int, d: int) -> Fraction:
     return solve_exact(build_delsarte(n, d)).value
 
@@ -83,7 +82,6 @@ def hierarchy_value(n: int, d: int, ell: int, linear: bool) -> Fraction:
     return solve_exact(build_hierarchy_lp(n, d, ell, linear)).value
 
 
-@lru_cache(maxsize=None, typed=True)
 def fourier_value(n: int, d: int, ell: int, linear: bool) -> Fraction:
     return solve_exact(build_fourier_lp(n, d, ell, linear)).value
 
@@ -316,10 +314,19 @@ SUITES: dict[str, Callable[..., SuiteResult]] = {
 }
 
 
+def check_suite_args(names: list[str], n_cap: int | None, l_cap: int | None) -> None:
+    """The suites' gate: every name in ``SUITES``, each cap None or an int >= 1."""
+    for name in names:
+        if name not in SUITES:
+            raise ParameterError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    for cap, what in ((n_cap, "n_cap"), (l_cap, "l_cap")):
+        if cap is not None and require_int(cap, what) < 1:
+            raise ParameterError(f"need caps >= 1, got n_cap={n_cap}, l_cap={l_cap}")
+
+
 def run_suite(name: str, n_cap: int | None = None, l_cap: int | None = None) -> SuiteResult:
-    """Run one suite by name with wall-clock timing; caps must be >= 1."""
-    if any(cap is not None and cap < 1 for cap in (n_cap, l_cap)):
-        raise ParameterError(f"need caps >= 1, got n_cap={n_cap}, l_cap={l_cap}")
+    """Run one suite by name with wall-clock timing, after ``check_suite_args``."""
+    check_suite_args([name], n_cap, l_cap)
     fn = SUITES[name]
     start = time.perf_counter()
     result = fn(n_cap=n_cap, l_cap=l_cap)

@@ -38,7 +38,7 @@ from krawlp.lp import (
 )
 from krawlp.oracle import build_fourier_lp, max_code, max_linear_code
 from krawlp.simplex import root_value
-from krawlp.suites import hierarchy_value
+from krawlp.suites import hierarchy_value, run_suite
 
 L1, L2 = SDConfig((0, 1)), SDConfig((0, 1, 1, 0))
 # Three nonzero weights need n >= 2: at n = 1 the empty Venn cell would be -1/2.
@@ -139,6 +139,13 @@ CASES = [
     (lambda: build_delsarte(3, 5), ParameterError, r"1 <= d <= n\+1"),
     (lambda: forbidden_configs(3, 5, 1), ParameterError, r"0 <= d <= n\+1"),
     (lambda: root_value(4, 0), ParameterError, "root order must be >= 1"),
+    # The suites' one gate: a name in SUITES, caps exactly ints >= 1.
+    (lambda: run_suite("nope"), ParameterError, "unknown suite 'nope'; choose from"),
+    (lambda: run_suite("census", 2.5), InvalidInputError, "n_cap must be an int"),
+    (lambda: run_suite("census", None, 1.0), InvalidInputError, "l_cap must be an int"),
+    (lambda: run_suite("collapse", "3"), InvalidInputError, "n_cap must be an int"),
+    (lambda: run_suite("census", True), InvalidInputError, "n_cap must be an int"),
+    (lambda: run_suite("census", 0), ParameterError, "need caps >= 1, got n_cap=0"),
 ]
 
 
