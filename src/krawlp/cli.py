@@ -108,6 +108,8 @@ def cmd_krawtchouk(args) -> int:
 def _build_program(args):
     """The program the arguments name, and the record fields that name it."""
     if args.family == "delsarte":
+        if args.l != 1 or args.linear:
+            raise ParameterError("the delsarte family takes --l 1 and no --linear")
         lp = build_delsarte(args.n, args.d)
     elif args.family == "fourier":
         lp = build_fourier_lp(args.n, args.d, args.l, args.linear)

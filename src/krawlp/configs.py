@@ -36,8 +36,10 @@ level on its first use: a process compiles only the levels it uses
 Above ``MAX_SUBSET_ELL`` every conversion and census raises
 ``CapacityError`` before compiling anything.
 
+The two F_2 kernels of every linear code in ``oracle`` and ``lp``:
 ``_subset_xors`` turns words into their subset XORs (popcounts: sd entries;
-over a basis: its span).  ``tuple_census``, the one weighted count of word
+over a basis: its span), ``_basis`` reduces them to a basis (their rank is
+its length).  ``tuple_census``, the one weighted count of word
 tuples by sd entries, serves code profiles and the direct Krawtchouk sum.
 ``row_sums`` is the one sum of rows at a sparse point, each row read by
 ``_gather``: the LP certificates and the transform recounts use it.
@@ -352,6 +354,17 @@ def _subset_xors(words: Sequence[int]) -> list[int]:
     for w in words:
         xors += [x ^ w for x in xors]
     return xors
+
+
+def _basis(words: Iterable[int]) -> list[int]:
+    # Elimination over F_2: kept words have distinct top bits, cleared by min.
+    basis: list[int] = []
+    for cur in sorted(words):
+        for b in basis:
+            cur = min(cur, cur ^ b)
+        if cur:
+            basis.append(cur)
+    return basis
 
 
 def _sd_entries(words: Sequence[int]) -> tuple[int, ...]:

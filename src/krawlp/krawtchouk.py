@@ -60,13 +60,17 @@ sum it forms, so the digits stay exact for any table:
 then the table's level and cell budgets.  ``build_table`` runs it before
 any work, and ``krawlp table`` on its largest table before any solve.
 
-``load_table`` trusts a cache file through two identities.  Summed over
+``load_table`` trusts a cache file through three identities.  Summed over
 all h, K_h(g) is the character sum over every tuple y, so each column g
 sums to 2^(l n) [g = 0]; a single wrong entry breaks its column's sum.
 Orthogonality against the trivial row gives the weighted row sums
 sum_g |g| K_h(g) = 2^(l n) [h = 0]; a swap of two unequal entries of one
-column keeps the column sum but breaks both rows' weighted sums.  This
-check and both sweeps read ``KrawtchoukTable.orbit_sizes``, one per table.
+column keeps the column sum but breaks both rows' weighted sums.  Swapped
+rows, columns or labels keep both sums; the unit configuration e_J (one
+coordinate in cell J, n - 1 in cell 0, element J of the canonical order)
+ties them to their labels by its row K_{e_J}(g) = n - 2 sd_g(J) and its
+column n K_h(e_J) = |h| (n - 2 sd_h(J)).  This check and both sweeps read
+``KrawtchoukTable.orbit_sizes``, one per table.
 """
 
 from __future__ import annotations
@@ -489,8 +493,9 @@ def load_table(n: int, ell: int, cache_dir: str | Path) -> KrawtchoukTable | Non
     body included), another format version, another (n, l), an entry that
     is not an int (a float or a JSON boolean, which compare equal to ints),
     a table whose columns do not sum to 2^(l n) [g = 0], or one whose rows
-    weighted by the orbit sizes do not sum to 2^(l n) [h = 0] is a miss,
-    so the caller rebuilds the table and overwrites the file.
+    weighted by the orbit sizes do not sum to 2^(l n) [h = 0], or whose
+    unit rows and columns J = 1 .. 2^l - 1 break their closed forms is a
+    miss, so the caller rebuilds the table and overwrites the file.
     """
     path = table_cache_path(cache_dir, n, ell)
     if not path.is_file():
@@ -515,5 +520,12 @@ def load_table(n: int, ell: int, cache_dir: str | Path) -> KrawtchoukTable | Non
     if list(map(sum, zip(*table.values))) != want:
         return None
     sizes = table.orbit_sizes
-    weighted = [sum(map(mul, sizes, row)) for row in table.values]
-    return table if weighted == want else None
+    if [sum(map(mul, sizes, row)) for row in table.values] != want:
+        return None
+    configs = enumerate_configs(n, ell)
+    for j in range(1, 1 << ell):
+        unit = [n - 2 * g.entries[j] for g in configs]
+        column = [n * row[j] for row in table.values]
+        if list(table.values[j]) != unit or column != list(map(mul, sizes, unit)):
+            return None
+    return table

@@ -22,7 +22,8 @@ Coefficients are exact rationals: plain ints from the builders (the rows
 are integer character sums), ``Fraction``s from ``lp_from_json``.
 ``integer_form`` scales them to integers; only the exact simplex uses it,
 to build its tableau and objective.
-``CodeSet`` is the one code type.  ``code_census`` is the one count of a
+``CodeSet`` is the one code type, linear when |C| = 2^rank(C) (the rank
+from ``configs._basis``).  ``code_census`` is the one count of a
 code's l-tuples (``configs.tuple_census``), keyed by sd entries.  A code
 profile is that census by canonical config index (as in ``var_indices``)
 over one shared denominator: |C|^l for the general formula, 1 for the
@@ -44,6 +45,7 @@ from math import inf, lcm
 from typing import Iterable, Sequence
 
 from .configs import (
+    _basis,
     _gather,
     check_config_args,
     check_words,
@@ -226,7 +228,7 @@ def build_hierarchy_lp(n: int, d: int, ell: int, linear: bool) -> LinearProgram:
 
 @dataclass(frozen=True)
 class CodeSet:
-    """A nonempty set of n-bit words with a validated linearity flag."""
+    """A nonempty set of n-bit words; ``linear`` (its own span) iff |C| = 2^rank(C)."""
 
     words: frozenset[int]
     n: int
@@ -236,8 +238,7 @@ class CodeSet:
         if not self.words:
             raise InvalidInputError("code must be nonempty")
         check_words(self.words, self.n)
-        ws = self.words
-        closed = 0 in ws and all(a ^ b in ws for a, b in itertools.combinations(ws, 2))
+        closed = len(self.words) == 1 << len(_basis(self.words))
         object.__setattr__(self, "linear", closed)
 
     @property

@@ -13,10 +13,11 @@ an independent oracle for the LP machinery:
                         clique cover built one clique at a time by big-int
                         ANDs (Tomita & Seki 2003; San Segundo et al. 2011);
 * ``max_linear_code`` - exact A_2^Lin(n, d) by enumerating all reduced
-                        row-echelon generator matrices over F_2 and
-                        testing each span (the ``configs._subset_xors`` of
-                        its rows) for a nonzero word lighter than d;
-* ``dual_code``       - orthogonal complement of a linear code;
+                        row-echelon generator matrices over F_2 (for each
+                        pivot set, the product of its rows' choices, each
+                        from ``configs._subset_xors``) and testing each
+                        span for a nonzero word lighter than d;
+* ``dual_code``       - orthogonal complement of a linear code, by ``configs._basis``;
 * ``verify_macwilliams`` - the transform identity (linear codes) and the
                         transform inequality (any code), checked exactly
                         and reported as a ``krawtchouk.CheckReport``, one
@@ -38,8 +39,9 @@ an independent oracle for the LP machinery:
                         j-th n-bit block), so each character is
                         (-1)^popcount(alpha & p).
 
-Codes are ``lp.CodeSet`` values.  Both searches pass one gate (ints n >= 1,
-d >= 0) and keep no memo: a full ``krawlp verify`` repeats only (5, 3).
+Codes are ``lp.CodeSet`` values.  Both searches pass one gate, ints n >= 1 and
+d >= 0 (and n <= ``MAX_LINEAR_N`` for the linear one and ``iter_linear_codes``),
+and keep no memo: a full ``krawlp verify`` repeats only (5, 3).
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator
 
-from .configs import _sd_entries, _subset_xors, config_index, row_sums, too_close
+from .configs import _basis, _sd_entries, _subset_xors, config_index, row_sums, too_close
 from .errors import CapacityError, NotLinearError, ParameterError, SelfCheckError, require_int
 from .krawtchouk import CheckReport, cached_table, digits_nonnegative
 from .lp import CodeSet, LinearProgram, check_program_args, code_census, packing_lp
@@ -106,11 +108,13 @@ def _max_independent_set(adj: list[int]) -> tuple[int, int]:
     return best, best_mask
 
 
-def _check_search_args(n: int, d: int) -> None:
+def _check_search_args(n: int, d: int, linear: bool = False) -> None:
     require_int(n, "blocklength n")
     require_int(d, "distance d")
     if n < 1 or d < 0:
         raise ParameterError(f"need n >= 1 and d >= 0, got n={n}, d={d}")
+    if linear and n > MAX_LINEAR_N:
+        raise CapacityError(f"n={n} exceeds the enumeration budget n <= {MAX_LINEAR_N}")
 
 
 def max_code(n: int, d: int) -> tuple[int, CodeSet]:
@@ -140,31 +144,20 @@ def _iter_rref(n: int, k: int) -> Iterator[tuple[int, ...]]:
     # Every k-dimensional subspace of F_2^n has a unique RREF generator
     # matrix: pivot columns strictly increasing, pivot entries 1, zeros
     # above/below pivots, free entries only right of each row's pivot in
-    # non-pivot columns.
+    # non-pivot columns, chosen by each row independently.  Row 0 varies
+    # fastest, and each row's subsets go in binary counting order.
     for pivots in itertools.combinations(range(n), k):
-        pivot_set = set(pivots)
-        free = [
-            [c for c in range(pivots[i] + 1, n) if c not in pivot_set]
-            for i in range(k)
+        free = [c for c in range(n) if c not in pivots]
+        choices = [
+            [(1 << p) | s for s in _subset_xors([1 << c for c in free if c > p])]
+            for p in reversed(pivots)
         ]
-        counts = [len(f) for f in free]
-        total_free = sum(counts)
-        for assignment in range(1 << total_free):
-            rows = []
-            shift = 0
-            for i in range(k):
-                row = 1 << pivots[i]
-                for c in free[i]:
-                    if (assignment >> shift) & 1:
-                        row |= 1 << c
-                    shift += 1
-                rows.append(row)
-            yield tuple(rows)
+        for rows in itertools.product(*choices):
+            yield rows[::-1]
 
 
 def _span_has_distance(rows: tuple[int, ...], d: int) -> bool:
-    # Gray-code walk over all nonzero combinations; stops at the first
-    # one lighter than d.
+    # Gray-code walk over the nonzero combinations, up to the first one lighter than d.
     cur = 0
     for i in range(1, 1 << len(rows)):
         cur ^= rows[(i & -i).bit_length() - 1]
@@ -180,21 +173,14 @@ def max_linear_code(n: int, d: int) -> tuple[int, CodeSet]:
     after all its generator matrices failed, and then no larger dimension
     can succeed (subspaces of a distance-d code keep distance d).
     """
-    _check_search_args(n, d)
-    if n > MAX_LINEAR_N:
-        raise CapacityError(f"n={n} exceeds the enumeration budget n <= {MAX_LINEAR_N}")
-    best_words = frozenset({0})
-    best_k = 0
+    _check_search_args(n, d, linear=True)
+    best: tuple[int, ...] = ()  # the empty matrix spans the zero code
     for k in range(1, n + 1):
-        found = None
-        for rows in _iter_rref(n, k):
-            if _span_has_distance(rows, d):
-                found = rows
-                break
+        found = next((rows for rows in _iter_rref(n, k) if _span_has_distance(rows, d)), None)
         if found is None:
             break
-        best_k, best_words = k, frozenset(_subset_xors(found))
-    return 1 << best_k, CodeSet(best_words, n)
+        best = found
+    return 1 << len(best), CodeSet(frozenset(_subset_xors(best)), n)
 
 
 # ---------------------------------------------------------------------------
@@ -202,36 +188,22 @@ def max_linear_code(n: int, d: int) -> tuple[int, CodeSet]:
 # ---------------------------------------------------------------------------
 
 
-def _gauss_basis(words: frozenset[int]) -> list[int]:
-    basis: list[int] = []
-    for w in sorted(words):
-        cur = w
-        for b in basis:
-            cur = min(cur, cur ^ b)
-        if cur:
-            basis.append(cur)
-    return basis
-
-
 def dual_code(c: CodeSet) -> CodeSet:
     """All words orthogonal (even overlap) to every codeword."""
     if not c.linear:
         raise NotLinearError("dual codes are defined for linear codes")
-    basis = _gauss_basis(c.words)
-    dual = frozenset(
-        x
-        for x in range(1 << c.n)
-        if all(((x & b).bit_count() & 1) == 0 for b in basis)
-    )
+    basis = _basis(c.words)
+    dual = frozenset(x for x in range(1 << c.n) if not any((x & b).bit_count() & 1 for b in basis))
     if len(c.words) * len(dual) != 1 << c.n:
         raise SelfCheckError("dual size identity |C| * |C^perp| = 2^n failed")
     return CodeSet(dual, c.n)
 
 
 def iter_linear_codes(n: int) -> Iterator[CodeSet]:
-    """All linear codes in F_2^n, the zero code included."""
-    yield CodeSet(frozenset({0}), n)
-    for k in range(1, n + 1):
+    """All linear codes in F_2^n by dimension (the zero code first), each
+    dimension in RREF order; the gate of ``max_linear_code`` runs first."""
+    _check_search_args(n, 0, linear=True)
+    for k in range(n + 1):
         for rows in _iter_rref(n, k):
             yield CodeSet(frozenset(_subset_xors(rows)), n)
 

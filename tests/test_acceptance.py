@@ -69,20 +69,14 @@ def _run_child(args: list[str]) -> subprocess.CompletedProcess:
     )
 
 
-def test_verify_cli_composite_run():
-    # the documented composite run: every suite at the n=4, l=2 caps
-    proc = _run_child(["-m", "krawlp.cli", "verify", "--n", "4", "--l", "2"])
-    print(proc.stdout)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.count('"passed":true') == len(SUITES)
-
-
-# Prints the hits of every lru_cache a krawlp module defines, after the
-# composite run in the same process.
-CACHE_TRAFFIC = """
+# The documented composite run, every suite at the n=4, l=2 caps, in one
+# child process.  It prints the run's exit code, its stdout records and the
+# hits of every lru_cache a krawlp module defines, and exits with the code.
+COMPOSITE_RUN = """
 import contextlib, importlib, io, json, pkgutil
 import krawlp, krawlp.cli
-with contextlib.redirect_stdout(io.StringIO()):
+records = io.StringIO()
+with contextlib.redirect_stdout(records):
     code = krawlp.cli.main(["verify", "--n", "4", "--l", "2"])
 hits = {}
 for info in pkgutil.iter_modules(krawlp.__path__):
@@ -90,16 +84,19 @@ for info in pkgutil.iter_modules(krawlp.__path__):
     for name, value in vars(module).items():
         if hasattr(value, "cache_info") and value.__module__ == module.__name__:
             hits[module.__name__ + "." + name] = value.cache_info().hits
-print(json.dumps({"code": code, "hits": hits}))
+print(json.dumps({"code": code, "records": records.getvalue(), "hits": hits}))
+raise SystemExit(code)
 """
 
 
-def test_every_memo_is_hit_in_the_composite_run():
-    # A memo that no run asks twice only holds its results alive: each
-    # lru_cache in krawlp must serve at least one repeated call.
-    proc = _run_child(["-c", CACHE_TRAFFIC])
+def test_verify_cli_composite_run():
+    proc = _run_child(["-c", COMPOSITE_RUN])
+    print(proc.stdout)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     record = json.loads(proc.stdout)
     assert record["code"] == 0
+    assert record["records"].count('"passed":true') == len(SUITES)
+    # A memo that no run asks twice only holds its results alive: each
+    # lru_cache in krawlp must serve at least one repeated call.
     assert record["hits"], "no lru_cache found"
     assert all(record["hits"].values()), record["hits"]

@@ -273,6 +273,33 @@ def test_parameter_and_capacity_exit_codes(capsys):
     assert "budget" in out.err
 
 
+DELSARTE = ["--family", "delsarte", "--n", "3", "--d", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", *DELSARTE, "--l", "3", "--linear"],
+        ["solve", *DELSARTE, "--linear"],
+        ["build-lp", *DELSARTE, "--l", "0"],
+        ["build-lp", *DELSARTE, "--l", "2"],
+    ],
+)
+def test_delsarte_refuses_a_level_or_flag_it_cannot_use(capsys, argv):
+    code, records, out = _run(capsys, argv)
+    assert code == 2
+    assert records == [] and out.out == ""
+    assert out.err.startswith("error: ") and len(out.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("extra", [[], ["--l", "1"], ["--general"]])
+def test_delsarte_takes_level_one_and_the_default_flag(capsys, extra):
+    # --general is the parser's default, so it cannot be told from no flag.
+    code, records, _ = _run(capsys, ["solve", *DELSARTE, *extra])
+    assert code == 0
+    assert (records[0]["l"], records[0]["linear"], records[0]["value"]) == (1, None, "4")
+
+
 def test_table_refuses_an_over_budget_grid_before_solving(monkeypatch, capsys):
     def no_solve(*args):
         raise AssertionError("a program solved before the budget check")

@@ -507,6 +507,26 @@ def _payload(table, **changes):
     return payload
 
 
+def _swapped(values, axes, a, b):
+    # The values with rows a and b swapped ("rows"), columns a and b
+    # ("columns"), or both ("labels"), as lists.
+    rows = [list(r) for r in values]
+    if axes in ("rows", "labels"):
+        rows[a], rows[b] = rows[b], rows[a]
+    if axes in ("columns", "labels"):
+        for r in rows:
+            r[a], r[b] = r[b], r[a]
+    return rows
+
+
+# Swaps at (3, 2) that keep both sums, as (axes, a, b).
+SWAPS = {
+    "rows-swapped": ("rows", 4, 5),
+    "columns-swapped": ("columns", 4, 7),
+    "labels-swapped": ("labels", 4, 7),
+}
+
+
 def _corrupt(kind, path):
     table = build_table(3, 2)
     if kind == "all-7s":
@@ -533,6 +553,10 @@ def _corrupt(kind, path):
         values = [list(r) for r in table.values]
         values[1] = [values[1][0]] + [v + 1 for v in values[1][1:]]
         _write_cache(path, _payload(table, values=values))
+    elif kind in SWAPS:
+        # whole rows, whole columns or both axes of two configurations
+        # swapped: every column sum and weighted row sum is kept
+        _write_cache(path, _payload(table, values=_swapped(table.values, *SWAPS[kind])))
     elif kind == "float-values":
         # 1.0 == 1, so only a type check tells these from a true table
         _write_cache(path, _payload(table, values=[[float(v) for v in r] for r in table.values]))
@@ -577,6 +601,9 @@ CORRUPTIONS = [
     "row-0",
     "column-0",
     "row-off",
+    "rows-swapped",
+    "columns-swapped",
+    "labels-swapped",
     "off-sample",
     "diagonal",
     "float-values",
@@ -626,6 +653,31 @@ def test_load_misses_every_swap_within_a_column(tmp_path):
             assert load_table(2, 2, tmp_path) is None, (a, b, g)
             swaps += 1
     assert swaps > 0
+
+
+@pytest.mark.parametrize("n,ell", [(2, 2), (4, 1)])
+def test_load_misses_every_row_column_and_label_swap(tmp_path, n, ell):
+    # Swaps keep every sum; the unit rows and columns catch them.
+    table = build_table(n, ell)
+    swaps = 0
+    for axes in ("rows", "columns", "labels"):
+        for a, b in itertools.combinations(range(table.size), 2):
+            values = _swapped(table.values, axes, a, b)
+            if values == [list(r) for r in table.values]:
+                continue
+            save_table(KrawtchoukTable(n, ell, tuple(map(tuple, values))), tmp_path)
+            assert load_table(n, ell, tmp_path) is None, (axes, a, b)
+            swaps += 1
+    assert swaps > 0
+
+
+def test_unit_configurations_follow_the_trivial_one():
+    # load_table reads e_J (one coordinate in cell J, the rest in cell 0)
+    # as element J of the canonical order.
+    for n, ell in [(1, 1), (1, 3), (2, 2), (5, 2), (6, 3), (3, 4)]:
+        configs = enumerate_configs(n, ell)
+        for j in range(1, 1 << ell):
+            assert configs[j].entries == tuple((t & j).bit_count() & 1 for t in range(1 << ell))
 
 
 def test_representative_is_valid_for_eval():

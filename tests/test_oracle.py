@@ -1,6 +1,7 @@
 """Brute-force oracles: exact code sizes, duals, transforms, word-tuple LP."""
 
 import functools
+import hashlib
 import itertools
 import json
 import operator
@@ -36,6 +37,18 @@ def test_codeset_linearity_flag():
     assert CodeSet(frozenset({0, 3}), 2).linear
     assert not CodeSet(frozenset({1, 3}), 2).linear
     assert CodeSet(frozenset({0}), 4).linear
+
+
+def _closed_pairwise(words):
+    # Reference: 0 is a word and every pairwise XOR is one.
+    return 0 in words and all(a ^ b in words for a, b in itertools.combinations(words, 2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_linearity_by_rank_matches_the_pairwise_closure(n):
+    for mask in range(1, 1 << (1 << n)):
+        words = frozenset(w for w in range(1 << n) if (mask >> w) & 1)
+        assert CodeSet(words, n).linear == _closed_pairwise(words), sorted(words)
 
 
 def test_codeset_min_distance():
@@ -238,6 +251,30 @@ def test_dual_examples():
     assert dual_code(CodeSet(frozenset({0}), 3)).size == 8
     even = CodeSet(frozenset({0b000, 0b011, 0b101, 0b110}), 3)
     assert sorted(dual_code(even).words) == [0, 7]
+
+
+# SHA-256 of repr([sorted(c.words) for c in iter_linear_codes(n)]).  The
+# order decides the witnesses of ``krawlp oracle --linear``, so it is pinned.
+LINEAR_CODE_DIGESTS = {
+    1: "32509c3225e16d1e7baf9c44c353997d662ca93226079f6283d0183006fe0293",
+    2: "d526c6df79dea7918dff94960dc8bcd3c31e92a2bd1b3a91c96148c4468ccffe",
+    3: "e8cbd0cd6be0070be8f59008d50b372f1c7cdaaec36ea4f6ac787dd1553d9a67",
+    4: "b9808b9e4ff7ebd48d01ea992e0df0c958a9924cda2e37963bd8d71cf317015a",
+    5: "a6513532f9ff0f7fe6e68bfc3fe47b1aba7ac1f2c37282724203de3f6caaa65e",
+}
+
+
+@pytest.mark.parametrize("n", sorted(LINEAR_CODE_DIGESTS))
+def test_linear_code_enumeration_order_is_pinned(n):
+    codes = [sorted(c.words) for c in iter_linear_codes(n)]
+    assert hashlib.sha256(repr(codes).encode()).hexdigest() == LINEAR_CODE_DIGESTS[n]
+
+
+def test_linear_code_counts():
+    # The number of subspaces of F_2^n, each yielded once.
+    counts = [len({c.words for c in iter_linear_codes(n)}) for n in range(1, 7)]
+    assert counts == [2, 5, 16, 67, 374, 2825]
+    assert all(c.linear for c in iter_linear_codes(4))
 
 
 def test_dual_rejects_nonlinear():

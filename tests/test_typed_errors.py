@@ -19,7 +19,7 @@ from krawlp.configs import (
     sd_to_venn,
     tuple_census,
 )
-from krawlp.errors import InvalidInputError, NotAConfigurationError, ParameterError
+from krawlp.errors import CapacityError, InvalidInputError, NotAConfigurationError, ParameterError
 from krawlp.krawtchouk import (
     KrawtchoukTable,
     cached_table,
@@ -36,7 +36,7 @@ from krawlp.lp import (
     check_program_args,
     profile_of_code,
 )
-from krawlp.oracle import build_fourier_lp, max_code, max_linear_code
+from krawlp.oracle import build_fourier_lp, iter_linear_codes, max_code, max_linear_code
 from krawlp.simplex import root_value
 from krawlp.suites import hierarchy_value, run_suite
 
@@ -103,6 +103,10 @@ CASES = [
     (lambda: max_code(0, 1), ParameterError, "n >= 1"),
     (lambda: max_linear_code(3, -1), ParameterError, "d >= 0"),
     (lambda: max_linear_code(0, 1), ParameterError, "n >= 1"),
+    # The linear enumeration passes max_linear_code's gate before its first code.
+    (lambda: next(iter_linear_codes(11)), CapacityError, "enumeration budget n <= 10"),
+    (lambda: next(iter_linear_codes(0)), ParameterError, "n >= 1"),
+    (lambda: next(iter_linear_codes(1.5)), InvalidInputError, "must be an int"),
     # A float or bool n, d or l stops at its function's typed gate.
     (lambda: max_code(2.5, 3), InvalidInputError, "must be an int"),
     (lambda: max_code(3, True), InvalidInputError, "must be an int"),
