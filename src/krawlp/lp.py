@@ -19,7 +19,9 @@ generated for every character, including those of eliminated points,
 because they still constrain the surviving variables.
 
 Coefficients are exact rationals: plain ints from the builders (the rows
-are integer character sums), ``Fraction``s from ``lp_from_json``.
+are integer character sums), ``Fraction``s from ``lp_from_json``, which
+reads a number only from a string or an int.  ``LinearProgram`` refuses
+a number of any type but int and ``Fraction`` (a float, a bool).
 ``integer_form`` scales them to integers; only the exact simplex uses it,
 to build its tableau and objective.
 ``CodeSet`` is the one code type, linear when |C| = 2^rank(C) (the rank
@@ -114,7 +116,7 @@ class LinearProgram:
     ``a_<index>`` so exports are deterministic.  Only parameters a builder
     can produce are accepted: n, l and d in ``check_program_args``'s range,
     l = 1 and ``linear`` None for a delsarte program, a bool ``linear``
-    otherwise.
+    otherwise, and an int or ``Fraction`` for every number.
     """
 
     kind: str  # "delsarte" | "krawtchouk" | "fourier"
@@ -151,6 +153,10 @@ class LinearProgram:
         for row in self.rows:
             if len(row.coeffs) != nv:
                 raise InvalidInputError(f"row {row.name} length does not match variables")
+        kinds = set(map(type, _numbers(self))) - {int, Fraction}
+        if kinds:
+            names = sorted(k.__name__ for k in kinds)
+            raise InvalidInputError(f"program numbers must be ints or Fractions, got {names}")
 
     @property
     def num_vars(self) -> int:
@@ -159,6 +165,13 @@ class LinearProgram:
     @property
     def variable_names(self) -> tuple[str, ...]:
         return tuple(f"a_{i}" for i in self.var_indices)
+
+
+def _numbers(lp: LinearProgram) -> Iterable[Rational]:
+    # Every objective entry, coefficient and rhs of a program.
+    return itertools.chain(
+        lp.objective, *(row.coeffs for row in lp.rows), (row.rhs for row in lp.rows)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +282,7 @@ class CodeProfile:
     """Configuration profile of a concrete code.
 
     ``counts`` maps canonical configuration indices (positions in
-    ``enumerate_configs(n, ell)``) to integer tuple counts, zero counts
+    ``enumerate_configs(n, ell)``) to int tuple counts, zero counts
     omitted; the profile mass of a configuration is its count over
     ``denom``.  The general-code formula counts pairs of l-tuples, with
     ``denom`` = |C|^l; the span formula for linear codes counts tuples of
@@ -291,6 +304,8 @@ class CodeProfile:
         count = config_count(self.n, self.ell)
         if not all(type(k) is int and 0 <= k < count for k in self.counts):
             raise InvalidInputError(f"profile keys must be config indices 0..{count - 1}")
+        if not all(type(c) is int for c in self.counts.values()):
+            raise InvalidInputError("profile counts must be ints")
 
     def objective_value(self) -> Fraction:
         return Fraction(sum(self.counts.values()), self.denom)
@@ -468,6 +483,14 @@ def lp_to_json(lp: LinearProgram) -> str:
     return canonical_json(payload)
 
 
+def _read_number(value: object) -> Fraction:
+    # ``lp_to_json`` writes every number as a string; an int is exact too.
+    # A JSON float or bool is not read as a number.
+    if type(value) not in (str, int):
+        raise InvalidInputError(f"LP numbers must be strings or ints, got {value!r}")
+    return Fraction(value)
+
+
 def lp_from_json(text: str) -> LinearProgram:
     with parsing("LP JSON"):
         data = json.loads(text)
@@ -476,9 +499,9 @@ def lp_from_json(text: str) -> LinearProgram:
         rows = tuple(
             LPRow(
                 r["name"],
-                tuple(Fraction(c) for c in require_list(r["coeffs"], "coeffs")),
+                tuple(map(_read_number, require_list(r["coeffs"], "coeffs"))),
                 r["relation"],
-                Fraction(r["rhs"]),
+                _read_number(r["rhs"]),
             )
             for r in require_list(data["rows"], "rows")
         )
@@ -492,7 +515,7 @@ def lp_from_json(text: str) -> LinearProgram:
                 require_int(i, "variable index", 0)
                 for i in require_list(data["var_indices"], "var_indices")
             ),
-            objective=tuple(Fraction(c) for c in require_list(data["objective"], "objective")),
+            objective=tuple(map(_read_number, require_list(data["objective"], "objective"))),
             rows=rows,
         )
 
@@ -522,10 +545,7 @@ def _to_lp_text(lp: LinearProgram) -> str:
         body.append(f" 0 <= {name}")
     body.append("End")
     # exact-decimals: every value is an integer or a float that round-trips to it.
-    values = itertools.chain(
-        lp.objective, *(row.coeffs for row in lp.rows), (row.rhs for row in lp.rows)
-    )
-    exact = all(x.denominator == 1 or Fraction(float(x)) == x for x in values)
+    exact = all(x.denominator == 1 or Fraction(float(x)) == x for x in _numbers(lp))
     flag = {True: "linear", False: "general", None: "-"}[lp.linear]
     header = [
         f"\\ {lp.kind} n={lp.n} d={lp.d} l={lp.ell} flag={flag}",

@@ -7,22 +7,21 @@ update is an exact integer division (Bareiss elimination), so no
 `fractions.Fraction` is formed while pivoting.  The columns are the
 program's variables, then its slacks and artificials; the tableau stores
 only the nonbasic ones, one slot each, since a basic column is den times
-a unit vector (integer pivoting as in Avis's ``lrs``).  Each row of the
-program is one tableau row, made rhs >= 0 by a sign; there is no other
-presolve.  Rows ``>= 0`` are negated to ``<= 0``, so their slacks start
-basic and phase 1 needs artificials only for ``=`` rows and for ``>=``
-rows with a positive rhs.
-The pivot rule is largest-coefficient for a bounded number of pivots, then
-Bland's rule, so termination is guaranteed; both choose by column label,
-never by slot.  ``integer_form`` serves only to build the tableau and the
-objective.  This module only pivots and reads x and y; ``lp`` states
-what certifies them.  Every optimal answer passes ``lp.check_point`` on x
-and ``lp.check_dual`` on y, both exact against the program's own rows,
-with equal objectives.  Each row's dual value is read one way: the final
-reduced cost of the row's starting basic column (its ``<=`` slack or its
-artificial; 0 if that column ends basic), times the row's sign and
-integer scale.  A failed check raises instead of returning a wrong
-answer.
+a unit vector (integer pivoting as in Avis's ``lrs``).  One pass over
+the program's rows builds the tableau, each row made rhs >= 0 by a sign
+folded into its integer scale, so a ``>= 0`` row becomes ``<= 0`` with
+its slack basic; there is no other presolve.  One pricing loop serves
+both pivot rules: largest coefficient for a bounded number of pivots,
+then Bland's rule, so termination is guaranteed; both choose by column
+label, never by slot.  ``integer_form`` serves only to build the tableau
+and the objective.  This module only pivots and reads x and y; ``lp``
+states what certifies them.  Every optimal answer passes
+``lp.check_point`` on x and ``lp.check_dual`` on y, both exact against
+the program's own rows, with equal objectives.  Each row's dual value is
+read one way: the final reduced cost of the row's starting basic column
+(its ``<=`` slack or its artificial; 0 if that column ends basic), times
+the row's signed integer scale.  A failed check raises instead of
+returning a wrong answer.
 
 The floating-point path wraps scipy's HiGHS solver and is only a fast
 screen; its results carry ``exact=False`` and are never used alone to
@@ -31,7 +30,6 @@ decide an identity.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -168,18 +166,19 @@ def _run_phase(tab, obj, ncols):
     # never by slot, so ties break as on the full tableau.
     nonbasic = tab.nonbasic
     while True:
+        # Largest coefficient first; after DANTZIG_PIVOTS pivots every
+        # negative cost counts as -1, so the tie-break alone decides:
+        # Bland's rule.
+        bland = tab.pivots >= DANTZIG_PIVOTS
         enter = -1
-        label = ncols
-        if tab.pivots < DANTZIG_PIVOTS:
-            best = 0
-            for k, j in enumerate(nonbasic):
-                o = obj[k]
-                if o < 0 and j < ncols and (o < best or (o == best and j < label)):
+        best, label = 0, ncols
+        for k, j in enumerate(nonbasic):
+            o = obj[k]
+            if o < 0 and j < ncols:
+                if bland:
+                    o = -1
+                if o < best or (o == best and j < label):
                     best, label, enter = o, j, k
-        else:
-            for k, j in enumerate(nonbasic):
-                if j < label and obj[k] < 0:
-                    label, enter = j, k
         if enter < 0:
             return "optimal"
         leave = -1
@@ -208,22 +207,24 @@ def solve_exact(lp: LinearProgram) -> SolveResult:
     The columns are the program's variables, then one slack or surplus
     per inequality, then one artificial per ``=`` row and per ``>=`` row
     left after each row of ``lp.rows`` is normalized to a non-negative
-    rhs by a sign.  A ``>=`` row with rhs 0 is negated into a ``<= 0``
-    row, so its slack starts basic and feasible; phase 1 runs only if an
-    ``=`` row or a ``>=`` row with positive rhs remains.  There is no
-    other presolve.  Each row goes through ``integer_form`` straight into
-    a condensed integer tableau that stores only the nonbasic columns,
-    with one common denominator (see ``_Tableau``), so no ``Fraction`` is
-    formed until the optimum is read off.  The reported pivot count
-    covers both phases.
+    rhs.  Each row is read once: ``integer_form`` scales it to integers,
+    and a negative rhs or a ``>= 0`` row negates it, the sign folded into
+    its scale, so a ``>= 0`` row becomes ``<= 0`` with its slack basic
+    and feasible.  There is no other presolve.  The rows form a condensed
+    integer tableau that stores only the nonbasic columns, with one
+    common denominator (see ``_Tableau``), so no ``Fraction`` is formed
+    until the optimum is read off.  Phase 1 runs on every program (with
+    no artificial it makes no pivot), and the reported pivot count covers
+    both phases.
 
     The pivot rule is fixed and chooses by column label: largest
     coefficient (ties to the smallest label) for the first
-    ``DANTZIG_PIVOTS`` pivots, then Bland's rule.  More than
+    ``DANTZIG_PIVOTS`` pivots, then Bland's rule, in one loop that
+    afterwards counts every negative reduced cost as -1.  More than
     ``MAX_PIVOTS`` pivots over both phases raise ``IterationLimitError``.
     Every row starts with one +1 basic column, its ``<=`` slack or its
     artificial; the dual value of the row is the final reduced cost of
-    that column (0 if it ends basic) times the row's sign and integer
+    that column (0 if it ends basic) times the row's signed integer
     scale.  The certificate is ``check_point`` on the primal point, over
     the tableau denominator ``den``, and ``check_dual`` on the dual, over
     ``den * L`` with L the objective's integer scale; both read
@@ -232,65 +233,58 @@ def solve_exact(lp: LinearProgram) -> SolveResult:
     """
     nv = lp.num_vars
 
-    # Normalize each row to b >= 0 by a sign (flip >= to <= and vice versa
-    # when negating); a ">= 0" row becomes "<= 0" so its slack is feasible.
-    signs = []
-    rels = []
-    for row in lp.rows:
-        rel = row.relation
-        sign = -1 if row.rhs < 0 or (row.rhs == 0 and rel == ">=") else 1
-        signs.append(sign)
-        rels.append(rel if sign > 0 else {">=": "<=", "<=": ">=", "=": "="}[rel])
-
-    # Column labels: variables | slack/surplus (one per inequality) |
-    # artificial (one per "=" and ">=" row).  Each row's +1 column (its
-    # "<=" slack or its artificial) starts basic, so the starting slots
-    # are the variables and the -1 surplus columns of ">=" rows.
-    art_start = nv + sum(rel != "=" for rel in rels)
-    ncols = art_start + sum(rel != "<=" for rel in rels)
+    # One pass over the rows (see above).  Column labels: variables |
+    # slack/surplus (one per inequality) | artificial (one per "=" and
+    # ">=" row), each in row order.  Each row's +1 column (its "<=" slack
+    # or its artificial) starts basic, so the starting slots are the
+    # variables and the -1 surplus columns of ">=" rows.
+    art_start = nv + sum(row.relation != "=" for row in lp.rows)
     slack, art = nv, art_start
-    scale = []  # each row times its integer scale, rhs included, is integer
+    scale = []  # each row times its signed integer scale, rhs included, is integer
     T = []
     unit = []
-    surplus = []  # (row, label) of each -1 surplus column
-    for i, (row, sign, rel) in enumerate(zip(lp.rows, signs, rels)):
+    surplus = []  # row of each -1 surplus column, in slot order
+    nonbasic = list(range(nv))
+    for i, row in enumerate(lp.rows):
         ints, s = integer_form(row.coeffs + (row.rhs,))
-        scale.append(s)
-        T.append([sign * a for a in ints])
+        rel = row.relation
+        if ints[-1] < 0 or (ints[-1] == 0 and rel == ">="):
+            ints, s = [-a for a in ints], -s
+            rel = {">=": "<=", "<=": ">=", "=": "="}[rel]
         if rel == ">=":
-            surplus.append((i, slack))
+            surplus.append(i)
+            nonbasic.append(slack)
         if rel != "=":
             slack += 1
         if rel != "<=":
             art += 1
         unit.append(slack - 1 if rel == "<=" else art - 1)
-    for trow in T:
-        trow[nv:nv] = [0] * len(surplus)
-    for k, (i, _) in enumerate(surplus):
-        T[i][nv + k] = -1
-    tab = _Tableau(T, list(unit), list(range(nv)) + [label for _, label in surplus])
+        scale.append(s)
+        T.append(ints)
+    ncols = art
+    T = [t[:-1] + [-1 if k == i else 0 for k in surplus] + t[-1:] for i, t in enumerate(T)]
+    tab = _Tableau(T, list(unit), nonbasic)
 
     # Phase 1: drive the artificials to zero, then pivot each zero-level
     # artificial out on a non-artificial entry of its row, the one with
     # the smallest label.  One whose row has none stays basic: that row is
     # zero in every column phase 2 may pivot on, so it never leaves the
-    # basis and adds 0 to the objective.
-    if art_start < ncols:
-        cost1 = [0] * art_start + [-1] * (ncols - art_start)
-        status = _run_phase(tab, _objective_row(tab, cost1), ncols)
-        if status != "optimal":
-            raise SelfCheckError("phase 1 cannot be unbounded")
-        if any(row[-1] for row, bi in zip(tab.rows, tab.basis) if bi >= art_start):
-            return SolveResult("infeasible", None, None, tab.pivots, True)
-        for i, bi in enumerate(tab.basis):
-            if bi >= art_start:
-                row = tab.rows[i]
-                target = min(
-                    ((j, k) for k, j in enumerate(tab.nonbasic) if j < art_start and row[k]),
-                    default=None,
-                )
-                if target is not None:
-                    tab.pivot(i, target[1])
+    # basis and adds 0 to the objective.  With no artificials every cost
+    # is 0, and phase 1 ends at once.
+    cost1 = [0] * art_start + [-1] * (ncols - art_start)
+    if _run_phase(tab, _objective_row(tab, cost1), ncols) != "optimal":
+        raise SelfCheckError("phase 1 cannot be unbounded")
+    if any(row[-1] for row, bi in zip(tab.rows, tab.basis) if bi >= art_start):
+        return SolveResult("infeasible", None, None, tab.pivots, True)
+    for i, bi in enumerate(tab.basis):
+        if bi >= art_start:
+            row = tab.rows[i]
+            target = min(
+                ((j, k) for k, j in enumerate(tab.nonbasic) if j < art_start and row[k]),
+                default=None,
+            )
+            if target is not None:
+                tab.pivot(i, target[1])
 
     # Phase 2 on the real objective, scaled by L to integers; artificial
     # columns may not re-enter.
@@ -301,8 +295,8 @@ def solve_exact(lp: LinearProgram) -> SolveResult:
         return SolveResult("unbounded", None, None, tab.pivots, True)
 
     # Certificate: x = xnum / den, and y = ynum / (den * L) from the final
-    # reduced cost of each row's +1 column (0 while basic), rescaled by
-    # the row's integer scale and signed back to the row as lp.rows
+    # reduced cost of each row's +1 column (0 while basic), times the
+    # row's signed scale, which reads it back on the row as lp.rows
     # states it.
     den = tab.den
     xnum = [0] * nv
@@ -310,10 +304,7 @@ def solve_exact(lp: LinearProgram) -> SolveResult:
         if bi < nv:
             xnum[bi] = row[-1]
     slot = {j: k for k, j in enumerate(tab.nonbasic)}
-    ynum = [
-        sign * obj2[slot[u]] * s if u in slot else 0
-        for sign, u, s in zip(signs, unit, scale)
-    ]
+    ynum = [obj2[slot[u]] * s if u in slot else 0 for u, s in zip(unit, scale)]
     point = check_point(lp, [(j, v) for j, v in enumerate(xnum) if v], den)
     if not point.feasible:
         raise SelfCheckError(f"optimal point violates {point.detail}")
@@ -386,8 +377,6 @@ def _int_nthroot(x: int, k: int) -> int:
     """Floor k-th root of a non-negative integer, k >= 2."""
     if x == 0:
         return 0
-    if k == 2:
-        return math.isqrt(x)
     r = 1 << (x.bit_length() // k + 1)
     while True:
         nr = ((k - 1) * r + x // r ** (k - 1)) // k

@@ -396,6 +396,16 @@ def test_json_roundtrip_identity():
         assert lp_to_json(again) == text
 
 
+def test_lp_json_reads_int_numbers():
+    # lp_to_json writes strings; a plain JSON int is read as the same number.
+    data = json.loads(lp_to_json(build_delsarte(2, 2)))
+    data["objective"] = [int(c) for c in data["objective"]]
+    for row in data["rows"]:
+        row["coeffs"] = [int(c) for c in row["coeffs"]]
+        row["rhs"] = int(row["rhs"])
+    assert lp_from_json(json.dumps(data)) == build_delsarte(2, 2)
+
+
 def _malformed_lp_json(edit):
     data = json.loads(lp_to_json(build_delsarte(1, 1)))
     edit(data)
@@ -431,6 +441,11 @@ def _malformed_lp_json(edit):
         _malformed_lp_json(lambda data: data["rows"][1].__setitem__("coeffs", "10")),
         _malformed_lp_json(lambda data: data.__setitem__("rows", {})),
         _malformed_lp_json(lambda data: data.__setitem__("var_indices", "01")),
+        _malformed_lp_json(lambda data: data["rows"][1]["coeffs"].__setitem__(0, 0.1)),
+        _malformed_lp_json(lambda data: data["rows"][1]["coeffs"].__setitem__(0, True)),
+        _malformed_lp_json(lambda data: data["rows"][0].__setitem__("rhs", 1.0)),
+        _malformed_lp_json(lambda data: data["objective"].__setitem__(0, 1.5)),
+        _malformed_lp_json(lambda data: data["objective"].__setitem__(0, False)),
         "{",
     ],
     ids=[
@@ -460,6 +475,11 @@ def _malformed_lp_json(edit):
         "coeffs-string",
         "rows-object",
         "var-indices-string",
+        "float-coeff",
+        "bool-coeff",
+        "float-rhs",
+        "float-objective",
+        "bool-objective",
         "not-json",
     ],
 )

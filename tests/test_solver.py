@@ -1,5 +1,6 @@
 """Exact simplex, floating screen, roots."""
 
+import hashlib
 import json
 from dataclasses import replace
 from fractions import Fraction
@@ -14,7 +15,7 @@ from krawlp.errors import (
     SelfCheckError,
     SolverNumericsError,
 )
-from krawlp.lp import LinearProgram, LPRow, build_delsarte, build_hierarchy_lp
+from krawlp.lp import LinearProgram, LPRow, build_delsarte, build_hierarchy_lp, lp_to_json
 from krawlp.oracle import build_fourier_lp
 from krawlp.simplex import root_value, solve_exact, solve_float
 
@@ -387,6 +388,52 @@ def test_bland_rule_from_the_first_pivot_reaches_the_same_optima(monkeypatch):
     assert sum(res.pivots for res in bland) == 571
 
 
+def _lp_suite_programs():
+    # The 99 programs soundness, collapse, subadditivity and
+    # fourier-equivalence solve at their default grids.
+    for n in range(1, 6):
+        for d in range(1, n + 1):
+            yield build_delsarte(n, d)
+    for ell in (1, 2):
+        for n in range(1, 6):
+            for d in range(1, n + 1):
+                for linear in (False, True):
+                    yield build_hierarchy_lp(n, d, ell, linear)
+    for ell in (1, 2):
+        for n in range(1, 4):
+            for d in range(1, n + 1):
+                for linear in (False, True):
+                    yield build_fourier_lp(n, d, ell, linear)
+
+
+@pytest.mark.parametrize(
+    "dantzig_pivots,pivots,digest",
+    [
+        (
+            simplex.DANTZIG_PIVOTS,
+            1111,
+            "ac6fb3fb69b156472b070b89ef3f332a33deb89b3b66e48170b4a1ff07df5a2e",
+        ),
+        (0, 1114, "f72bf705ee0ad77a190f47eba84d5700b3ae41b9be11730fa5de0bd763b10762"),
+    ],
+    ids=["default-rule", "bland-from-the-start"],
+)
+def test_every_lp_suite_solve_is_pinned(monkeypatch, dantzig_pivots, pivots, digest):
+    # One SHA-256 over each program and its status, value, pivot count and
+    # primal point: a change to the tableau, the pricing or a tie-break
+    # that moves any pivot on any of the 99 programs changes it.
+    monkeypatch.setattr(simplex, "DANTZIG_PIVOTS", dantzig_pivots)
+    programs = list(_lp_suite_programs())
+    assert len(programs) == 99
+    h = hashlib.sha256()
+    total = 0
+    for lp in programs:
+        res = solve_exact(lp)
+        total += res.pivots
+        h.update(lp_to_json(lp).encode() + b"\n" + res.to_json().encode() + b"\n")
+    assert (total, h.hexdigest()) == (pivots, digest)
+
+
 # ---------------------------------------------------------------------------
 # solve_float
 # ---------------------------------------------------------------------------
@@ -465,6 +512,9 @@ def test_root_values_by_hand():
 def test_root_value_tiny_and_huge():
     assert root_value(Fraction(1, 2**100), 2) == 2.0**-50
     assert root_value(Fraction(2**120), 2) == 2.0**60
+    # Scaled by 2**128, 2**-2000 floors to 0: the root of 0 is 0, not a
+    # division by zero.
+    assert root_value(Fraction(1, 2**2000), 2) == 2.0**-1000
     v = root_value(Fraction(10) ** 30, 3)
     assert abs(v - 1e10) <= 1e-5  # 1 ulp at 1e10 is ~2e-6
 

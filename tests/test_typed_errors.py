@@ -84,6 +84,27 @@ CASES = [
     (lambda: eval_direct(L1, L2, 2), InvalidInputError, "mixed levels"),
     (lambda: eval_explicit(L1, L2, 2), InvalidInputError, "mixed levels"),
     (lambda: LPRow("R", (1,), "<", 1), InvalidInputError, "unsupported relation"),
+    # A program's numbers are exactly ints or Fractions.
+    (
+        lambda: replace(build_delsarte(1, 1), objective=(1, 0.5)),
+        InvalidInputError,
+        r"ints or Fractions, got \['float'\]",
+    ),
+    (
+        lambda: replace(build_delsarte(1, 1), rows=(LPRow("R", (1, 0.1), "<=", 1),)),
+        InvalidInputError,
+        r"ints or Fractions, got \['float'\]",
+    ),
+    (
+        lambda: replace(build_delsarte(1, 1), rows=(LPRow("R", (1, 1), "<=", 1.0),)),
+        InvalidInputError,
+        r"ints or Fractions, got \['float'\]",
+    ),
+    (
+        lambda: replace(build_delsarte(1, 1), rows=(LPRow("R", (True, 1), "<=", 1),)),
+        InvalidInputError,
+        r"ints or Fractions, got \['bool'\]",
+    ),
     (
         lambda: replace(build_delsarte(3, 2), objective=build_delsarte(3, 2).objective[:-1]),
         InvalidInputError,
@@ -125,6 +146,8 @@ CASES = [
     (lambda: CodeProfile(2, 1, 1, {}, 1.0), InvalidInputError, "must be an int"),
     (lambda: CodeProfile(1, 1, 0, {0: 1}, 1), InvalidInputError, "size and denominator >= 1"),
     (lambda: CodeProfile(1, 1, -5, {0: 1}, 1), InvalidInputError, "size and denominator >= 1"),
+    (lambda: CodeProfile(3, 1, 2, {0: 1, 3: 1.0}, 1), InvalidInputError, "counts must be ints"),
+    (lambda: CodeProfile(3, 1, 2, {0: True}, 1), InvalidInputError, "counts must be ints"),
     # 3.0 and True hash like 3 and 1: a warm cache must not answer them.
     (lambda: (cached_table(3, 2), cached_table(3.0, 2)), InvalidInputError, "must be an int"),
     (lambda: (cached_table(1, 1), cached_table(True, 1)), InvalidInputError, "must be an int"),
