@@ -16,6 +16,7 @@ from .configs import (
     config_to_json,
     enumerate_configs,
     forbidden_configs,
+    iter_configs,
     orbit_size,
     representative_tuple,
     sd_to_venn,

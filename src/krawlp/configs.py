@@ -15,7 +15,7 @@ The two forms are linked by a mutually inverse pair of linear maps:
     sd(J)   = sum over T with |T & J| odd of venn(T)
     venn(J) = n*[J = empty] + 2^(1-l) * sum over T of (-1)^(|T & J| - 1) sd(T)
 
-The first map is the subset-parity transform; ``enumerate_configs`` and
+The first map is the subset-parity transform; ``iter_configs`` and
 ``venn_to_sd`` evaluate it.  The second is, up to sign and scale, the
 Walsh-Hadamard transform H(sd)(J) = sum over T of (-1)^|T & J| sd(T):
 2^(l-1) venn = (n 2^(l-1) - H(0), -H(1), ..., -H(2^l - 1)), which
@@ -48,7 +48,11 @@ Two tuples have equal configurations exactly when one is a coordinate
 permutation of the other, so a configuration names an S_n-orbit of tuples;
 ``orbit_size`` counts the orbit as a multinomial.  The number of distinct
 configurations is C(n + 2^l - 1, 2^l - 1): one per weak composition of n
-into 2^l Venn cells.
+into 2^l Venn cells.  ``iter_configs`` is the one walk over them, in
+canonical order and one at a time, so a sweep that reads a level once holds
+one configuration; ``enumerate_configs`` is its cached tuple, for the
+readers that index a level or read it again (program builders,
+``config_index``, ``forbidden_configs``, tables).
 
 ``too_close`` is the one distance rule on sd entries: every program builder
 keeps exactly the points it does not exclude.
@@ -461,19 +465,24 @@ def _compositions_desc(total: int, parts: int) -> Iterator[tuple[int, ...]]:
         comp[i + 1] = moved
 
 
-# typed: 3.0 and True hash like 3 and 1, and must reach the gate, not the cache.
-@lru_cache(maxsize=None, typed=True)
-def enumerate_configs(n: int, ell: int) -> tuple[SDConfig, ...]:
-    """All configurations for (n, l), in canonical order.
+def iter_configs(n: int, ell: int) -> Iterator[SDConfig]:
+    """All configurations for (n, l), in canonical order, one at a time.
 
     Canonical order is lexicographic on the Venn vector read in increasing
     bitmask order, largest first, so the trivial configuration (all Venn
     mass on the empty cell) is element 0.  The ordering is part of the
     serialization contract: LP variables, table rows and columns all use it.
+    ``check_config_args`` runs at the call, before the first configuration.
     """
     check_config_args(n, ell)
-    transform = _kernels(ell).forward
-    return tuple([SDConfig(transform(venn)) for venn in _compositions_desc(n, 1 << ell)])
+    return map(SDConfig, map(_kernels(ell).forward, _compositions_desc(n, 1 << ell)))
+
+
+# typed: 3.0 and True hash like 3 and 1, and must reach the gate, not the cache.
+@lru_cache(maxsize=None, typed=True)
+def enumerate_configs(n: int, ell: int) -> tuple[SDConfig, ...]:
+    """``iter_configs(n, ell)`` as a tuple, kept for the readers that index it or read it twice."""
+    return tuple(iter_configs(n, ell))
 
 
 @lru_cache(maxsize=None, typed=True)

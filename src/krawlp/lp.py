@@ -520,9 +520,16 @@ def lp_from_json(text: str) -> LinearProgram:
         )
 
 
+def _float(x: Rational) -> float:
+    try:
+        return float(x)
+    except OverflowError:
+        raise InvalidInputError(f"LP number {x} is beyond the float range of lp-text") from None
+
+
 def _decimal(x: Rational) -> str:
     # An integer exactly, any other value as its shortest round-trip float.
-    return str(x.numerator) if x.denominator == 1 else repr(float(x))
+    return str(x.numerator) if x.denominator == 1 else repr(_float(x))
 
 
 def _render_terms(coeffs: Sequence[Rational], names: Sequence[str]) -> str:
@@ -545,7 +552,7 @@ def _to_lp_text(lp: LinearProgram) -> str:
         body.append(f" 0 <= {name}")
     body.append("End")
     # exact-decimals: every value is an integer or a float that round-trips to it.
-    exact = all(x.denominator == 1 or Fraction(float(x)) == x for x in _numbers(lp))
+    exact = all(x.denominator == 1 or Fraction(_float(x)) == x for x in _numbers(lp))
     flag = {True: "linear", False: "general", None: "-"}[lp.linear]
     header = [
         f"\\ {lp.kind} n={lp.n} d={lp.d} l={lp.ell} flag={flag}",

@@ -17,7 +17,9 @@ an independent oracle for the LP machinery:
                         pivot set, the product of its rows' choices, each
                         from ``configs._subset_xors``) and testing each
                         span for a nonzero word lighter than d;
-* ``dual_code``       - orthogonal complement of a linear code, by ``configs._basis``;
+* ``dual_code``       - orthogonal complement of a linear code: the span
+                        (``configs._subset_xors``) of the parity-check basis
+                        read off the fully reduced ``configs._basis``;
 * ``verify_macwilliams`` - the transform identity (linear codes) and the
                         transform inequality (any code), checked exactly
                         and reported as a ``krawtchouk.CheckReport``, one
@@ -189,11 +191,28 @@ def max_linear_code(n: int, d: int) -> tuple[int, CodeSet]:
 
 
 def dual_code(c: CodeSet) -> CodeSet:
-    """All words orthogonal (even overlap) to every codeword."""
+    """All words orthogonal (even overlap) to every codeword.
+
+    The code's basis is fully reduced, each row's top bit its pivot.  Each
+    non-pivot column j gives the dual basis vector 2^j plus the pivot bit of
+    every row holding bit j, and the dual is their span.
+    """
     if not c.linear:
         raise NotLinearError("dual codes are defined for linear codes")
-    basis = _basis(c.words)
-    dual = frozenset(x for x in range(1 << c.n) if not any((x & b).bit_count() & 1 for b in basis))
+    rows: list[int] = []
+    for b in sorted(_basis(c.words)):  # top bits distinct, so increasing
+        for r in rows:
+            b = min(b, b ^ r)  # clears r's pivot from b
+        rows.append(b)
+    pivots = {1 << (r.bit_length() - 1): r for r in rows}
+    dual_basis = [
+        (1 << j) | sum(p for p, r in pivots.items() if r >> j & 1)
+        for j in range(c.n)
+        if 1 << j not in pivots
+    ]
+    if any((x & r).bit_count() & 1 for x in dual_basis for r in rows):
+        raise SelfCheckError("a dual basis vector is not orthogonal to the code basis")
+    dual = frozenset(_subset_xors(dual_basis))
     if len(c.words) * len(dual) != 1 << c.n:
         raise SelfCheckError("dual size identity |C| * |C^perp| = 2^n failed")
     return CodeSet(dual, c.n)

@@ -23,6 +23,7 @@ from krawlp.configs import (
     config_to_json,
     enumerate_configs,
     forbidden_configs,
+    iter_configs,
     orbit_size,
     representative_tuple,
     sd_to_venn,
@@ -209,6 +210,26 @@ def test_enumeration_capacity_errors():
         enumerate_configs(2000, 4)
     with pytest.raises(ParameterError):
         enumerate_configs(0, 1)
+
+
+LEVELS = [(n, ell) for ell in (1, 2, 3) for n in range(1, 7)]
+LEVELS += [(n, ell) for ell in (4, 5, 6) for n in (1, 2)]
+
+
+@pytest.mark.parametrize("n,ell", LEVELS)
+def test_iter_configs_walks_the_enumeration(n, ell):
+    assert list(iter_configs(n, ell)) == list(enumerate_configs(n, ell))
+
+
+@pytest.mark.parametrize(
+    "args,error",
+    [((0, 1), ParameterError), ((3, 7), CapacityError), ((2000, 4), CapacityError),
+     ((1.0, 1), InvalidInputError)],
+)
+def test_iter_configs_gate_runs_at_the_call(args, error):
+    # The gate raises on the call itself, before any configuration is asked for.
+    with pytest.raises(error):
+        iter_configs(*args)
 
 
 # ---------------------------------------------------------------------------

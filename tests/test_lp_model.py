@@ -380,6 +380,14 @@ def test_lp_text_of_rational_coefficients():
     assert "\\ exact-decimals=yes" in _rational_delsarte_text("1/4").splitlines()
 
 
+def test_lp_text_refuses_a_rational_beyond_the_float_range():
+    # Fraction(10**400, 3) has no float; an integer that size prints exactly.
+    huge = "1" + "0" * 400
+    with pytest.raises(InvalidInputError, match=f"LP number {huge}/3 is beyond the float range"):
+        _rational_delsarte_text(huge + "/3")
+    assert f" MW_0: + {huge} a_0 >= 0" in _rational_delsarte_text(huge).splitlines()
+
+
 def test_exports_are_deterministic():
     lp = build_hierarchy_lp(3, 2, 2, linear=True)
     assert export_lp(lp, "lp-text") == export_lp(lp, "lp-text")

@@ -290,6 +290,15 @@ def test_dual_involution_and_size():
             assert dual_code(dual) == code
 
 
+def test_dual_matches_a_scan_of_all_words():
+    for n in range(1, 7):
+        for code in iter_linear_codes(n):
+            scan = {
+                x for x in range(1 << n) if not any((x & w).bit_count() & 1 for w in code.words)
+            }
+            assert dual_code(code).words == scan
+
+
 # ---------------------------------------------------------------------------
 # verify_macwilliams
 # ---------------------------------------------------------------------------

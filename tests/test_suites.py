@@ -3,7 +3,7 @@
 import pytest
 
 from krawlp import oracle, suites
-from krawlp.configs import SDConfig
+from krawlp.configs import SDConfig, enumerate_configs
 from krawlp.krawtchouk import KrawtchoukTable, build_table
 from krawlp.lp import build_delsarte
 from krawlp.suites import run_suite
@@ -62,3 +62,12 @@ def test_macwilliams_reports_a_negative_transform(monkeypatch):
 def test_level_2_suites_check_nothing_below_level_2(suite):
     result = run_suite(suite, l_cap=1)
     assert result.passed and result.checked == 0
+
+
+def test_single_read_sweeps_keep_no_configuration_level():
+    # census and roundtrip read each level once, so they walk iter_configs
+    # and leave enumerate_configs' cache empty.
+    enumerate_configs.cache_clear()
+    assert run_suite("census", 6).passed
+    assert run_suite("roundtrip", 6).passed
+    assert enumerate_configs.cache_info().currsize == 0
