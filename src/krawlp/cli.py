@@ -23,9 +23,10 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import Iterable
 
 from . import __version__
-from .configs import check_config_args, config_to_json, enumerate_configs
+from .configs import check_config_args, config_to_json, iter_configs
 from .errors import (
     CapacityError,
     InvalidInputError,
@@ -58,10 +59,14 @@ def _timing(label: str, seconds: float) -> None:
     print(f"[timing] {label}: {seconds:.3f}s", file=sys.stderr)
 
 
-def _write(record: dict, path: str, data: bytes) -> None:
-    """Write the artifact ``data`` to ``path`` and name it in the record."""
+def _write(record: dict, path: str, chunks: Iterable[bytes]) -> None:
+    """Write the artifact's byte ``chunks`` to ``path`` in order and name it in the record.
+
+    A generator of chunks streams the artifact: it is never held whole.
+    """
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_bytes(data)
+    with open(path, "wb") as f:
+        f.writelines(chunks)
     record["output"] = path
 
 
@@ -80,10 +85,10 @@ def cmd_configs(args) -> int:
     count = check_config_args(args.n, args.l)
     record = {"command": "configs", "n": args.n, "l": args.l, "count": count}
     if args.out:
-        lines = [config_to_json(g, args.n) for g in enumerate_configs(args.n, args.l)]
-        _write(record, args.out, ("\n".join(lines) + "\n").encode("ascii"))
+        lines = (f"{config_to_json(g, args.n)}\n" for g in iter_configs(args.n, args.l))
+        _write(record, args.out, (line.encode("ascii") for line in lines))
     elif not args.count:
-        configs = enumerate_configs(args.n, args.l)
+        configs = iter_configs(args.n, args.l)
         record["configs"] = [json.loads(config_to_json(g, args.n)) for g in configs]
     _emit(record)
     return EXIT_OK
@@ -98,7 +103,7 @@ def cmd_krawtchouk(args) -> int:
             save_table(table, cache)
     record = {"command": "krawtchouk", "n": args.n, "l": args.l, "size": table.size}
     if args.out:
-        _write(record, args.out, table_to_csv(table).encode("ascii"))
+        _write(record, args.out, [table_to_csv(table).encode("ascii")])
     else:
         record["values"] = [list(row) for row in table.values]
     _emit(record)
@@ -124,7 +129,7 @@ def cmd_build_lp(args) -> int:
     data = export_lp(lp, args.format)
     record.update(variables=lp.num_vars, rows=len(lp.rows), format=args.format)
     if args.out:
-        _write(record, args.out, data)
+        _write(record, args.out, [data])
     else:
         sys.stdout.write(data.decode("ascii"))
     _emit(record)
@@ -143,7 +148,7 @@ def cmd_solve(args) -> int:
     if result.status == "optimal":
         record["root"] = root_value(result.value, lp.ell)
         if args.out:
-            _write(record, args.out, (result.to_json() + "\n").encode("ascii"))
+            _write(record, args.out, [(result.to_json() + "\n").encode("ascii")])
     _emit(record)
     return EXIT_OK
 
@@ -162,7 +167,7 @@ def cmd_oracle(args) -> int:
         "witness": json.loads(witness.to_json()),
     }
     if args.out:
-        _write(record, args.out, (witness.to_json() + "\n").encode("ascii"))
+        _write(record, args.out, [(witness.to_json() + "\n").encode("ascii")])
     _emit(record)
     return EXIT_OK
 
@@ -209,7 +214,7 @@ def cmd_table(args) -> int:
         "rows": len(lines) - 1,
     }
     if args.out:
-        _write(record, args.out, csv.encode("ascii"))
+        _write(record, args.out, [csv.encode("ascii")])
     else:
         sys.stdout.write(csv)
     _emit(record)

@@ -23,18 +23,41 @@ Walsh-Hadamard transform H(sd)(J) = sum over T of (-1)^|T & J| sd(T):
 l 2^l additions and subtractions.  ``_venn_cells`` is that inversion with
 its n gate and ``NotAConfigurationError``; ``orbit_size``,
 ``representative_tuple``, ``config_to_json`` and the Krawtchouk routes read
-its cells directly, since the kernel already proves what ``VennConfig``
-would check again, and only ``sd_to_venn`` wraps them in a ``VennConfig``.
+its cells directly, and ``sd_to_venn`` wraps them in a ``VennConfig``.
+
+The public constructors ``SDConfig`` and ``VennConfig`` check every field.
+Both need a tuple of exact ints (``require_int`` rules) whose count is a
+power of two >= 2; ``SDConfig`` needs sd(empty) = 0 and no negative weight,
+``VennConfig`` no negative cell, an int n >= 1 and cells adding up to n.
+They are the one way in for outside
+values (JSON, tests, library callers).  The operations of this module build
+their results with the proved constructors ``_proved_sd`` and
+``_proved_venn`` instead, which skip ``__post_init__``, because the
+arithmetic that made each result proves its fields:
+
+* ``iter_configs`` and ``venn_to_sd``: the forward transform of 2^l
+  nonnegative int cells is a tuple of 2^l nonnegative ints whose entry 0 is
+  the literal 0;
+* ``sd_to_venn``: ``_venn_cells`` has checked n, the inverse kernel returns
+  2^l nonnegative int cells or refuses, and the cells add up to
+  n - 2 sd(empty) = n;
+* ``config_of_tuple`` and ``venn_of_tuple``: the popcounts of the subset
+  XORs of a checked ``WordTuple``, the empty XOR 0 first, and the counts of
+  its n positions by cell.
+
+No other module names the proved constructors.
 
 Each level l gets one kernel bundle, generated as straight-line code by
 ``_build_kernels``: the forward transform, the inverse with its
-divisibility check, and the inner loop of ``tuple_census``.  The
-``_kernels`` accessor serves all three from one dict and compiles each
-level on its first use: a process compiles only the levels it uses
-(``krawlp solve --l 2`` never compiles level 3), and as a dict has no
-``cache_clear``, emptying the ``lru_cache``s never compiles a level again.
-Above ``MAX_SUBSET_ELL`` every conversion and census raises
-``CapacityError`` before compiling anything.
+divisibility check, and the inner loop of ``tuple_census``.  One dict,
+``_KERNELS``, serves all three, keyed by the entry count 2^l: a conversion
+finds its bundle as ``_KERNELS[len(entries)]``, and ``_kernels(ell)`` is the
+same lookup by level.  It compiles each level on its first use: a process
+compiles only the levels it uses (``krawlp solve --l 2`` never compiles
+level 3), and as a dict has no ``cache_clear``, emptying the
+``lru_cache``s never compiles a level again.  Above ``MAX_SUBSET_ELL``
+every conversion and census raises ``CapacityError`` before compiling
+anything.
 
 The two F_2 kernels of every linear code in ``oracle`` and ``lp``:
 ``_subset_xors`` turns words into their subset XORs (popcounts: sd entries;
@@ -60,7 +83,8 @@ keeps exactly the points it does not exclude.
 Two gates run before any work.  ``check_config_args`` is the one (n, l)
 range check, with the enumeration budget; table and profile builders call
 it too.  An n or l that is not exactly an int (a float, a bool) is an
-``InvalidInputError`` there, in ``sd_to_venn`` and in ``VennConfig``.
+``InvalidInputError`` there, in ``sd_to_venn`` and in ``VennConfig``, and so
+is a configuration entry in ``SDConfig`` and ``VennConfig``.
 ``check_words`` is the one word check, shared by ``WordTuple`` and
 ``lp.CodeSet``.
 
@@ -132,6 +156,16 @@ def check_words(words: Iterable[int], n: int) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _check_entries(entries: object) -> None:
+    """Refuse configuration entries unless they are a tuple of exact ints
+    (``require_int`` rules) whose count is a power of two >= 2."""
+    if type(entries) is not tuple or any(type(e) is not int for e in entries):
+        raise InvalidInputError(f"entries must be a tuple of ints, got {entries!r}")
+    m = len(entries)
+    if m < 2 or m & (m - 1):
+        raise InvalidInputError(f"entry count {m} is not a power of two >= 2")
+
+
 @dataclass(frozen=True)
 class SDConfig:
     """Weights of all XOR combinations of a word tuple, by subset bitmask."""
@@ -139,9 +173,7 @@ class SDConfig:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        m = len(self.entries)
-        if m < 2 or m & (m - 1):
-            raise InvalidInputError(f"entry count {m} is not a power of two >= 2")
+        _check_entries(self.entries)
         if self.entries[0] != 0:
             raise InvalidInputError("weight of the empty combination must be 0")
         if min(self.entries) < 0:
@@ -164,9 +196,7 @@ class VennConfig:
     n: int
 
     def __post_init__(self) -> None:
-        m = len(self.entries)
-        if m < 2 or m & (m - 1):
-            raise InvalidInputError(f"entry count {m} is not a power of two >= 2")
+        _check_entries(self.entries)
         if require_int(self.n, "blocklength n") < 1:
             raise InvalidInputError("blocklength must be positive")
         if min(self.entries) < 0:
@@ -179,6 +209,24 @@ class VennConfig:
     @property
     def ell(self) -> int:
         return (len(self.entries) - 1).bit_length()
+
+
+# The proved constructors: a configuration whose fields the caller's own
+# arithmetic has proved valid, built without ``__post_init__``.  The module
+# docstring lists each caller and its proof.
+
+
+def _proved_sd(entries: tuple[int, ...]) -> SDConfig:
+    g = object.__new__(SDConfig)
+    object.__setattr__(g, "entries", entries)
+    return g
+
+
+def _proved_venn(entries: tuple[int, ...], n: int) -> VennConfig:
+    v = object.__new__(VennConfig)
+    object.__setattr__(v, "entries", entries)
+    object.__setattr__(v, "n", n)
+    return v
 
 
 @dataclass(frozen=True)
@@ -334,21 +382,30 @@ def _build_kernels(ell: int) -> _Kernels:
     return _Kernels(namespace["forward"], namespace["inverse"], namespace["census"])
 
 
-_KERNELS: dict[int, _Kernels] = {}
+class _KernelTable(dict):
+    """Kernel bundles keyed by entry count 2^l, each compiled on its first use.
+
+    ``_KERNELS[len(entries)]`` is the bundle of the level of a configuration's
+    entries; above ``MAX_SUBSET_ELL`` it raises ``CapacityError`` before
+    compiling 2^(2l-1) terms.
+    """
+
+    def __missing__(self, count: int) -> _Kernels:
+        ell = count.bit_length() - 1
+        if ell > MAX_SUBSET_ELL:
+            raise CapacityError(f"l={ell} exceeds the configuration budget l <= {MAX_SUBSET_ELL}")
+        if ell < 1:
+            raise InvalidInputError(f"level l={ell} is below 1")
+        bundle = self[count] = _build_kernels(ell)
+        return bundle
+
+
+_KERNELS = _KernelTable()
 
 
 def _kernels(ell: int) -> _Kernels:
-    """The kernel bundle of level ``ell``, compiled on first use; see ``_build_kernels``."""
-    try:
-        return _KERNELS[ell]
-    except KeyError:
-        pass
-    if ell > MAX_SUBSET_ELL:  # refused before compiling 2^(2l-1) terms
-        raise CapacityError(f"l={ell} exceeds the configuration budget l <= {MAX_SUBSET_ELL}")
-    if ell < 1:
-        raise InvalidInputError(f"level l={ell} is below 1")
-    bundle = _KERNELS[ell] = _build_kernels(ell)
-    return bundle
+    """The kernel bundle of level ``ell`` >= 0; see ``_KernelTable`` and ``_build_kernels``."""
+    return _KERNELS[1 << ell]
 
 
 def _subset_xors(words: Sequence[int]) -> list[int]:
@@ -401,7 +458,7 @@ def tuple_census(positions: Sequence[Sequence[tuple[int, int]]]) -> Counter:
 
 def config_of_tuple(t: WordTuple) -> SDConfig:
     """Symmetric-difference configuration of a word tuple."""
-    return SDConfig(_sd_entries(t.words))
+    return _proved_sd(_sd_entries(t.words))
 
 
 def venn_of_tuple(t: WordTuple) -> VennConfig:
@@ -412,7 +469,7 @@ def venn_of_tuple(t: WordTuple) -> VennConfig:
         for j, w in enumerate(t.words):
             cell |= ((w >> i) & 1) << j
         counts[cell] += 1
-    return VennConfig(tuple(counts), t.n)
+    return _proved_venn(tuple(counts), t.n)
 
 
 def _venn_cells(g: SDConfig, n: int) -> tuple[int, ...]:
@@ -420,7 +477,7 @@ def _venn_cells(g: SDConfig, n: int) -> tuple[int, ...]:
     require_int(n, "blocklength n")
     if n < 1:
         raise ParameterError("blocklength must be positive")
-    cells = _kernels(g.ell).inverse(g.entries, n)
+    cells = _KERNELS[len(g.entries)].inverse(g.entries, n)
     if cells is None:
         raise NotAConfigurationError(
             f"weight vector {g.entries} is not a configuration at n={n}"
@@ -436,12 +493,12 @@ def sd_to_venn(g: SDConfig, n: int) -> VennConfig:
     check.  A remainder or a negative cell signals that ``g`` is not the
     configuration of any tuple in F_2^n.
     """
-    return VennConfig(_venn_cells(g, n), n)
+    return _proved_venn(_venn_cells(g, n), n)
 
 
 def venn_to_sd(v: VennConfig) -> SDConfig:
     """Weights of all XOR combinations from Venn cell sizes."""
-    return SDConfig(_kernels(v.ell).forward(v.entries))
+    return _proved_sd(_KERNELS[len(v.entries)].forward(v.entries))
 
 
 def _compositions_desc(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -475,7 +532,7 @@ def iter_configs(n: int, ell: int) -> Iterator[SDConfig]:
     ``check_config_args`` runs at the call, before the first configuration.
     """
     check_config_args(n, ell)
-    return map(SDConfig, map(_kernels(ell).forward, _compositions_desc(n, 1 << ell)))
+    return map(_proved_sd, map(_kernels(ell).forward, _compositions_desc(n, 1 << ell)))
 
 
 # typed: 3.0 and True hash like 3 and 1, and must reach the gate, not the cache.

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import krawlp
-from krawlp import cli, krawtchouk, simplex
+from krawlp import cli, configs, krawtchouk, simplex
 from krawlp.errors import IterationLimitError, SelfCheckError, SolverNumericsError
 from krawlp.suites import SuiteResult
 
@@ -33,7 +33,7 @@ def test_configs_count_does_not_enumerate(monkeypatch, capsys):
     def no_enumeration(n, ell):
         raise AssertionError("configurations enumerated for --count")
 
-    monkeypatch.setattr(cli, "enumerate_configs", no_enumeration)
+    monkeypatch.setattr(cli, "iter_configs", no_enumeration)
     code, records, _ = _run(capsys, ["configs", "--n", "9", "--l", "4", "--count"])
     assert code == 0
     assert records[0]["count"] == 1_307_504
@@ -416,3 +416,18 @@ def test_stdout_bytes_are_pinned(capsys, argv, stdout):
     code, _, out = _run(capsys, argv)
     assert code == 0
     assert out.out == stdout
+
+
+def test_configs_walk_keeps_no_level(tmp_path, capsys):
+    # --out and the stdout record both walk iter_configs, so the cached level
+    # stays empty; the artifact is one canonical JSON line per configuration.
+    configs.enumerate_configs.cache_clear()
+    out = tmp_path / "configs.jsonl"
+    code, records, _ = _run(capsys, ["configs", "--n", "3", "--l", "2", "--out", str(out)])
+    assert code == 0 and records[0]["output"] == str(out)
+    code, records, _ = _run(capsys, ["configs", "--n", "3", "--l", "2"])
+    assert code == 0 and records[0]["count"] == 20
+    assert configs.enumerate_configs.cache_info().currsize == 0
+    lines = [configs.config_to_json(g, 3) for g in configs.enumerate_configs(3, 2)]
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode("ascii")
+    assert records[0]["configs"] == [json.loads(line) for line in lines]

@@ -1,10 +1,11 @@
 """Every name a library module imports is used in that module, every
 private helper is used somewhere in the package, private names are
-imported only from ``configs``, JSON is encoded only by
-``errors.canonical_json``, and every memo cache is typed.
+imported only from ``configs``, only ``configs`` builds a configuration
+unchecked, JSON is encoded only by ``errors.canonical_json``, and every
+memo cache is typed.
 
 No linter ships with the project, so these are stdlib-``ast`` stand-ins
-for an unused-import check, a dead-code check, a layering check, a
+for an unused-import check, a dead-code check, two layering checks, a
 one-encoder check and a typed-cache check.
 ``__init__.py`` is exempt from the import check (its imports are the
 package's re-exports), and so are ``__future__`` imports.
@@ -74,6 +75,27 @@ def test_private_imports_come_only_from_configs():
                 names = [a.name for a in node.names]
                 names = [n for n in names if n.startswith("_") and not n.startswith("__")]
                 stray += [f"{path.name}:{node.lineno}: {node.module}.{n}" for n in names]
+    assert stray == []
+
+
+def test_proved_constructors_stay_in_configs():
+    # ``_proved_sd`` and ``_proved_venn`` skip every check of SDConfig and
+    # VennConfig; only the configs operations whose arithmetic proves the
+    # fields may call them, so no other module names them at all.
+    proved = {"_proved_sd", "_proved_venn"}
+    defined, stray = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if path.name == "configs.py":
+                if isinstance(node, ast.FunctionDef) and node.name in proved:
+                    defined.add(node.name)
+                continue
+            names = [getattr(node, "id", None), getattr(node, "attr", None)]
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names += [a.name for a in node.names] + [a.asname for a in node.names]
+            stray += [f"{path.name}:{node.lineno}: {n}" for n in names if n in proved]
+    assert defined == proved
     assert stray == []
 
 

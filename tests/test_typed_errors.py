@@ -54,6 +54,14 @@ CASES = [
     (lambda: VennConfig((0, 0), 0), InvalidInputError, "blocklength"),
     (lambda: VennConfig((2, -1), 1), InvalidInputError, "cannot be negative"),
     (lambda: VennConfig((1, 1), 3), InvalidInputError, "add up to 2"),
+    # Configuration entries are a tuple of exact ints: no float, bool or list.
+    (lambda: SDConfig((0.0, 1.5)), InvalidInputError, "must be a tuple of ints"),
+    (lambda: SDConfig((0, 1.0)), InvalidInputError, "must be a tuple of ints"),
+    (lambda: SDConfig((0, True)), InvalidInputError, "must be a tuple of ints"),
+    (lambda: SDConfig([0, 1]), InvalidInputError, "must be a tuple of ints"),
+    (lambda: VennConfig((1.5, 0.5), 2), InvalidInputError, "must be a tuple of ints"),
+    (lambda: VennConfig((1, True), 2), InvalidInputError, "must be a tuple of ints"),
+    (lambda: VennConfig([1, 1], 2), InvalidInputError, "must be a tuple of ints"),
     (lambda: WordTuple.from_strings([]), InvalidInputError, "empty"),
     (lambda: WordTuple.from_strings(["012"]), InvalidInputError, "0/1 string"),
     (lambda: CodeSet(frozenset({0}), 0), InvalidInputError, "blocklength"),
