@@ -61,9 +61,9 @@ anything.
 
 The two F_2 kernels of every linear code in ``oracle`` and ``lp``:
 ``_subset_xors`` turns words into their subset XORs (popcounts: sd entries;
-over a basis: its span), ``_basis`` reduces them to a basis (their rank is
-its length).  ``tuple_census``, the one weighted count of word
-tuples by sd entries, serves code profiles and the direct Krawtchouk sum.
+over a basis: its span), ``_basis`` into their span's RREF, pivots on lowest
+set bits (their rank is its length).  ``tuple_census``, the one weighted count
+of word tuples by sd entries, serves code profiles and the direct Krawtchouk sum.
 ``row_sums`` is the one sum of rows at a sparse point, each row read by
 ``_gather``: the LP certificates and the transform recounts use it.
 
@@ -418,14 +418,18 @@ def _subset_xors(words: Sequence[int]) -> list[int]:
 
 
 def _basis(words: Iterable[int]) -> list[int]:
-    # Elimination over F_2: kept words have distinct top bits, cleared by min.
-    basis: list[int] = []
-    for cur in sorted(words):
-        for b in basis:
-            cur = min(cur, cur ^ b)
+    # The RREF that ``oracle._iter_rref`` enumerates: each row's lowest set bit
+    # is its pivot, clear in every other row; rows in increasing pivot order.
+    rows: list[tuple[int, int]] = []  # (pivot bit, row)
+    for cur in words:
+        for p, b in rows:
+            if cur & p:
+                cur ^= b
         if cur:
-            basis.append(cur)
-    return basis
+            low = cur & -cur
+            rows = [(p, b ^ cur) if b & low else (p, b) for p, b in rows]
+            rows.append((low, cur))
+    return [b for _, b in sorted(rows)]
 
 
 def _sd_entries(words: Sequence[int]) -> tuple[int, ...]:

@@ -19,7 +19,8 @@ an independent oracle for the LP machinery:
                         span for a nonzero word lighter than d;
 * ``dual_code``       - orthogonal complement of a linear code: the span
                         (``configs._subset_xors``) of the parity-check basis
-                        read off the fully reduced ``configs._basis``;
+                        read off the pivots of ``configs._basis``, the
+                        code's RREF in ``_iter_rref``'s convention;
 * ``verify_macwilliams`` - the transform identity (linear codes) and the
                         transform inequality (any code), checked exactly
                         and reported as a ``krawtchouk.CheckReport``, one
@@ -43,7 +44,10 @@ an independent oracle for the LP machinery:
 
 Codes are ``lp.CodeSet`` values.  Both searches pass one gate, ints n >= 1 and
 d >= 0 (and n <= ``MAX_LINEAR_N`` for the linear one and ``iter_linear_codes``),
-and keep no memo: a full ``krawlp verify`` repeats only (5, 3).
+and keep no memo: a full ``krawlp verify`` repeats only (5, 3).  The linear
+search stops at the first dimension with no code of distance d, so n alone
+bounds it; ``iter_linear_codes`` walks every code, so it is also held to
+``MAX_LINEAR_CODES`` codes, counted in closed form by ``linear_code_count``.
 """
 
 from __future__ import annotations
@@ -60,6 +64,10 @@ from .lp import CodeSet, LinearProgram, check_program_args, code_census, packing
 MAX_BB_VERTICES = 128
 # Generator-matrix enumeration budget.
 MAX_LINEAR_N = 10
+# Budget on the codes ``iter_linear_codes`` yields.  It admits n = 8 (417,199
+# codes, 7 s on one core of a 2-core VM) and refuses n = 9 (8,283,458) and
+# n = 10 (229,755,605), walks of minutes and hours.
+MAX_LINEAR_CODES = 500_000
 # Word-tuple LP budget: 2^(n*l) variables and rows.
 MAX_FOURIER_POINTS = 4096
 
@@ -193,18 +201,14 @@ def max_linear_code(n: int, d: int) -> tuple[int, CodeSet]:
 def dual_code(c: CodeSet) -> CodeSet:
     """All words orthogonal (even overlap) to every codeword.
 
-    The code's basis is fully reduced, each row's top bit its pivot.  Each
-    non-pivot column j gives the dual basis vector 2^j plus the pivot bit of
-    every row holding bit j, and the dual is their span.
+    ``_basis`` gives the code's RREF, each row's lowest set bit its pivot.
+    Each non-pivot column j gives the dual basis vector 2^j plus the pivot
+    bit of every row holding bit j, and the dual is their span.
     """
     if not c.linear:
         raise NotLinearError("dual codes are defined for linear codes")
-    rows: list[int] = []
-    for b in sorted(_basis(c.words)):  # top bits distinct, so increasing
-        for r in rows:
-            b = min(b, b ^ r)  # clears r's pivot from b
-        rows.append(b)
-    pivots = {1 << (r.bit_length() - 1): r for r in rows}
+    rows = _basis(c.words)
+    pivots = {r & -r: r for r in rows}
     dual_basis = [
         (1 << j) | sum(p for p, r in pivots.items() if r >> j & 1)
         for j in range(c.n)
@@ -218,13 +222,31 @@ def dual_code(c: CodeSet) -> CodeSet:
     return CodeSet(dual, c.n)
 
 
+def linear_code_count(n: int) -> int:
+    """Number of linear codes in F_2^n: the sum over k of the Gaussian binomials [n, k]_2."""
+    total = term = 1
+    for k in range(1, n + 1):
+        term = term * ((1 << (n - k + 1)) - 1) // ((1 << k) - 1)
+        total += term
+    return total
+
+
 def iter_linear_codes(n: int) -> Iterator[CodeSet]:
     """All linear codes in F_2^n by dimension (the zero code first), each
-    dimension in RREF order; the gate of ``max_linear_code`` runs first."""
+    dimension in RREF order.  The gate of ``max_linear_code`` and the budget
+    ``MAX_LINEAR_CODES`` on ``linear_code_count(n)`` run at the call, before
+    the first code."""
     _check_search_args(n, 0, linear=True)
-    for k in range(n + 1):
-        for rows in _iter_rref(n, k):
-            yield CodeSet(frozenset(_subset_xors(rows)), n)
+    count = linear_code_count(n)
+    if count > MAX_LINEAR_CODES:
+        raise CapacityError(
+            f"{count} linear codes exceed the enumeration budget {MAX_LINEAR_CODES}"
+        )
+    return (
+        CodeSet(frozenset(_subset_xors(rows)), n)
+        for k in range(n + 1)
+        for rows in _iter_rref(n, k)
+    )
 
 
 # ---------------------------------------------------------------------------

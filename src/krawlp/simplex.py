@@ -377,17 +377,15 @@ def _int_nthroot(x: int, k: int) -> int:
     """Floor k-th root of a non-negative integer, k >= 2."""
     if x == 0:
         return 0
+    # Newton's step from r above x^(1/k) stays at or above the floor root
+    # (AM-GM) and drops below r while r^k > x, so the first r whose next
+    # step is not smaller is the floor root.
     r = 1 << (x.bit_length() // k + 1)
     while True:
         nr = ((k - 1) * r + x // r ** (k - 1)) // k
         if nr >= r:
-            break
+            return r
         r = nr
-    while r**k > x:
-        r -= 1
-    while (r + 1) ** k <= x:
-        r += 1
-    return r
 
 
 def root_value(value: Fraction | int, ell: int) -> float:

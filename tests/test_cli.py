@@ -12,6 +12,8 @@ import pytest
 import krawlp
 from krawlp import cli, configs, krawtchouk, simplex
 from krawlp.errors import IterationLimitError, SelfCheckError, SolverNumericsError
+from krawlp.lp import build_hierarchy_lp
+from krawlp.oracle import build_fourier_lp
 from krawlp.suites import SuiteResult
 
 
@@ -54,7 +56,7 @@ def test_configs_artifact(tmp_path, capsys):
     assert first["sd"] == [0, 0, 0, 0]
 
 
-def test_krawtchouk_csv_and_cache(tmp_path, capsys):
+def test_configurationcsv_and_cache(tmp_path, capsys):
     out = tmp_path / "table.csv"
     argv = [
         "krawtchouk",
@@ -79,7 +81,7 @@ def test_krawtchouk_csv_and_cache(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("kind", ["all-7s", "wrong-n", "diagonal", "truncated", "bad-deflate"])
-def test_krawtchouk_rebuilds_a_wrong_cache(tmp_path, capsys, kind):
+def test_configurationrebuilds_a_wrong_cache(tmp_path, capsys, kind):
     want = krawtchouk.build_table(2, 1)
     path = krawtchouk.table_cache_path(tmp_path, 2, 1)
     if kind == "truncated":
@@ -131,6 +133,59 @@ def test_solve_reports_value_and_root(capsys):
     assert rec["status"] == "optimal"
     assert rec["value"] == "64/9"
     assert abs(rec["root"] - 8 / 3) < 1e-12
+
+
+def test_solve_fourier_family_matches_the_configuration_lp(capsys):
+    argv = ["solve", "--n", "2", "--d", "2", "--l", "1"]
+    code, fourier, _ = _run(capsys, [*argv, "--family", "fourier"])
+    assert code == 0 and fourier[0]["family"] == "fourier"
+    code, configuration, _ = _run(capsys, argv)
+    assert code == 0 and configuration[0]["family"] == "krawtchouk"
+    assert fourier[0]["status"] == "optimal"
+    assert fourier[0]["value"] == configuration[0]["value"]
+
+
+def test_build_lp_fourier_family_reports_its_program(capsys):
+    code, records, _ = _run(
+        capsys, ["build-lp", "--family", "fourier", "--n", "2", "--d", "2", "--l", "1"]
+    )
+    program = build_fourier_lp(2, 2, 1, False)
+    assert code == 0
+    assert records[-1]["family"] == "fourier"
+    assert (records[-1]["variables"], records[-1]["rows"]) == (
+        program.num_vars,
+        len(program.rows),
+    )
+
+
+def test_solve_out_writes_the_result_json(tmp_path, capsys):
+    out = tmp_path / "solve.json"
+    code, records, _ = _run(
+        capsys, ["solve", "--n", "3", "--d", "2", "--l", "2", "--out", str(out)]
+    )
+    assert code == 0 and records[0]["output"] == str(out)
+    result = simplex.solve_exact(build_hierarchy_lp(3, 2, 2, False))
+    assert out.read_text() == result.to_json() + "\n"
+
+
+def test_oracle_out_writes_the_witness(tmp_path, capsys):
+    out = tmp_path / "witness.json"
+    code, records, _ = _run(capsys, ["oracle", "--n", "4", "--d", "2", "--out", str(out)])
+    assert code == 0 and records[0]["output"] == str(out)
+    text = out.read_text()
+    assert text.endswith("\n") and text.count("\n") == 1
+    assert json.loads(text) == records[0]["witness"]
+
+
+def test_table_to_stdout_is_the_out_file_then_one_record(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    code, _, printed = _run(capsys, ["table", "--n", "2", "--l", "1"])
+    assert code == 0
+    *csv, record = printed.out.splitlines(keepends=True)
+    code, records, _ = _run(capsys, ["table", "--n", "2", "--l", "1", "--out", str(out)])
+    assert code == 0
+    assert "".join(csv) == out.read_text()
+    assert json.loads(record) == {k: v for k, v in records[0].items() if k != "output"}
 
 
 def test_solve_decimal_and_float(capsys):

@@ -2,16 +2,19 @@
 private helper is used somewhere in the package, private names are
 imported only from ``configs``, only ``configs`` builds a configuration
 unchecked, JSON is encoded only by ``errors.canonical_json``, and every
-memo cache is typed.
+memo cache is typed, and every ``krawlp`` name the ``perfbench/`` scripts
+reach exists in the package.
 
 No linter ships with the project, so these are stdlib-``ast`` stand-ins
 for an unused-import check, a dead-code check, two layering checks, a
-one-encoder check and a typed-cache check.
+one-encoder check, a typed-cache check and a check of the benchmark's
+entry points.
 ``__init__.py`` is exempt from the import check (its imports are the
 package's re-exports), and so are ``__future__`` imports.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -136,3 +139,62 @@ def test_every_lru_cache_is_typed():
                 uses.append((id(node), f"{path.name}:{node.lineno}"))
     assert uses, "no lru_cache found"
     assert [where for key, where in uses if key not in typed] == []
+
+
+BENCH = SRC.parent.parent / "perfbench"
+
+
+def _krawlp_names(tree: ast.Module) -> list[tuple[str, str, int]]:
+    # (module, name, line) for every name a script takes from krawlp: each
+    # ``from krawlp[.mod] import name`` and each ``mod.attr`` read through
+    # a name bound to a krawlp module.
+    modules: dict[str, str] = {}
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "krawlp":
+                    modules[alias.asname or alias.name] = alias.name
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "krawlp":
+            for alias in node.names:
+                names.append((node.module, alias.name, node.lineno))
+                if node.module == "krawlp":
+                    modules[alias.asname or alias.name] = f"krawlp.{alias.name}"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in modules:
+                names.append((modules[node.value.id], node.attr, node.lineno))
+    return names
+
+
+def _has(module: str, name: str) -> bool:
+    # ``from krawlp import cli`` takes a submodule, which the package's
+    # own namespace holds only once something has imported it.
+    if hasattr(importlib.import_module(module), name):
+        return True
+    try:
+        importlib.import_module(f"{module}.{name}")
+    except ModuleNotFoundError:
+        return False
+    return True
+
+
+def test_benchmark_reaches_only_names_the_package_has():
+    # perfbench/ drives the package from outside; a refactor that renames
+    # or drops a name it uses fails here rather than in a benchmark run.
+    scripts = sorted(BENCH.glob("*.py"))
+    assert scripts, "no benchmark scripts found"
+    reached, missing = set(), []
+    for path in scripts:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for module, name, line in _krawlp_names(tree):
+            reached.add(f"{module}.{name}")
+            if not _has(module, name):
+                missing.append(f"{path.name}:{line}: {module}.{name}")
+    assert {
+        "krawlp.cli.run_suite",
+        "krawlp.configs.forbidden_configs",
+        "krawlp.lp.check_feasibility",
+        "krawlp.oracle.CodeSet",
+    } <= reached
+    assert missing == []

@@ -11,16 +11,19 @@ from math import inf
 import pytest
 
 from krawlp import oracle
-from krawlp.configs import WordTuple, config_index, config_of_tuple
+from krawlp.configs import WordTuple, _basis, _subset_xors, config_index, config_of_tuple
 from krawlp.errors import CapacityError, InvalidInputError, NotLinearError
 from krawlp.krawtchouk import CheckReport, KrawtchoukTable, build_table
 from krawlp.lp import build_hierarchy_lp, profile_of_code, row_sums
 from krawlp.oracle import (
+    MAX_LINEAR_CODES,
     CodeSet,
+    _iter_rref,
     _max_independent_set,
     build_fourier_lp,
     dual_code,
     iter_linear_codes,
+    linear_code_count,
     max_code,
     max_linear_code,
     verify_macwilliams,
@@ -275,6 +278,36 @@ def test_linear_code_counts():
     counts = [len({c.words for c in iter_linear_codes(n)}) for n in range(1, 7)]
     assert counts == [2, 5, 16, 67, 374, 2825]
     assert all(c.linear for c in iter_linear_codes(4))
+
+
+def test_linear_code_count_is_the_enumeration_length():
+    assert [linear_code_count(n) for n in range(1, 7)] == [
+        len(list(iter_linear_codes(n))) for n in range(1, 7)
+    ]
+    assert linear_code_count(8) <= MAX_LINEAR_CODES < linear_code_count(9)
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_linear_code_budget_refuses_at_the_call(monkeypatch, n):
+    # The count is closed form: no generator matrix is built before the refusal.
+    monkeypatch.setattr(oracle, "_iter_rref", None)
+    with pytest.raises(CapacityError, match=f"{linear_code_count(n)} linear codes exceed"):
+        iter_linear_codes(n)
+
+
+def test_basis_is_the_rref_the_enumeration_yields():
+    # The eliminator and the enumerator agree on one echelon form: every
+    # subspace at n <= 6, its span shuffled, reduces to its enumerated rows.
+    rng = random.Random(7)
+    checked = 0
+    for n in range(1, 7):
+        for k in range(n + 1):
+            for rows in _iter_rref(n, k):
+                span = _subset_xors(rows)
+                rng.shuffle(span)
+                assert _basis(span) == list(rows)
+                checked += 1
+    assert checked == 3289
 
 
 def test_dual_rejects_nonlinear():

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
@@ -517,6 +518,19 @@ def test_root_value_tiny_and_huge():
     assert root_value(Fraction(1, 2**2000), 2) == 2.0**-1000
     v = root_value(Fraction(10) ** 30, 3)
     assert abs(v - 1e10) <= 1e-5  # 1 ulp at 1e10 is ~2e-6
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_int_nthroot_is_the_floor_root(k):
+    # Newton's iteration alone, with no correction loop after it.
+    nthroot = simplex._int_nthroot
+    for x in range(1 << 16):
+        r = nthroot(x, k)
+        assert r**k <= x < (r + 1) ** k
+    rng = random.Random(k)
+    for _ in range(300):
+        r = 1 + rng.getrandbits(rng.randint(1, 600))
+        assert [nthroot(x, k) for x in (r**k - 1, r**k, r**k + 1)] == [r - 1, r, r]
 
 
 def test_root_value_domain_errors():

@@ -3,7 +3,7 @@
 import pytest
 
 from krawlp import oracle, suites
-from krawlp.configs import SDConfig, enumerate_configs
+from krawlp.configs import SDConfig, enumerate_configs, iter_configs
 from krawlp.krawtchouk import KrawtchoukTable, build_table
 from krawlp.lp import build_delsarte
 from krawlp.suites import run_suite
@@ -18,6 +18,10 @@ def _row_0_negated(n, ell):
 BROKEN = [
     ("census", suites, "config_count", lambda n, ell: 0, (1, 1),
      "(n=1, l=1): 2 configs, want 0"),
+    ("census", suites, "orbit_size", lambda g, n: 0, (1, 1),
+     "(n=1, l=1): orbit sizes add to 0, want 2^1"),
+    ("census", suites, "iter_configs", lambda n, ell: reversed(list(iter_configs(n, ell))),
+     (1, 1), "(n=1, l=1): first config not trivial"),
     ("roundtrip", suites, "venn_to_sd", lambda venn: SDConfig((0, 0)), (1, 1),
      "(n=1, l=1): round trip moved (0, 1)"),
     ("triple-agreement", suites, "eval_explicit", lambda h, g, n: 0, (1, 1),
