@@ -26,10 +26,10 @@ a number of any type but int and ``Fraction`` (a float, a bool).
 to build its tableau and objective.
 ``CodeSet`` is the one code type, linear when |C| = 2^rank(C) (the rank
 from ``configs._basis``).  ``code_census`` is the one count of a
-code's l-tuples (``configs.tuple_census``), keyed by sd entries.  A code
-profile is that census by canonical config index (as in ``var_indices``)
-over one shared denominator: |C|^l for the general formula, 1 for the
-span formula of a linear code.  ``check_point`` checks x = counts / denom
+code's l-tuples (``configs.tuple_census``), keyed by canonical config
+index (as in ``var_indices``); the code's linearity picks what it counts.
+One profile per code: that census over one shared denominator, 1 for a
+linear code and |C|^l for any other.  ``check_point`` checks x = counts / denom
 exactly against every bound and row, and ``check_dual`` checks y the
 same way against every dual sign and column: the two are the whole
 certificate of an optimum.  Profiles and simplex optima go through them.
@@ -60,7 +60,6 @@ from .configs import (
 )
 from .errors import (
     InvalidInputError,
-    NotLinearError,
     ParameterError,
     canonical_json,
     parsing,
@@ -114,7 +113,8 @@ class LinearProgram:
     configuration indices for the weight/configuration programs, flattened
     tuple codes for the word-tuple program.  Variable names are derived as
     ``a_<index>`` so exports are deterministic.  Only parameters a builder
-    can produce are accepted: n, l and d in ``check_program_args``'s range,
+    can produce are accepted: at least one variable (every builder keeps
+    point 0), n, l and d in ``check_program_args``'s range,
     l = 1 and ``linear`` None for a delsarte program, a bool ``linear``
     otherwise, and an int or ``Fraction`` for every number.
     """
@@ -132,6 +132,8 @@ class LinearProgram:
         if self.kind not in ("delsarte", "krawtchouk", "fourier"):
             raise InvalidInputError(f"unknown program kind {self.kind!r}")
         nv = len(self.var_indices)
+        if not nv:
+            raise InvalidInputError("a program needs at least one variable")
         if len(set(self.var_indices)) != nv:
             raise InvalidInputError("variable indices repeat")
         try:
@@ -284,10 +286,10 @@ class CodeProfile:
     ``counts`` maps canonical configuration indices (positions in
     ``enumerate_configs(n, ell)``) to int tuple counts, zero counts
     omitted; the profile mass of a configuration is its count over
-    ``denom``.  The general-code formula counts pairs of l-tuples, with
-    ``denom`` = |C|^l; the span formula for linear codes counts tuples of
-    codewords, with ``denom`` = 1.  Either way the masses sum to |C|^l and
-    the trivial configuration carries exactly 1.
+    ``denom``.  One profile per code: a linear code counts tuples of
+    codewords, with ``denom`` = 1; any other code counts pairs of
+    l-tuples, with ``denom`` = |C|^l.  Either way the masses sum to |C|^l
+    and the trivial configuration carries exactly 1.
     """
 
     n: int
@@ -311,40 +313,35 @@ class CodeProfile:
         return Fraction(sum(self.counts.values()), self.denom)
 
 
-def code_census(code: CodeSet, ell: int, linear: bool = False) -> Counter:
-    """Integer tuple counts of a code at level l, keyed by sd entries.
+def code_census(code: CodeSet, ell: int) -> dict[int, int]:
+    """Integer tuple counts of a code at level l, keyed by canonical config index.
 
-    With ``linear`` set the code must be XOR-closed and the census counts
-    l-tuples of codewords; otherwise it counts the difference tuples of
-    all pairs of l-tuples, |C|^(2l) in total.
+    A linear code counts its l-tuples of codewords; any other code counts
+    the difference tuples of all pairs of l-tuples, |C|^(2l) in total.
+    Keys go in the order of their sd entries.
     """
-    if linear:
-        if not code.linear:
-            raise NotLinearError("code is not XOR-closed (or misses 0)")
-        return tuple_census([[(w, 1) for w in code.words]] * ell)
-    diff = Counter(x ^ y for x in code.words for y in code.words)
-    return tuple_census([list(diff.items())] * ell)
+    index = config_index(code.n, ell)
+    if code.linear:
+        parts = [(w, 1) for w in code.words]
+    else:
+        parts = list(Counter(x ^ y for x in code.words for y in code.words).items())
+    return {index[key]: count for key, count in sorted(tuple_census([parts] * ell).items())}
 
 
-def profile_of_code(
-    words: Iterable[int], n: int, ell: int, linear: bool = False
-) -> CodeProfile:
+def profile_of_code(words: Iterable[int], n: int, ell: int) -> CodeProfile:
     """Configuration profile of a code given as n-bit integer words.
 
-    The counts are ``code_census`` by canonical config index: tuples of
-    codewords with ``linear`` set (denominator 1), else difference tuples
-    of all pairs of l-tuples (denominator |C|^l).
+    The counts are ``code_census``, over denominator 1 for a linear code
+    and |C|^l for any other.
     """
     check_config_args(n, ell)
     code = CodeSet(frozenset(words), n)
-    index = config_index(n, ell)
-    raw = code_census(code, ell, linear)
     return CodeProfile(
         n=n,
         ell=ell,
         size=code.size,
-        counts={index[key]: count for key, count in sorted(raw.items())},
-        denom=1 if linear else code.size**ell,
+        counts=code_census(code, ell),
+        denom=1 if code.linear else code.size**ell,
     )
 
 

@@ -55,7 +55,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator
 
-from .configs import _basis, _sd_entries, _subset_xors, config_index, row_sums, too_close
+from .configs import _basis, _sd_entries, _subset_xors, row_sums, too_close
 from .errors import CapacityError, NotLinearError, ParameterError, SelfCheckError, require_int
 from .krawtchouk import CheckReport, cached_table, digits_nonnegative
 from .lp import CodeSet, LinearProgram, check_program_args, code_census, packing_lp
@@ -259,13 +259,13 @@ def verify_macwilliams(c: CodeSet, ell: int) -> CheckReport:
 
     For a linear code, the transform of its profile must equal |C|^l times
     the dual code's profile, entry by entry.  For any code, the transform
-    of the (pair-count) profile must be non-negative in every entry.  The
-    report counts one check per identity row and per inequality row.
+    of its profile must be non-negative in every entry.  The report counts
+    one check per identity row and per inequality row.
 
-    The code's own profile (codeword-tuple counts if linear, else pair
-    counts) has one transform s, a linear combination of the table's
-    packed columns (``KrawtchoukTable.transform_packing``), its entry h
-    the signed digit h in base 2^w.  The width w = bits(2^(2 l n) big) + 2,
+    The code's profile (``code_census``) has one transform s, a linear
+    combination of the table's packed columns
+    (``KrawtchoukTable.transform_packing``), its entry h the signed digit
+    h in base 2^w.  The width w = bits(2^(2 l n) big) + 2,
     with big the table's largest |entry|, bounds every digit: the counts
     sum to at most |C|^(2l) <= 2^(2 l n).  So the identity is one compare
     of s with the packed dual profile.  A linear code's pair transform is
@@ -276,15 +276,12 @@ def verify_macwilliams(c: CodeSet, ell: int) -> CheckReport:
     """
     table = cached_table(c.n, ell)
     width, tops, columns = table.transform_packing
-    index = config_index(c.n, ell)
-    prof = [(index[key], m) for key, m in code_census(c, ell, c.linear).items()]
+    prof = code_census(c, ell).items()
     s = sum(columns[g] * m for g, m in prof)
     scale = c.size**ell if c.linear else 1
     violations = []
     if c.linear:
-        dual_prof = {
-            index[key]: m for key, m in code_census(dual_code(c), ell, linear=True).items()
-        }
+        dual_prof = code_census(dual_code(c), ell)
         if s != scale * sum(m << (width * h) for h, m in dual_prof.items()):
             for h_idx, rhs in enumerate(row_sums(table.values, prof)):
                 lhs = scale * dual_prof.get(h_idx, 0)

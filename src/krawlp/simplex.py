@@ -325,11 +325,9 @@ def solve_exact(lp: LinearProgram) -> SolveResult:
 
 def solve_float(lp: LinearProgram) -> SolveResult:
     """Fast floating-point solve (HiGHS); results carry ``exact=False``."""
-    import numpy as np
     from scipy.optimize import linprog
 
-    nv = lp.num_vars
-    c = np.array([-float(v) for v in lp.objective])
+    c = [-float(v) for v in lp.objective]
     a_ub, b_ub, a_eq, b_eq = [], [], [], []
     for row in lp.rows:
         coeffs = [float(v) for v in row.coeffs]
@@ -345,10 +343,10 @@ def solve_float(lp: LinearProgram) -> SolveResult:
             b_ub.append(rhs)
     res = linprog(
         c,
-        A_ub=np.array(a_ub) if a_ub else None,
-        b_ub=np.array(b_ub) if b_ub else None,
-        A_eq=np.array(a_eq) if a_eq else None,
-        b_eq=np.array(b_eq) if b_eq else None,
+        A_ub=a_ub or None,
+        b_ub=b_ub or None,
+        A_eq=a_eq or None,
+        b_eq=b_eq or None,
         bounds=(0, None),
         method="highs",
         options={

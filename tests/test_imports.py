@@ -2,12 +2,13 @@
 private helper is used somewhere in the package, private names are
 imported only from ``configs``, only ``configs`` builds a configuration
 unchecked, JSON is encoded only by ``errors.canonical_json``, and every
-memo cache is typed, and every ``krawlp`` name the ``perfbench/`` scripts
-reach exists in the package.
+memo cache is typed, every ``krawlp`` name the ``perfbench/`` scripts
+reach exists in the package, and every call they make into it binds to
+its signature.
 
 No linter ships with the project, so these are stdlib-``ast`` stand-ins
 for an unused-import check, a dead-code check, two layering checks, a
-one-encoder check, a typed-cache check and a check of the benchmark's
+one-encoder check, a typed-cache check and two checks of the benchmark's
 entry points.
 ``__init__.py`` is exempt from the import check (its imports are the
 package's re-exports), and so are ``__future__`` imports.
@@ -15,6 +16,7 @@ package's re-exports), and so are ``__future__`` imports.
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -144,12 +146,12 @@ def test_every_lru_cache_is_typed():
 BENCH = SRC.parent.parent / "perfbench"
 
 
-def _krawlp_names(tree: ast.Module) -> list[tuple[str, str, int]]:
-    # (module, name, line) for every name a script takes from krawlp: each
-    # ``from krawlp[.mod] import name`` and each ``mod.attr`` read through
-    # a name bound to a krawlp module.
+def _krawlp_imports(tree: ast.Module) -> tuple[dict[str, str], list[tuple]]:
+    # The names a script binds from krawlp: {name: module} for each krawlp
+    # module, and (name, module, attr, line) for each
+    # ``from krawlp[.mod] import attr``.
     modules: dict[str, str] = {}
-    names = []
+    imported = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -157,9 +159,18 @@ def _krawlp_names(tree: ast.Module) -> list[tuple[str, str, int]]:
                     modules[alias.asname or alias.name] = alias.name
         elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "krawlp":
             for alias in node.names:
-                names.append((node.module, alias.name, node.lineno))
+                imported.append((alias.asname or alias.name, node.module, alias.name, node.lineno))
                 if node.module == "krawlp":
                     modules[alias.asname or alias.name] = f"krawlp.{alias.name}"
+    return modules, imported
+
+
+def _krawlp_names(tree: ast.Module) -> list[tuple[str, str, int]]:
+    # (module, name, line) for every name a script takes from krawlp: each
+    # ``from krawlp[.mod] import name`` and each ``mod.attr`` read through
+    # a name bound to a krawlp module.
+    modules, imported = _krawlp_imports(tree)
+    names = [(module, attr, line) for _, module, attr, line in imported]
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
             if node.value.id in modules:
@@ -198,3 +209,55 @@ def test_benchmark_reaches_only_names_the_package_has():
         "krawlp.oracle.CodeSet",
     } <= reached
     assert missing == []
+
+
+def _callee(node: ast.expr, modules: dict, imported: dict) -> tuple[str, object] | None:
+    # ``(dotted name, object)`` of the krawlp function or class an
+    # expression names, through a ``from`` import or a module attribute.
+    if isinstance(node, ast.Name) and node.id in imported:
+        module, name = imported[node.id]
+    elif (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+    ):
+        module, name = modules[node.value.id], node.attr
+    else:
+        return None
+    target = getattr(importlib.import_module(module), name, None)
+    return (f"{module}.{name}", target) if callable(target) else None
+
+
+def test_benchmark_calls_bind_to_the_package_signatures():
+    # A direct call into krawlp, or one made as ``rec.call(label, fn, *args)``,
+    # must bind to the callee's signature, so a parameter added, dropped or
+    # renamed fails here rather than as a failed benchmark run.  A call with
+    # a starred argument is skipped: its argument count is not in the source.
+    reached, unbound = set(), []
+    for path in sorted(BENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        modules, froms = _krawlp_imports(tree)
+        imported = {local: (module, attr) for local, module, attr, _ in froms}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            target, args = _callee(node.func, modules, imported), node.args
+            if target is None and getattr(node.func, "attr", None) == "call" and len(args) > 1:
+                target, args = _callee(args[1], modules, imported), args[2:]
+            starred = any(isinstance(a, ast.Starred) for a in args)
+            if target is None or starred or any(k.arg is None for k in node.keywords):
+                continue
+            name, fn = target
+            reached.add(name)
+            try:
+                inspect.signature(fn).bind(*args, **{k.arg: k.value for k in node.keywords})
+            except TypeError as exc:
+                unbound.append(f"{path.name}:{node.lineno}: {name}: {exc}")
+    assert {
+        "krawlp.lp.profile_of_code",
+        "krawlp.lp.check_feasibility",
+        "krawlp.krawtchouk.load_table",
+        "krawlp.simplex.solve_exact",
+        "krawlp.oracle.CodeSet",
+    } <= reached
+    assert unbound == []

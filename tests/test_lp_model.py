@@ -1,13 +1,21 @@
 """LP assembly, code profiles, feasibility checking, exports."""
 
 import json
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from krawlp.configs import SDConfig, config_count, enumerate_configs, forbidden_configs
-from krawlp.errors import InvalidInputError, NotLinearError, ParameterError
+from krawlp.configs import (
+    SDConfig,
+    config_count,
+    config_index,
+    enumerate_configs,
+    forbidden_configs,
+    tuple_census,
+)
+from krawlp.errors import InvalidInputError, ParameterError
 from krawlp.lp import (
     CodeProfile,
     LinearProgram,
@@ -168,21 +176,33 @@ def test_profile_objective_is_size_power():
             assert prof.counts[0] == prof.denom
 
 
-def test_profile_linear_requires_closure():
-    with pytest.raises(NotLinearError):
-        profile_of_code([0, 1, 2], 2, 1, linear=True)
-    with pytest.raises(NotLinearError):
-        profile_of_code([1, 2, 3], 2, 1, linear=True)  # misses zero
+def test_profile_denominator_follows_linearity():
+    # [1, 2, 3] misses zero, [0, 3, 5] is not XOR-closed.
+    cases = ([0, 3, 5, 6], 3, True), ([0, 3, 5], 3, False), ([1, 2, 3], 2, False)
+    for words, n, linear in cases:
+        for ell in (1, 2):
+            prof = profile_of_code(words, n, ell)
+            assert prof.denom == (1 if linear else len(words) ** ell), (words, ell)
+
+
+def _pair_masses(words, n, ell):
+    # The pair-difference formula any code's profile follows: the difference
+    # tuples of all pairs of l-tuples, by config index, over |C|^l.
+    diff = Counter(x ^ y for x in words for y in words)
+    index = config_index(n, ell)
+    census = tuple_census([list(diff.items())] * ell)
+    return {index[key]: Fraction(m, len(words) ** ell) for key, m in census.items()}
 
 
 def test_profile_general_equals_span_for_linear_codes():
+    # A linear code's profile counts codeword tuples; the pair formula
+    # gives it the same masses.
     for n in range(1, 6):
         for code in iter_linear_codes(n):
             words = sorted(code.words)
             for ell in (1, 2):
-                general = profile_of_code(words, n, ell, linear=False)
-                span = profile_of_code(words, n, ell, linear=True)
-                assert _masses(general) == _masses(span), (n, ell, words)
+                prof = profile_of_code(words, n, ell)
+                assert _masses(prof) == _pair_masses(words, n, ell), (n, ell, words)
 
 
 @pytest.mark.parametrize(
@@ -341,9 +361,7 @@ def test_oracle_witness_profiles_are_feasible():
                 prof = profile_of_code(sorted(witness_gen.words), n, ell)
                 lp = build_hierarchy_lp(n, d, ell, linear=False)
                 assert check_feasibility(lp, prof).feasible, (n, d, ell)
-                prof_lin = profile_of_code(
-                    sorted(witness_lin.words), n, ell, linear=True
-                )
+                prof_lin = profile_of_code(sorted(witness_lin.words), n, ell)
                 lp_lin = build_hierarchy_lp(n, d, ell, linear=True)
                 assert check_feasibility(lp_lin, prof_lin).feasible, (n, d, ell)
 
@@ -433,6 +451,11 @@ def _malformed_lp_json(edit):
         _malformed_lp_json(lambda data: data.__setitem__("var_indices", [0, -5])),
         _malformed_lp_json(lambda data: data.__setitem__("var_indices", [0, 1.0])),
         _malformed_lp_json(lambda data: data.__setitem__("var_indices", [0, True])),
+        _malformed_lp_json(
+            lambda data: data.update(
+                var_indices=[], objective=[], rows=[{**r, "coeffs": []} for r in data["rows"]]
+            )
+        ),
         _malformed_lp_json(lambda data: data.__setitem__("d", "q")),
         _malformed_lp_json(lambda data: data.__setitem__("n", 1.0)),
         _malformed_lp_json(lambda data: data.__setitem__("l", True)),
@@ -467,6 +490,7 @@ def _malformed_lp_json(edit):
         "negative-index",
         "float-index",
         "bool-index",
+        "no-variables",
         "string-d",
         "float-n",
         "bool-l",

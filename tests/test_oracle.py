@@ -6,12 +6,20 @@ import itertools
 import json
 import operator
 import random
+from collections import Counter
 from math import inf
 
 import pytest
 
 from krawlp import oracle
-from krawlp.configs import WordTuple, _basis, _subset_xors, config_index, config_of_tuple
+from krawlp.configs import (
+    WordTuple,
+    _basis,
+    _subset_xors,
+    config_index,
+    config_of_tuple,
+    tuple_census,
+)
 from krawlp.errors import CapacityError, InvalidInputError, NotLinearError
 from krawlp.krawtchouk import CheckReport, KrawtchoukTable, build_table
 from krawlp.lp import build_hierarchy_lp, profile_of_code, row_sums
@@ -377,14 +385,23 @@ def test_macwilliams_identity_skipped_for_nonlinear():
     assert report.checked == 3  # inequality rows only, one per weight 0..2
 
 
+def _pair_census(c, ell):
+    # The difference tuples of all pairs of l-tuples, by config index.
+    diff = Counter(x ^ y for x in c.words for y in c.words)
+    index = config_index(c.n, ell)
+    return {index[key]: m for key, m in tuple_census([list(diff.items())] * ell).items()}
+
+
 def _macwilliams_by_rows(c, ell):
     # Reference: every transform entry as its own row sum over the profile,
-    # each code profile from profile_of_code.
+    # the code and dual profiles from profile_of_code.  The inequality rows
+    # read the pair census counted here, so a linear code's pair transform
+    # is checked to be |C|^l times its profile's.
     table = oracle.cached_table(c.n, ell)
     violations = []
     if c.linear:
-        prof = profile_of_code(c.words, c.n, ell, linear=True).counts
-        dual_prof = profile_of_code(dual_code(c).words, c.n, ell, linear=True).counts
+        prof = profile_of_code(c.words, c.n, ell).counts
+        dual_prof = profile_of_code(dual_code(c).words, c.n, ell).counts
         scale = c.size**ell
         for h_idx, rhs in enumerate(row_sums(table.values, prof.items())):
             lhs = scale * dual_prof.get(h_idx, 0)
@@ -392,8 +409,7 @@ def _macwilliams_by_rows(c, ell):
                 violations.append(
                     f"identity at h={h_idx}: {lhs} != {rhs} (|C|={c.size}, l={ell})"
                 )
-    pair_prof = profile_of_code(c.words, c.n, ell).counts
-    for h_idx, s in enumerate(row_sums(table.values, pair_prof.items())):
+    for h_idx, s in enumerate(row_sums(table.values, _pair_census(c, ell).items())):
         if s < 0:
             violations.append(f"inequality at h={h_idx}: transform {s} < 0")
     checked = table.size * (2 if c.linear else 1)
@@ -545,7 +561,7 @@ def test_fourier_indicator_solution_feasible():
 
 def test_fourier_orbit_sums_reproduce_profile():
     # summing the indicator solution over configuration classes gives the
-    # span-formula profile of the code
+    # profile of the linear code
     n, ell = 3, 2
     _, code = max_linear_code(n, 2)
     words = code.words
@@ -555,7 +571,7 @@ def test_fourier_orbit_sums_reproduce_profile():
         if all(w in words for w in parts):
             i = index[config_of_tuple(WordTuple(parts, n)).entries]
             sums[i] = sums.get(i, 0) + 1
-    prof = profile_of_code(sorted(words), n, ell, linear=True)
+    prof = profile_of_code(sorted(words), n, ell)
     assert prof.denom == 1
     assert sums == prof.counts
 

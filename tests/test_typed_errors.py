@@ -124,6 +124,11 @@ CASES = [
         "row R length",
     ),
     (
+        lambda: replace(build_delsarte(1, 1), var_indices=(), objective=(), rows=()),
+        InvalidInputError,
+        "at least one variable",
+    ),
+    (
         lambda: check_feasibility(build_fourier_lp(1, 1, 1, False), profile_of_code([0], 1, 1)),
         InvalidInputError,
         "word tuples",
