@@ -318,14 +318,13 @@ def code_census(code: CodeSet, ell: int) -> dict[int, int]:
 
     A linear code counts its l-tuples of codewords; any other code counts
     the difference tuples of all pairs of l-tuples, |C|^(2l) in total.
-    Keys go in the order of their sd entries.
     """
     index = config_index(code.n, ell)
     if code.linear:
         parts = [(w, 1) for w in code.words]
     else:
         parts = list(Counter(x ^ y for x in code.words for y in code.words).items())
-    return {index[key]: count for key, count in sorted(tuple_census([parts] * ell).items())}
+    return {index[key]: count for key, count in tuple_census([parts] * ell).items()}
 
 
 def profile_of_code(words: Iterable[int], n: int, ell: int) -> CodeProfile:
@@ -423,8 +422,9 @@ def check_feasibility(lp: LinearProgram, point: CodeProfile) -> FeasibilityVerdi
     """Check a profile exactly against every row and bound of an LP.
 
     A nonzero mass on an eliminated configuration is reported as a
-    distance violation, not an error; the rest is ``check_point`` on the
-    profile's counts over its denominator.
+    distance violation, not an error, naming the one with the lowest
+    index; the rest is ``check_point`` on the profile's counts over its
+    denominator.
     """
     if lp.kind == "fourier":
         raise InvalidInputError("profiles index configurations, not word tuples")
@@ -435,7 +435,7 @@ def check_feasibility(lp: LinearProgram, point: CodeProfile) -> FeasibilityVerdi
         )
     pos = {g: i for i, g in enumerate(lp.var_indices)}
     support = []
-    for g, count in point.counts.items():
+    for g, count in sorted(point.counts.items()):
         slot = pos.get(g)
         if slot is None:
             if count != 0:
@@ -449,6 +449,7 @@ def check_feasibility(lp: LinearProgram, point: CodeProfile) -> FeasibilityVerdi
                 )
         else:
             support.append((slot, count))
+    # A program read from JSON may list var_indices in any order.
     return check_point(lp, sorted(support), point.denom)
 
 

@@ -1,21 +1,27 @@
 """Exact and floating-point linear program solvers.
 
-The exact path is a two-phase primal simplex over a condensed
-fraction-free integer tableau: each row is scaled to integers once, the
-tableau keeps one common denominator (the previous pivot), and every
-update is an exact integer division (Bareiss elimination), so no
-`fractions.Fraction` is formed while pivoting.  The columns are the
+The exact path is a two-phase primal simplex over a condensed integer
+tableau with primitive rows, so no `fractions.Fraction` is formed while
+pivoting.  Each row is scaled to integers once.  There is no common
+denominator: each row carries its own positive basic coefficient, and a
+pivot divides every row it changes by its content, the gcd of that
+coefficient and the row's entries.  Each stored row is thus a positive
+multiple of the same row of the fraction-free (Bareiss) tableau, which
+holds every row over det(B), so every pivot choice, which reads signs,
+one row's entries or ratios within one row, is the Bareiss tableau's;
+the rows just lose the bits of that shared factor.  The columns are the
 program's variables, then its slacks and artificials; the tableau stores
-only the nonbasic ones, one slot each, since a basic column is den times
-a unit vector (integer pivoting as in Avis's ``lrs``).  One pass over
-the program's rows builds the tableau, each row made rhs >= 0 by a sign
-folded into its integer scale, so a ``>= 0`` row becomes ``<= 0`` with
-its slack basic; there is no other presolve.  One pricing loop serves
-both pivot rules: largest coefficient for a bounded number of pivots,
-then Bland's rule, so termination is guaranteed; both choose by column
-label, never by slot.  ``integer_form`` serves only to build the tableau
-and the objective.  This module only pivots and reads x and y; ``lp``
-states what certifies them.  Every optimal answer passes
+only the nonbasic ones, one slot each, since a basic column is its
+row's basic coefficient times a unit vector (integer pivoting as in
+Avis's ``lrs``).  One pass over the program's rows builds the tableau,
+each row made rhs >= 0 by a sign folded into its integer scale, so a
+``>= 0`` row becomes ``<= 0`` with its slack basic; there is no other
+presolve.  One pricing loop serves both pivot rules: largest
+coefficient for a bounded number of pivots, then Bland's rule, so
+termination is guaranteed; both choose by column label, never by slot.
+``integer_form`` serves only to build the tableau and the objective.
+This module only pivots and reads x and y; ``lp`` states what
+certifies them.  Every optimal answer passes
 ``lp.check_point`` on x and ``lp.check_dual`` on y, both exact against
 the program's own rows, with equal objectives.  Each row's dual value is
 read one way: the final reduced cost of the row's starting basic column
@@ -30,8 +36,9 @@ decide an identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import (
     IterationLimitError,
@@ -62,7 +69,9 @@ class SolveResult:
 
     For exact solves ``value``/``primal`` are rationals and the point
     satisfies every row exactly; for float solves they are floats and
-    ``exact`` is False.
+    ``exact`` is False.  ``dual`` is the certified dual of an exact
+    optimum, one ``Fraction`` per row of ``lp.rows`` (``None`` otherwise);
+    like the stdout record of ``to_json``, equality leaves it out.
     """
 
     status: str  # "optimal" | "infeasible" | "unbounded"
@@ -70,6 +79,7 @@ class SolveResult:
     primal: tuple | None
     pivots: int
     exact: bool
+    dual: tuple[Fraction, ...] | None = field(default=None, compare=False)
 
     def to_json(self) -> str:
         payload = {
@@ -88,82 +98,98 @@ class SolveResult:
 
 
 class _Tableau:
-    """Condensed fraction-free tableau over the nonbasic columns only.
+    """Condensed integer tableau over the nonbasic columns, one primitive row each.
 
-    Row i reads ``den*x[basis[i]] + sum_k rows[i][k]*x[nonbasic[k]] =
-    rows[i][-1]``: the basic columns, which are den times a unit vector,
-    are not stored, and ``nonbasic[k]`` is the column label of slot k.
+    Row i reads ``dens[i]*x[basis[i]] + sum_k rows[i][k]*x[nonbasic[k]] =
+    rows[i][-1]`` with ``dens[i] > 0``: the basic columns, which are
+    ``dens[i]`` times a unit vector, are not stored, and ``nonbasic[k]``
+    is the column label of slot k.  There is no common denominator.  The
+    reduced-cost row ``obj`` holds ``zden > 0`` times the reduced costs
+    z_j - c_j of the slots, and zden times the objective value last.
+
     A pivot on entry p = rows[r][c] swaps ``basis[r]`` and
-    ``nonbasic[c]``.  Row r keeps its entries and gets s = den in slot c,
-    the leaving column's coefficient (-den if the row was negated to make
-    p positive).  Every other row, and the reduced-cost row, gets the
-    Bareiss update ``(p*a - f*q) // den`` with f its slot-c entry, which
-    leaves ``-f*s // den`` in slot c; then ``den = p``.  These are the
-    entries of the full Bareiss tableau (every one den times a
-    basis-system minor), so the divisions are exact, ``den`` stays
-    positive, and the pivots are those of the full tableau.
+    ``nonbasic[c]``.  Row r keeps its entries, takes basic coefficient p
+    and gets s = dens[r] in slot c, the leaving column's coefficient (the
+    row is negated first if p < 0); it holds the same numbers up to sign,
+    so it stays primitive.  A row with f = 0 in slot c is not touched.
+    Every other row, and ``obj``, becomes ``p*a - f*q`` entry by entry,
+    which leaves ``-f*s`` in slot c, with basic coefficient p times its
+    old one, and is then divided by its content: the gcd of its basic
+    coefficient and its entries.  So every row is gcd 1 after every
+    pivot, and each is a positive multiple of the same row of the
+    fraction-free (Bareiss) tableau, which holds every row over the one
+    denominator det(B).  Pricing compares entries of ``obj``, the ratio
+    test compares rhs/entry ratios each read within one row, and the
+    tie-breaks go by label, so the pivots are the Bareiss tableau's.
     """
 
     def __init__(self, rows, basis, nonbasic):
         self.rows = rows          # list[list[int]], one entry per slot, rhs last
+        self.dens = [1] * len(rows)  # positive basic coefficient per row
         self.basis = basis        # basic column label per row
         self.nonbasic = nonbasic  # column label per slot
-        self.den = 1
+        self.obj = None           # reduced-cost row, rhs last; set by price
+        self.zden = 1             # its positive scale
         self.pivots = 0
 
-    def pivot(self, r: int, c: int, obj=None) -> None:
-        """Pivot on (r, c), carrying the reduced-cost row ``obj`` along."""
-        rows, den = self.rows, self.den
+    def price(self, cost) -> None:
+        """Set ``obj`` to the reduced costs of the integer costs ``cost``."""
+        # Over L, the lcm of the basic coefficients of the rows whose
+        # basic column has a cost, z_j - c_j is the sum of
+        # cost[basis[i]] * (L / dens[i]) * rows[i][k] less L * cost[j];
+        # every basic column's reduced cost is 0.
+        terms = [(cost[bi], i) for i, bi in enumerate(self.basis) if cost[bi]]
+        zden = lcm(*(self.dens[i] for _, i in terms))
+        obj = [-zden * cost[j] for j in self.nonbasic] + [0]
+        for cb, i in terms:
+            m = cb * (zden // self.dens[i])
+            obj = [o + m * a for o, a in zip(obj, self.rows[i])]
+        g = gcd(zden, *obj)
+        self.obj, self.zden = [o // g for o in obj], zden // g
+
+    def pivot(self, r: int, c: int) -> None:
+        """Pivot on (r, c), carrying the reduced-cost row along."""
+        rows, dens = self.rows, self.dens
         prow = rows[r]
         p = prow[c]
-        s = den
+        s = dens[r]
         if p < 0:
             # Only a zero-level artificial leaves on a negative entry;
             # negating the pivot row first keeps every eliminated row's
-            # sign and makes den positive.
+            # sign and makes its basic coefficient positive.
             prow = rows[r] = [-a for a in prow]
-            p, s = -p, -den
-        # With q = p + s in slot c, (p*f - f*q) // den is -f*s // den.
+            p, s = -p, -s
+        # With q = p + s in slot c, p*f - f*q is -f*s.
         prow[c] = p + s
         for i, row in enumerate(rows):
-            if i != r:
-                rows[i] = _eliminate(row, prow, p, c, den)
-        if obj is not None:
-            obj[:] = _eliminate(obj, prow, p, c, den)
+            if row[c] and i != r:
+                rows[i], dens[i] = _eliminate(row, dens[i], prow, p, c)
+        if self.obj[c]:
+            self.obj, self.zden = _eliminate(self.obj, self.zden, prow, p, c)
         prow[c] = s
-        self.den = p
+        dens[r] = p
         self.basis[r], self.nonbasic[c] = self.nonbasic[c], self.basis[r]
         self.pivots += 1
 
 
-def _eliminate(row, prow, p, c, den):
+def _eliminate(row, den, prow, p, c):
+    # p*row - f*prow over basic coefficient p*den, divided by its content.
     f = row[c]
-    if f:
-        return [(p * a - f * q) // den for a, q in zip(row, prow)]
-    if p == den:
-        return row
-    return [p * a // den for a in row]
+    row = [p * a - f * q for a, q in zip(row, prow)]
+    den *= p
+    g = gcd(den, *row)
+    if g == 1:
+        return row, den
+    return [a // g for a in row], den // g
 
 
-def _objective_row(tab: _Tableau, cost):
-    # den times the reduced costs z_j - c_j of the integer costs ``cost``
-    # over the nonbasic slots, with den times the objective value in the
-    # rhs slot; every basic column's reduced cost is 0.
-    den = tab.den
-    obj = [-den * cost[j] for j in tab.nonbasic] + [0]
-    for i, bi in enumerate(tab.basis):
-        cb = cost[bi]
-        if cb:
-            obj = [o + cb * a for o, a in zip(obj, tab.rows[i])]
-    return obj
-
-
-def _run_phase(tab, obj, ncols):
+def _run_phase(tab, ncols):
     # Pivot until optimal (all reduced costs >= 0) or unbounded; only
-    # columns labelled below ncols may enter.  Every reduced cost and every
-    # ratio shares the denominator den, so costs compare directly and
-    # ratios b_i / a_i by cross-multiplying.  Choices go by column label,
-    # never by slot, so ties break as on the full tableau.
+    # columns labelled below ncols may enter.  Reduced costs share the
+    # row obj, so they compare directly, and each ratio b_i / a_i is
+    # read within row i, so ratios compare by cross-multiplying.  Choices
+    # go by column label, never by slot, so ties break as on the full
+    # tableau.
     nonbasic = tab.nonbasic
     while True:
         # Largest coefficient first; after DANTZIG_PIVOTS pivots every
@@ -172,8 +198,7 @@ def _run_phase(tab, obj, ncols):
         bland = tab.pivots >= DANTZIG_PIVOTS
         enter = -1
         best, label = 0, ncols
-        for k, j in enumerate(nonbasic):
-            o = obj[k]
+        for k, (o, j) in enumerate(zip(tab.obj, nonbasic)):
             if o < 0 and j < ncols:
                 if bland:
                     o = -1
@@ -198,7 +223,7 @@ def _run_phase(tab, obj, ncols):
             return "unbounded"
         if tab.pivots >= MAX_PIVOTS:
             raise IterationLimitError(f"pivot cap {MAX_PIVOTS} exceeded")
-        tab.pivot(leave, enter, obj)
+        tab.pivot(leave, enter)
 
 
 def solve_exact(lp: LinearProgram) -> SolveResult:
@@ -211,10 +236,16 @@ def solve_exact(lp: LinearProgram) -> SolveResult:
     and a negative rhs or a ``>= 0`` row negates it, the sign folded into
     its scale, so a ``>= 0`` row becomes ``<= 0`` with its slack basic
     and feasible.  There is no other presolve.  The rows form a condensed
-    integer tableau that stores only the nonbasic columns, with one
-    common denominator (see ``_Tableau``), so no ``Fraction`` is formed
-    until the optimum is read off.  Phase 1 runs on every program (with
-    no artificial it makes no pivot), and the reported pivot count covers
+    integer tableau that stores only the nonbasic columns, with no common
+    denominator: each row has its own positive basic coefficient and is
+    divided by its content whenever a pivot changes it (see
+    ``_Tableau``), so no ``Fraction`` is formed until the optimum is read
+    off.  The starting rows are not divided: their basic coefficients are
+    1, so they are primitive already.  Each stored row is a positive
+    multiple of its fraction-free (Bareiss) row, so the pivots, points
+    and values are those of the Bareiss tableau with its common
+    denominator det(B).  Phase 1 runs on every program (with no
+    artificial it makes no pivot), and the reported pivot count covers
     both phases.
 
     The pivot rule is fixed and chooses by column label: largest
@@ -226,10 +257,12 @@ def solve_exact(lp: LinearProgram) -> SolveResult:
     artificial; the dual value of the row is the final reduced cost of
     that column (0 if it ends basic) times the row's signed integer
     scale.  The certificate is ``check_point`` on the primal point, over
-    the tableau denominator ``den``, and ``check_dual`` on the dual, over
-    ``den * L`` with L the objective's integer scale; both read
-    ``lp.rows`` and ``lp.objective`` themselves, and their objectives
-    must agree.  The reported value is that objective.
+    the lcm of the basic coefficients of the rows whose basic column is a
+    variable, and ``check_dual`` on the dual, over ``zden * L`` with zden
+    the reduced-cost row's scale and L the objective's integer scale;
+    both read ``lp.rows`` and ``lp.objective`` themselves, and their
+    objectives must agree.  The reported value is that objective, and
+    the result keeps the certified dual.
     """
     nv = lp.num_vars
 
@@ -272,7 +305,8 @@ def solve_exact(lp: LinearProgram) -> SolveResult:
     # basis and adds 0 to the objective.  With no artificials every cost
     # is 0, and phase 1 ends at once.
     cost1 = [0] * art_start + [-1] * (ncols - art_start)
-    if _run_phase(tab, _objective_row(tab, cost1), ncols) != "optimal":
+    tab.price(cost1)
+    if _run_phase(tab, ncols) != "optimal":
         raise SelfCheckError("phase 1 cannot be unbounded")
     if any(row[-1] for row, bi in zip(tab.rows, tab.basis) if bi >= art_start):
         return SolveResult("infeasible", None, None, tab.pivots, True)
@@ -289,33 +323,36 @@ def solve_exact(lp: LinearProgram) -> SolveResult:
     # Phase 2 on the real objective, scaled by L to integers; artificial
     # columns may not re-enter.
     cost, cost_scale = integer_form(lp.objective)
-    obj2 = _objective_row(tab, cost + [0] * (ncols - nv))
-    status = _run_phase(tab, obj2, art_start)
+    tab.price(cost + [0] * (ncols - nv))
+    status = _run_phase(tab, art_start)
     if status == "unbounded":
         return SolveResult("unbounded", None, None, tab.pivots, True)
 
-    # Certificate: x = xnum / den, and y = ynum / (den * L) from the final
-    # reduced cost of each row's +1 column (0 while basic), times the
-    # row's signed scale, which reads it back on the row as lp.rows
-    # states it.
-    den = tab.den
+    # Certificate: x = xnum / den, with den the lcm of the basic
+    # coefficients of the variables' rows, and y = ynum / (zden * L) from
+    # the final reduced cost of each row's +1 column (0 while basic),
+    # times the row's signed scale, which reads it back on the row as
+    # lp.rows states it.
+    xrows = [i for i, bi in enumerate(tab.basis) if bi < nv]
+    den = lcm(*(tab.dens[i] for i in xrows))
     xnum = [0] * nv
-    for row, bi in zip(tab.rows, tab.basis):
-        if bi < nv:
-            xnum[bi] = row[-1]
+    for i in xrows:
+        xnum[tab.basis[i]] = tab.rows[i][-1] * (den // tab.dens[i])
     slot = {j: k for k, j in enumerate(tab.nonbasic)}
-    ynum = [obj2[slot[u]] * s if u in slot else 0 for u, s in zip(unit, scale)]
+    ynum = [tab.obj[slot[u]] * s if u in slot else 0 for u, s in zip(unit, scale)]
+    yden = tab.zden * cost_scale
     point = check_point(lp, [(j, v) for j, v in enumerate(xnum) if v], den)
     if not point.feasible:
         raise SelfCheckError(f"optimal point violates {point.detail}")
-    dual = check_dual(lp, [(i, v) for i, v in enumerate(ynum) if v], den * cost_scale)
+    dual = check_dual(lp, [(i, v) for i, v in enumerate(ynum) if v], yden)
     if not dual.feasible:
         raise SelfCheckError(f"dual certificate fails: {dual.detail}")
     if dual.objective != point.objective:
         raise SelfCheckError("strong duality does not close; result discarded")
 
     primal = tuple(Fraction(v, den) for v in xnum)
-    return SolveResult("optimal", point.objective, primal, tab.pivots, True)
+    y = tuple(Fraction(v, yden) for v in ynum)
+    return SolveResult("optimal", point.objective, primal, tab.pivots, True, y)
 
 
 # ---------------------------------------------------------------------------

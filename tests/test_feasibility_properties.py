@@ -46,10 +46,11 @@ def cases(draw):
 
 
 def reference(lp, point):
-    # The Fraction summation the integer check replaced, entry by entry.
+    # The Fraction summation the integer check replaced, entry by entry;
+    # an eliminated configuration is named lowest index first.
     pos = {g: i for i, g in enumerate(lp.var_indices)}
     support = []
-    for g, count in point.counts.items():
+    for g, count in sorted(point.counts.items()):
         val = Fraction(count, point.denom)
         slot = pos.get(g)
         if slot is None:

@@ -245,6 +245,20 @@ def test_feasibility_distance_violation():
     assert not verdict.feasible and verdict.status == "distance-violation"
 
 
+def test_feasibility_names_the_lowest_eliminated_configuration():
+    # Configurations 1 and 2 both carry mass and (3, 3, 1) keeps neither;
+    # the verdict names configuration 1 however the counts were inserted.
+    lp = build_hierarchy_lp(3, 3, 1, False)
+    assert 1 not in lp.var_indices and 2 not in lp.var_indices
+    details = {
+        check_feasibility(lp, CodeProfile(3, 1, 2, counts, 1)).detail
+        for counts in ({0: 1, 1: 1, 2: 1}, {0: 1, 2: 1, 1: 1})
+    }
+    assert details == {
+        f"eliminated configuration {enumerate_configs(3, 1)[1].entries} has mass 1"
+    }
+
+
 def test_feasibility_unit_profile_on_hierarchy():
     prof = profile_of_code([0], 4, 2)
     for d in (1, 3, 5):

@@ -5,6 +5,7 @@ import json
 import random
 from dataclasses import replace
 from fractions import Fraction
+from math import gcd, lcm
 from types import SimpleNamespace
 
 import pytest
@@ -16,7 +17,14 @@ from krawlp.errors import (
     SelfCheckError,
     SolverNumericsError,
 )
-from krawlp.lp import LinearProgram, LPRow, build_delsarte, build_hierarchy_lp, lp_to_json
+from krawlp.lp import (
+    LinearProgram,
+    LPRow,
+    build_delsarte,
+    build_hierarchy_lp,
+    check_dual,
+    lp_to_json,
+)
 from krawlp.oracle import build_fourier_lp
 from krawlp.simplex import root_value, solve_exact, solve_float
 
@@ -359,6 +367,24 @@ def test_exact_verdicts_with_zero_rhs_rows():
     assert solve_float(lp).status == "unbounded"
 
 
+def _assert_dual_certifies(lp, res):
+    # The returned dual, one Fraction per row, passes check_dual over a
+    # common denominator, and its objective is the optimum.
+    assert res.status == "optimal" and len(res.dual) == len(lp.rows)
+    den = lcm(*(y.denominator for y in res.dual))
+    verdict = check_dual(lp, [(i, int(y * den)) for i, y in enumerate(res.dual) if y], den)
+    assert verdict.feasible and verdict.objective == res.value, (lp.kind, lp.n, lp.d)
+
+
+def test_exact_dual_only_for_optima():
+    unbounded = _custom([0, 1], [1, 0], [_row("X", (1, -1), ">=", 0)])
+    infeasible = _custom([0], [1], [_row("F", (0,), ">=", 1)])
+    for lp, status in ((unbounded, "unbounded"), (infeasible, "infeasible")):
+        res = solve_exact(lp)
+        assert (res.status, res.dual) == (status, None)
+    assert solve_float(build_delsarte(2, 2)).dual is None
+
+
 def _rule_programs():
     # 129 programs: every d <= n + 1 and both flags.
     for n in range(1, 7):
@@ -379,6 +405,8 @@ def test_bland_rule_from_the_first_pivot_reaches_the_same_optima(monkeypatch):
     programs = list(_rule_programs())
     assert len(programs) == 129
     dantzig = [solve_exact(lp) for lp in programs]
+    for lp, res in zip(programs, dantzig):
+        _assert_dual_certifies(lp, res)
     # The pivot totals pin the choice of entering column by label: Bland's
     # rule taken over slots instead changes the second total.
     assert sum(res.pivots for res in dantzig) == 572
@@ -433,6 +461,34 @@ def test_every_lp_suite_solve_is_pinned(monkeypatch, dantzig_pivots, pivots, dig
         total += res.pivots
         h.update(lp_to_json(lp).encode() + b"\n" + res.to_json().encode() + b"\n")
     assert (total, h.hexdigest()) == (pivots, digest)
+
+
+@pytest.mark.parametrize(
+    "n,d,ell,linear,value,pivots",
+    [(6, 3, 2, False, 64, 222), (6, 2, 2, True, 1024, 167)],
+    ids=["6-3-2-general", "6-2-2-linear"],
+)
+def test_solves_beyond_the_suite_grids_are_pinned(n, d, ell, linear, value, pivots):
+    res = solve_exact(build_hierarchy_lp(n, d, ell, linear))
+    assert (res.status, res.value, res.pivots) == ("optimal", value, pivots)
+
+
+def test_every_pivot_leaves_each_row_primitive(monkeypatch):
+    # After every pivot each row, and the reduced-cost row, has a positive
+    # basic coefficient whose gcd with the row's entries is 1.
+    real = simplex._Tableau.pivot
+    pivots = []
+
+    def checked(tab, r, c):
+        real(tab, r, c)
+        for den, row in [*zip(tab.dens, tab.rows), (tab.zden, tab.obj)]:
+            assert den > 0 and gcd(den, *row) == 1, (tab.pivots, row)
+        pivots.append(tab.pivots)
+
+    monkeypatch.setattr(simplex._Tableau, "pivot", checked)
+    for lp in (build_hierarchy_lp(4, 1, 2, False), build_fourier_lp(3, 2, 2, False)):
+        assert solve_exact(lp).status == "optimal"
+    assert len(pivots) == 46 + 17
 
 
 # ---------------------------------------------------------------------------
