@@ -32,15 +32,16 @@ At l = 1 the product is the classical (1 + z)^(n-j) (1 - z)^j.
 
 All values are arbitrary-precision integers: entries reach 2^(l*n).
 
-Two sweeps pack the table by Kronecker substitution (``pack_columns``,
-which joins each column's digits pairwise): column g becomes one integer
-with K_b(g) as its signed digit b in base 2^w, so the sums of every row
-against one vector are one linear combination of the packed columns.
-Each sweep sets w from the table's own entries, wide enough for every
-sum it forms, so the digits stay exact for any table:
+Two sweeps pack the table by Kronecker substitution: column g becomes one
+integer with K_b(g) as its signed digit b in base 2^w, so the sums of
+every row against one vector are one linear combination of the packed
+columns.  ``pack_columns`` owns the layout: each sweep passes a bound on
+every sum it forms, taken from the table's own entries, and gets w, the
+digit tops T = sum_b 2^(w b + w - 1) and the columns, so the digits stay
+exact for any table:
 
-* the orthogonality sweep takes w = bits(max(max_a sum_g |g| K_a(g)^2,
-  2^(l n) max |g|)) + 2.  By Cauchy-Schwarz the first term bounds every
+* the orthogonality sweep bounds its sums by max(max_a sum_g |g| K_a(g)^2,
+  2^(l n) max |g|).  By Cauchy-Schwarz the first term bounds every
   pair sum, and the second every expected digit; on a true table the two
   are equal.  Rows go in windows of 16, and before each window every
   packed column is round-shifted in place past the rows already done, so
@@ -49,12 +50,11 @@ sum it forms, so the digits stay exact for any table:
   ``configs.row_sums``, every later row summed at the weighted row, and
   each pair that fails is reported;
 * ``KrawtchoukTable.transform_packing``, the MacWilliams transform of a
-  code profile, takes w = bits(2^(2 l n) big) + 2, with big the largest
-  |entry|.  Profile counts sum to at most |C|^(2l) <= 2^(2 l n), so every
-  digit lies strictly inside (-2^(w-2), 2^(w-2)).  Adding
-  T = sum_h 2^(w h + w - 1) then moves each digit into [0, 2^w) with no
-  carry, and ``digits_nonnegative`` reads every sign at once: all
-  digits are >= 0 iff (s + T) & T == T.
+  code profile, bounds them by 2^(2 l n) big, with big the largest
+  |entry|: profile counts sum to at most |C|^(2l) <= 2^(2 l n).  Adding
+  T then moves each digit into [0, 2^w) with no carry, and
+  ``digits_nonnegative`` reads every sign at once: all digits are >= 0
+  iff (s + T) & T == T.
 
 ``check_table_args`` is the table gate: ``configs.check_config_args``,
 then the table's level and cell budgets.  ``build_table`` runs it before
@@ -248,19 +248,15 @@ class KrawtchoukTable:
 
     @cached_property
     def transform_packing(self) -> tuple[int, int, list[int]]:
-        """``(w, T, columns)``: the columns packed for profile transforms.
+        """``pack_columns`` for profile transforms, packed once per table object.
 
-        ``columns[g]`` is ``pack_columns(values, w)[g]``, with w wide enough
-        for sum_g count_g K_h(g) over any non-negative counts that total at
-        most 2^(2 l n), and T = sum_h 2^(w h + w - 1) is the top bit of every
-        digit, for ``digits_nonnegative``.  Packed once per table object.
+        The bound 2^(2 l n) big, with big the largest |entry| (at least 1),
+        covers sum_g count_g K_h(g) over any non-negative counts that total
+        at most 2^(2 l n), and a wanted transform, |C|^l times a dual
+        profile, whose digits reach 2^(l n).
         """
-        # big >= 1 also fits a wanted transform, |C|^l times a dual profile,
-        # whose digits reach 2^(l n).
         big = max(map(abs, chain.from_iterable(self.values))) or 1
-        width = (big << (2 * self.ell * self.n)).bit_length() + 2
-        tops = sum(1 << (width * h + width - 1) for h in range(self.size))
-        return width, tops, pack_columns(self.values, width)
+        return pack_columns(self.values, big << (2 * self.ell * self.n))
 
 
 def check_table_args(n: int, ell: int) -> int:
@@ -328,28 +324,32 @@ def cached_table(n: int, ell: int) -> KrawtchoukTable:
 # ---------------------------------------------------------------------------
 
 
-def pack_columns(values: tuple[tuple[int, ...], ...], width: int) -> list[int]:
-    """Column g of a square table as one integer, sum_b values[b][g] 2^(width b).
+def pack_columns(
+    values: tuple[tuple[int, ...], ...], bound: int
+) -> tuple[int, int, list[int]]:
+    """``(width, tops, columns)``: column g of a square table as one integer.
 
-    Each entry is a signed digit; the packing is exact, and a linear
-    combination of columns has the row sums as its digits, as long as
-    every digit of it stays inside (-2^(width-1), 2^(width-1)).
+    ``columns[g]`` is sum_b values[b][g] 2^(width b), each entry a signed
+    digit.  ``width`` is the least multiple of 8 that is at least
+    bits(bound) + 2, and ``tops`` is T = sum_b 2^(width b + width - 1),
+    the top bit of every digit, for ``digits_nonnegative``.  The caller's
+    ``bound`` covers every entry and every digit of every linear
+    combination it forms, so each lies strictly inside
+    (-2^(width-2), 2^(width-2)): the digits stay exact, and a combination
+    has the row sums as its digits.
     """
-    # One column at a time, joined pairwise: each level adds every odd
-    # part, shifted, to the even part below it (an odd level is padded
-    # with 0) and doubles the shift, so a column costs O(size log size)
-    # digit widths of work rather than one growing shift per row.
-    packed = []
-    for g in range(len(values)):
-        parts = [row[g] for row in values]
-        shift = width
-        while len(parts) > 1:
-            if len(parts) & 1:
-                parts.append(0)
-            parts = [lo + (hi << shift) for lo, hi in zip(parts[::2], parts[1::2])]
-            shift <<= 1
-        packed.extend(parts)
-    return packed
+    nbytes = -(-(bound.bit_length() + 2) // 8)
+    width = 8 * nbytes
+    offset = 1 << (width - 1)
+    tops = int.from_bytes(offset.to_bytes(nbytes, "little") * len(values), "little")
+    # Offset by 2^(width-1), every entry is one unsigned digit of whole
+    # bytes, so a column is one from_bytes, less T.
+    columns = [
+        int.from_bytes(b"".join([(v + offset).to_bytes(nbytes, "little") for v in col]), "little")
+        - tops
+        for col in zip(*values)
+    ]
+    return width, tops, columns
 
 
 def digits_nonnegative(s: int, tops: int) -> bool:
@@ -391,9 +391,9 @@ def verify_orthogonality(table: KrawtchoukTable) -> CheckReport:
 
     Width: by Cauchy-Schwarz with the weights |g| > 0, every pair sum is
     at most max_a sum_g |g| K_a(g)^2 in magnitude, and every wanted digit
-    2^(l n) |a| at most 2^(l n) max |g|.  The slot width w exceeds the
-    bit length of the larger bound by two, so each slot is an exact
-    signed digit, and the representation is unique.
+    2^(l n) |a| at most 2^(l n) max |g|.  The larger bound goes to
+    ``pack_columns``, so each slot is an exact signed digit, and the
+    representation is unique.
 
     Windows: rows are taken ``ORTHOGONALITY_WINDOW`` at a time.  Before
     each window after the first, every packed column is round-shifted in
@@ -414,8 +414,7 @@ def verify_orthogonality(table: KrawtchoukTable) -> CheckReport:
     size = table.size
     scale = 1 << (table.ell * table.n)
     diagonal = max(sum(map(mul, map(mul, sizes, row), row)) for row in values)
-    width = max(diagonal, scale * max(sizes)).bit_length() + 2
-    packed = pack_columns(values, width)
+    width, _, packed = pack_columns(values, max(diagonal, scale * max(sizes)))
     step = ORTHOGONALITY_WINDOW * width
     half = 1 << (step - 1)
     violations = []

@@ -114,9 +114,10 @@ class LinearProgram:
     tuple codes for the word-tuple program.  Variable names are derived as
     ``a_<index>`` so exports are deterministic.  Only parameters a builder
     can produce are accepted: at least one variable (every builder keeps
-    point 0), n, l and d in ``check_program_args``'s range,
-    l = 1 and ``linear`` None for a delsarte program, a bool ``linear``
-    otherwise, and an int or ``Fraction`` for every number.
+    point 0), each index an int >= 0, n, l and d in
+    ``check_program_args``'s range, l = 1 and ``linear`` None for a
+    delsarte program, a bool ``linear`` otherwise, and an int or
+    ``Fraction`` for every number.
     """
 
     kind: str  # "delsarte" | "krawtchouk" | "fourier"
@@ -134,6 +135,8 @@ class LinearProgram:
         nv = len(self.var_indices)
         if not nv:
             raise InvalidInputError("a program needs at least one variable")
+        for i in self.var_indices:
+            require_int(i, "variable index", 0)
         if len(set(self.var_indices)) != nv:
             raise InvalidInputError("variable indices repeat")
         try:
@@ -433,6 +436,13 @@ def check_feasibility(lp: LinearProgram, point: CodeProfile) -> FeasibilityVerdi
             f"profile is for (n={point.n}, l={point.ell}), "
             f"LP is for (n={lp.n}, l={lp.ell})"
         )
+    # The profile has counted the configurations of this (n, l) already.
+    count = config_count(lp.n, lp.ell)
+    if max(lp.var_indices) >= count:
+        raise InvalidInputError(
+            f"variable index {max(lp.var_indices)} names no configuration: "
+            f"(n={lp.n}, l={lp.ell}) has {count}"
+        )
     pos = {g: i for i, g in enumerate(lp.var_indices)}
     support = []
     for g, count in sorted(point.counts.items()):
@@ -509,10 +519,7 @@ def lp_from_json(text: str) -> LinearProgram:
             d=data["d"],
             ell=data["l"],
             linear=data["linear"],
-            var_indices=tuple(
-                require_int(i, "variable index", 0)
-                for i in require_list(data["var_indices"], "var_indices")
-            ),
+            var_indices=tuple(require_list(data["var_indices"], "var_indices")),
             objective=tuple(map(_read_number, require_list(data["objective"], "objective"))),
             rows=rows,
         )

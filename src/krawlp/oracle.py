@@ -26,13 +26,11 @@ an independent oracle for the LP machinery:
                         and reported as a ``krawtchouk.CheckReport``, one
                         check per identity or inequality row.  Each code's
                         profile has one transform s, one integer combining
-                        the table's packed columns with digit width
-                        w = bits(2^(2 l n) big) + 2: the identity is one
-                        compare, the inequality one AND (s + T) & T == T
-                        with T the top bit of every digit, since a linear
-                        code's pair transform |C|^l s has the signs of s.
-                        A failing transform is recounted with
-                        ``configs.row_sums``;
+                        the table's packed columns: a linear code passes
+                        by one compare with its dual profile, any other
+                        code by one AND (s + T) & T == T, T the top bit of
+                        every digit.  A failing code is recounted once
+                        with ``configs.row_sums``;
 * ``build_fourier_lp`` - the unsymmetrized LP with one variable per
                         l-tuple of words and one character row per tuple,
                         for equivalence testing against the configuration
@@ -265,32 +263,34 @@ def verify_macwilliams(c: CodeSet, ell: int) -> CheckReport:
     The code's profile (``code_census``) has one transform s, a linear
     combination of the table's packed columns
     (``KrawtchoukTable.transform_packing``), its entry h the signed digit
-    h in base 2^w.  The width w = bits(2^(2 l n) big) + 2,
-    with big the table's largest |entry|, bounds every digit: the counts
-    sum to at most |C|^(2l) <= 2^(2 l n).  So the identity is one compare
-    of s with the packed dual profile.  A linear code's pair transform is
-    |C|^l s, whose digits have the signs of s's, so for every code the
-    inequality holds in every row iff (s + T) & T == T,
-    T = sum_h 2^(w h + w - 1).  A transform that fails is recounted with
-    ``configs.row_sums`` to name each failing row.
+    h in base 2^w.  One test decides the code.  For a linear code it is
+    one compare of s with |C|^l times the packed dual profile; a true
+    identity makes every digit of s a count, so it also settles the
+    inequality.  For any other code it is ``digits_nonnegative``.  A code
+    that fails has its rows recounted once with ``configs.row_sums`` to
+    name each failing row, identity rows first.
     """
     table = cached_table(c.n, ell)
     width, tops, columns = table.transform_packing
     prof = code_census(c, ell).items()
     s = sum(columns[g] * m for g, m in prof)
     scale = c.size**ell if c.linear else 1
-    violations = []
     if c.linear:
         dual_prof = code_census(dual_code(c), ell)
-        if s != scale * sum(m << (width * h) for h, m in dual_prof.items()):
-            for h_idx, rhs in enumerate(row_sums(table.values, prof)):
+        passed = s == scale * sum(m << (width * h) for h, m in dual_prof.items())
+    else:
+        passed = digits_nonnegative(s, tops)
+    violations = []
+    if not passed:
+        sums = list(row_sums(table.values, prof))
+        if c.linear:
+            for h_idx, rhs in enumerate(sums):
                 lhs = scale * dual_prof.get(h_idx, 0)
                 if lhs != rhs:
                     violations.append(
                         f"identity at h={h_idx}: {lhs} != {rhs} (|C|={c.size}, l={ell})"
                     )
-    if not digits_nonnegative(s, tops):
-        for h_idx, t in enumerate(row_sums(table.values, prof)):
+        for h_idx, t in enumerate(sums):
             if t < 0:
                 violations.append(f"inequality at h={h_idx}: transform {scale * t} < 0")
     checked = table.size * (2 if c.linear else 1)

@@ -2,23 +2,16 @@
 
 The exact path is a two-phase primal simplex over a condensed integer
 tableau with primitive rows, so no `fractions.Fraction` is formed while
-pivoting.  Each row is scaled to integers once.  There is no common
-denominator: each row carries its own positive basic coefficient, and a
-pivot divides every row it changes by its content, the gcd of that
-coefficient and the row's entries.  Each stored row is thus a positive
-multiple of the same row of the fraction-free (Bareiss) tableau, which
-holds every row over det(B), so every pivot choice, which reads signs,
-one row's entries or ratios within one row, is the Bareiss tableau's;
-the rows just lose the bits of that shared factor.  The columns are the
+pivoting.  ``_Tableau`` states its invariant and why its pivots are
+those of the fraction-free (Bareiss) tableau.  The columns are the
 program's variables, then its slacks and artificials; the tableau stores
-only the nonbasic ones, one slot each, since a basic column is its
-row's basic coefficient times a unit vector (integer pivoting as in
-Avis's ``lrs``).  One pass over the program's rows builds the tableau,
-each row made rhs >= 0 by a sign folded into its integer scale, so a
-``>= 0`` row becomes ``<= 0`` with its slack basic; there is no other
-presolve.  One pricing loop serves both pivot rules: largest
-coefficient for a bounded number of pivots, then Bland's rule, so
-termination is guaranteed; both choose by column label, never by slot.
+only the nonbasic ones (integer pivoting as in Avis's ``lrs``).  One
+pass over the program's rows builds the tableau, each row made rhs >= 0
+by a sign folded into its integer scale, so a ``>= 0`` row becomes
+``<= 0`` with its slack basic; there is no other presolve.  One pricing
+loop serves both pivot rules: largest coefficient for a bounded number
+of pivots, then Bland's rule, so termination is guaranteed; both choose
+by column label, never by slot.
 ``integer_form`` serves only to build the tableau and the objective.
 This module only pivots and reads x and y; ``lp`` states what
 certifies them.  Every optimal answer passes
@@ -120,7 +113,8 @@ class _Tableau:
     fraction-free (Bareiss) tableau, which holds every row over the one
     denominator det(B).  Pricing compares entries of ``obj``, the ratio
     test compares rhs/entry ratios each read within one row, and the
-    tie-breaks go by label, so the pivots are the Bareiss tableau's.
+    tie-breaks go by label, so the pivots, points and values are the
+    Bareiss tableau's; the rows only drop the bits of its shared factor.
     """
 
     def __init__(self, rows, basis, nonbasic):
@@ -235,18 +229,12 @@ def solve_exact(lp: LinearProgram) -> SolveResult:
     rhs.  Each row is read once: ``integer_form`` scales it to integers,
     and a negative rhs or a ``>= 0`` row negates it, the sign folded into
     its scale, so a ``>= 0`` row becomes ``<= 0`` with its slack basic
-    and feasible.  There is no other presolve.  The rows form a condensed
-    integer tableau that stores only the nonbasic columns, with no common
-    denominator: each row has its own positive basic coefficient and is
-    divided by its content whenever a pivot changes it (see
-    ``_Tableau``), so no ``Fraction`` is formed until the optimum is read
+    and feasible.  There is no other presolve.  The rows form a
+    ``_Tableau``, so no ``Fraction`` is formed until the optimum is read
     off.  The starting rows are not divided: their basic coefficients are
-    1, so they are primitive already.  Each stored row is a positive
-    multiple of its fraction-free (Bareiss) row, so the pivots, points
-    and values are those of the Bareiss tableau with its common
-    denominator det(B).  Phase 1 runs on every program (with no
-    artificial it makes no pivot), and the reported pivot count covers
-    both phases.
+    1, so they are primitive already.  Phase 1 runs on every program
+    (with no artificial it makes no pivot), and the reported pivot count
+    covers both phases.
 
     The pivot rule is fixed and chooses by column label: largest
     coefficient (ties to the smallest label) for the first

@@ -3,6 +3,7 @@
 import gzip
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -486,3 +487,29 @@ def test_configs_walk_keeps_no_level(tmp_path, capsys):
     lines = [configs.config_to_json(g, 3) for g in configs.enumerate_configs(3, 2)]
     assert out.read_bytes() == ("\n".join(lines) + "\n").encode("ascii")
     assert records[0]["configs"] == [json.loads(line) for line in lines]
+
+
+def _readme_examples():
+    # Every `krawlp ...` line of README.md's sh blocks, its trailing
+    # comment stripped.  The bare `krawlp verify` is left out: it runs
+    # every suite at its full grid, which test_acceptance.py already does.
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    examples, in_sh = [], False
+    for line in readme.read_text().splitlines():
+        if line.startswith("```"):
+            in_sh = line == "```sh"
+        elif in_sh and line.startswith("krawlp "):
+            argv = shlex.split(line, comments=True)[1:]
+            if argv != ["verify"]:
+                examples.append(argv)
+    return examples
+
+
+@pytest.mark.parametrize("argv", _readme_examples(), ids=" ".join)
+def test_readme_examples_run(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    code, records, out = _run(capsys, argv)
+    assert code == 0
+    assert records and len(records) == len(out.out.splitlines())
+    assert {r["command"] for r in records} == {argv[0]}

@@ -385,11 +385,15 @@ def test_pack_columns_is_the_signed_digit_sum(size):
         return rng.choice(digits) if rng.random() < 0.5 else rng.randint(-99, 99)
 
     values = tuple(tuple(entry() for _ in range(size)) for _ in range(size))
-    width = 7
-    packed = pack_columns(values, width)
-    assert packed == [
-        sum(values[b][g] << (width * b) for b in range(size)) for g in range(size)
-    ]
+    top = max(abs(v) for row in values for v in row)
+    for bound in (top, top + rng.randrange(1 << 70), top << 9):
+        width, tops, columns = pack_columns(values, bound)
+        # The least whole-byte width with two bits above the bound.
+        assert width % 8 == 0 and width - 8 < bound.bit_length() + 2 <= width
+        assert tops == sum(1 << (width * b + width - 1) for b in range(size))
+        assert columns == [
+            sum(values[b][g] << (width * b) for b in range(size)) for g in range(size)
+        ]
 
 
 # Signed base-2^6 digits, least significant first: at width 6 each digit
@@ -423,7 +427,8 @@ def test_transform_packing_packs_every_column_once():
     table = cached_table(3, 2)
     width, tops, columns = table.transform_packing
     big = max(abs(v) for row in table.values for v in row)
-    assert width == (big << 12).bit_length() + 2  # 2^(2 l n) big, plus two bits
+    # 2^(2 l n) big, plus two bits, rounded up to whole bytes.
+    assert width == -(-((big << 12).bit_length() + 2) // 8) * 8
     assert tops == sum(1 << (width * h + width - 1) for h in range(table.size))
     for g, col in enumerate(columns):
         assert col == sum(table.values[h][g] << (width * h) for h in range(table.size))

@@ -32,6 +32,7 @@ from krawlp.lp import (
     CodeSet,
     LPRow,
     build_delsarte,
+    build_hierarchy_lp,
     check_feasibility,
     check_program_args,
     profile_of_code,
@@ -186,6 +187,21 @@ CASES = [
     (lambda: run_suite("collapse", "3"), InvalidInputError, "n_cap must be an int"),
     (lambda: run_suite("census", True), InvalidInputError, "n_cap must be an int"),
     (lambda: run_suite("census", 0), ParameterError, "need caps >= 1, got n_cap=0"),
+    # A variable index names a configuration: never negative, and below the
+    # (n, l) count before a profile is read against it; (2, 1) has 3.
+    (
+        lambda: replace(build_delsarte(1, 1), var_indices=(-1, 0)),
+        InvalidInputError,
+        "variable index must be an int >= 0, got -1",
+    ),
+    (
+        lambda: check_feasibility(
+            replace(build_hierarchy_lp(2, 1, 1, False), var_indices=(0, 1, 5)),
+            profile_of_code([0, 3], 2, 1),
+        ),
+        InvalidInputError,
+        r"variable index 5 names no configuration: \(n=2, l=1\) has 3",
+    ),
 ]
 
 
