@@ -285,8 +285,8 @@ def _gather(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
 def row_sums(rows: Iterable[Sequence], support: Collection[tuple[int, int]]) -> Iterator:
     """Yield ``sum(row[i] * count for i, count in support)`` for each row.
 
-    The sum runs over the ``(index, count)`` support only; integer rows
-    give ints and ``Fraction`` rows give ``Fraction``s.
+    The sum runs over the ``(index, count)`` support only; every caller's
+    rows and counts are ints, so every sum is an exact int.
     """
     pick = _gather([i for i, _ in support])
     counts = [c for _, c in support]

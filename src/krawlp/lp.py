@@ -1,4 +1,4 @@
-"""Exact rational linear programs over configuration variables.
+"""Exact linear programs with integer data over configuration variables.
 
 Every program here has Delsarte's shape and is built by ``packing_lp``:
 maximize the total mass over the points the distance rule keeps, pin the
@@ -18,12 +18,11 @@ elimination (``configs.too_close``), not equality rows; rows are
 generated for every character, including those of eliminated points,
 because they still constrain the surviving variables.
 
-Coefficients are exact rationals: plain ints from the builders (the rows
-are integer character sums), ``Fraction``s from ``lp_from_json``, which
-reads a number only from a string or an int.  ``LinearProgram`` refuses
-a number of any type but int and ``Fraction`` (a float, a bool).
-``integer_form`` scales them to integers; only the exact simplex uses it,
-to build its tableau and objective.
+Every number a program holds is an int: the builders' rows are integer
+character sums, and ``lp_from_json`` reads each number from an integer
+string or a JSON int.  ``LinearProgram`` refuses a number of any other
+type (a ``Fraction``, a float, a bool), a row name that is not an ASCII
+identifier, and a variable index that names no point of its family.
 ``CodeSet`` is the one code type, linear when |C| = 2^rank(C) (the rank
 from ``configs._basis``).  ``code_census`` is the one count of a
 code's l-tuples (``configs.tuple_census``), keyed by canonical config
@@ -43,10 +42,11 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import inf, lcm
+from math import inf
 from typing import Iterable, Sequence
 
 from .configs import (
+    MAX_SUBSET_ELL,
     _basis,
     _gather,
     check_config_args,
@@ -70,33 +70,24 @@ from .krawtchouk import cached_table, classical_krawtchouk
 
 LP_SCHEMA_VERSION = 1
 
-Rational = int | Fraction
-
-
-def integer_form(values: Sequence[Rational]) -> tuple[list[int], int]:
-    """Scale rationals to integers: ``(ints, L)`` with ``values[k] == ints[k] / L``.
-
-    ``L`` is the lcm of the denominators (1 for ints), the least positive
-    scale that clears them all.
-    """
-    scale = lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values], scale
-
 
 @dataclass(frozen=True)
 class LPRow:
-    """One constraint row: coeffs . x  (relation)  rhs."""
+    """One constraint row: coeffs . x  (relation)  rhs, named by an ASCII identifier."""
 
     name: str
-    coeffs: tuple[Rational, ...]
+    coeffs: tuple[int, ...]
     relation: str  # ">=", "<=" or "="
-    rhs: Rational
+    rhs: int
 
     def __post_init__(self) -> None:
+        # lp-text prints the name as one ASCII token before a colon.
+        if not (type(self.name) is str and self.name.isascii() and self.name.isidentifier()):
+            raise InvalidInputError(f"row name must be an ASCII identifier, got {self.name!r}")
         if self.relation not in (">=", "=", "<="):
             raise InvalidInputError(f"unsupported relation {self.relation!r}")
 
-    def holds(self, lhs: Rational) -> bool:
+    def holds(self, lhs: Fraction) -> bool:
         """Whether ``lhs (relation) rhs`` holds exactly."""
         if self.relation == "=":
             return lhs == self.rhs
@@ -114,10 +105,11 @@ class LinearProgram:
     tuple codes for the word-tuple program.  Variable names are derived as
     ``a_<index>`` so exports are deterministic.  Only parameters a builder
     can produce are accepted: at least one variable (every builder keeps
-    point 0), each index an int >= 0, n, l and d in
-    ``check_program_args``'s range, l = 1 and ``linear`` None for a
-    delsarte program, a bool ``linear`` otherwise, and an int or
-    ``Fraction`` for every number.
+    point 0), each index an int >= 0 that names a point of the family (a
+    configuration of (n, l), at l <= ``MAX_SUBSET_ELL``, or an n*l-bit word
+    tuple), n, l and d in ``check_program_args``'s range, l = 1 and
+    ``linear`` None for a delsarte program, a bool ``linear`` otherwise,
+    and an int for every number.
     """
 
     kind: str  # "delsarte" | "krawtchouk" | "fourier"
@@ -126,7 +118,7 @@ class LinearProgram:
     ell: int
     linear: bool | None
     var_indices: tuple[int, ...]
-    objective: tuple[Rational, ...]
+    objective: tuple[int, ...]
     rows: tuple[LPRow, ...]
 
     def __post_init__(self) -> None:
@@ -153,15 +145,35 @@ class LinearProgram:
             raise InvalidInputError(
                 f"a {self.kind} program needs a bool linear, got {self.linear!r}"
             )
+        top = max(self.var_indices)
+        if self.kind == "fourier":
+            if top.bit_length() > self.n * self.ell:
+                raise InvalidInputError(
+                    f"variable index {top} names no word tuple: "
+                    f"(n={self.n}, l={self.ell}) has 2^{self.n * self.ell}"
+                )
+        elif self.ell > MAX_SUBSET_ELL:
+            # No builder makes one, and counting its 2^l-entry configurations is unbounded.
+            raise InvalidInputError(
+                f"a {self.kind} program needs l <= {MAX_SUBSET_ELL}, got l={self.ell}"
+            )
+        elif top >= config_count(self.n, self.ell):
+            raise InvalidInputError(
+                f"variable index {top} names no configuration: "
+                f"(n={self.n}, l={self.ell}) has {config_count(self.n, self.ell)}"
+            )
         if len(self.objective) != nv:
             raise InvalidInputError("objective length does not match variables")
         for row in self.rows:
             if len(row.coeffs) != nv:
                 raise InvalidInputError(f"row {row.name} length does not match variables")
-        kinds = set(map(type, _numbers(self))) - {int, Fraction}
+        numbers = itertools.chain(
+            self.objective, *(row.coeffs for row in self.rows), (row.rhs for row in self.rows)
+        )
+        kinds = set(map(type, numbers)) - {int}
         if kinds:
             names = sorted(k.__name__ for k in kinds)
-            raise InvalidInputError(f"program numbers must be ints or Fractions, got {names}")
+            raise InvalidInputError(f"program numbers must be ints, got {names}")
 
     @property
     def num_vars(self) -> int:
@@ -170,13 +182,6 @@ class LinearProgram:
     @property
     def variable_names(self) -> tuple[str, ...]:
         return tuple(f"a_{i}" for i in self.var_indices)
-
-
-def _numbers(lp: LinearProgram) -> Iterable[Rational]:
-    # Every objective entry, coefficient and rhs of a program.
-    return itertools.chain(
-        lp.objective, *(row.coeffs for row in lp.rows), (row.rhs for row in lp.rows)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -436,13 +441,6 @@ def check_feasibility(lp: LinearProgram, point: CodeProfile) -> FeasibilityVerdi
             f"profile is for (n={point.n}, l={point.ell}), "
             f"LP is for (n={lp.n}, l={lp.ell})"
         )
-    # The profile has counted the configurations of this (n, l) already.
-    count = config_count(lp.n, lp.ell)
-    if max(lp.var_indices) >= count:
-        raise InvalidInputError(
-            f"variable index {max(lp.var_indices)} names no configuration: "
-            f"(n={lp.n}, l={lp.ell}) has {count}"
-        )
     pos = {g: i for i, g in enumerate(lp.var_indices)}
     support = []
     for g, count in sorted(point.counts.items()):
@@ -491,12 +489,13 @@ def lp_to_json(lp: LinearProgram) -> str:
     return canonical_json(payload)
 
 
-def _read_number(value: object) -> Fraction:
-    # ``lp_to_json`` writes every number as a string; an int is exact too.
-    # A JSON float or bool is not read as a number.
+def _read_number(value: object) -> int:
+    # ``lp_to_json`` writes every number as an integer string; a JSON int
+    # is read too.  A JSON float or bool, or a string such as "1/3" or
+    # "0.5", is not read as a number.
     if type(value) not in (str, int):
         raise InvalidInputError(f"LP numbers must be strings or ints, got {value!r}")
-    return Fraction(value)
+    return int(value)
 
 
 def lp_from_json(text: str) -> LinearProgram:
@@ -525,21 +524,9 @@ def lp_from_json(text: str) -> LinearProgram:
         )
 
 
-def _float(x: Rational) -> float:
-    try:
-        return float(x)
-    except OverflowError:
-        raise InvalidInputError(f"LP number {x} is beyond the float range of lp-text") from None
-
-
-def _decimal(x: Rational) -> str:
-    # An integer exactly, any other value as its shortest round-trip float.
-    return str(x.numerator) if x.denominator == 1 else repr(_float(x))
-
-
-def _render_terms(coeffs: Sequence[Rational], names: Sequence[str]) -> str:
+def _render_terms(coeffs: Sequence[int], names: Sequence[str]) -> str:
     parts = [
-        f"{'-' if c < 0 else '+'} {_decimal(abs(c))} {name}"
+        f"{'-' if c < 0 else '+'} {abs(c)} {name}"
         for c, name in zip(coeffs, names)
         if c != 0
     ]
@@ -551,17 +538,16 @@ def _to_lp_text(lp: LinearProgram) -> str:
     body = ["Maximize", f" obj: {_render_terms(lp.objective, names)}", "Subject To"]
     for row in lp.rows:
         terms = _render_terms(row.coeffs, names)
-        body.append(f" {row.name}: {terms} {row.relation} {_decimal(row.rhs)}")
+        body.append(f" {row.name}: {terms} {row.relation} {row.rhs}")
     body.append("Bounds")
     for name in names:
         body.append(f" 0 <= {name}")
     body.append("End")
-    # exact-decimals: every value is an integer or a float that round-trips to it.
-    exact = all(x.denominator == 1 or Fraction(_float(x)) == x for x in _numbers(lp))
     flag = {True: "linear", False: "general", None: "-"}[lp.linear]
     header = [
         f"\\ {lp.kind} n={lp.n} d={lp.d} l={lp.ell} flag={flag}",
-        f"\\ exact-decimals={'yes' if exact else 'no'}",
+        # Every number is an int printed in full; the line keeps the header's bytes.
+        "\\ exact-decimals=yes",
     ]
     return "\n".join(header + body) + "\n"
 

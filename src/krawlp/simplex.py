@@ -6,21 +6,19 @@ pivoting.  ``_Tableau`` states its invariant and why its pivots are
 those of the fraction-free (Bareiss) tableau.  The columns are the
 program's variables, then its slacks and artificials; the tableau stores
 only the nonbasic ones (integer pivoting as in Avis's ``lrs``).  One
-pass over the program's rows builds the tableau, each row made rhs >= 0
-by a sign folded into its integer scale, so a ``>= 0`` row becomes
-``<= 0`` with its slack basic; there is no other presolve.  One pricing
-loop serves both pivot rules: largest coefficient for a bounded number
-of pivots, then Bland's rule, so termination is guaranteed; both choose
-by column label, never by slot.
-``integer_form`` serves only to build the tableau and the objective.
-This module only pivots and reads x and y; ``lp`` states what
-certifies them.  Every optimal answer passes
+pass over the program's integer rows builds the tableau, each row made
+rhs >= 0 by a sign of +-1, so a ``>= 0`` row becomes ``<= 0`` with its
+slack basic; there is no other presolve.  One pricing loop serves both
+pivot rules: largest coefficient for a bounded number of pivots, then
+Bland's rule, so termination is guaranteed; both choose by column
+label, never by slot.  This module only pivots and reads x and y;
+``lp`` states what certifies them.  Every optimal answer passes
 ``lp.check_point`` on x and ``lp.check_dual`` on y, both exact against
 the program's own rows, with equal objectives.  Each row's dual value is
 read one way: the final reduced cost of the row's starting basic column
 (its ``<=`` slack or its artificial; 0 if that column ends basic), times
-the row's signed integer scale.  A failed check raises instead of
-returning a wrong answer.
+the row's sign.  A failed check raises instead of returning a wrong
+answer.
 
 The floating-point path wraps scipy's HiGHS solver and is only a fast
 screen; its results carry ``exact=False`` and are never used alone to
@@ -41,7 +39,7 @@ from .errors import (
     canonical_json,
     require_int,
 )
-from .lp import LinearProgram, check_dual, check_point, integer_form
+from .lp import LinearProgram, check_dual, check_point
 
 MAX_PIVOTS = 200_000
 DANTZIG_PIVOTS = 2_000
@@ -226,10 +224,10 @@ def solve_exact(lp: LinearProgram) -> SolveResult:
     The columns are the program's variables, then one slack or surplus
     per inequality, then one artificial per ``=`` row and per ``>=`` row
     left after each row of ``lp.rows`` is normalized to a non-negative
-    rhs.  Each row is read once: ``integer_form`` scales it to integers,
-    and a negative rhs or a ``>= 0`` row negates it, the sign folded into
-    its scale, so a ``>= 0`` row becomes ``<= 0`` with its slack basic
-    and feasible.  There is no other presolve.  The rows form a
+    rhs.  Each row is read once, as its integer coefficients and rhs, and
+    a negative rhs or a ``>= 0`` row negates it, with sign -1 kept for
+    the row, so a ``>= 0`` row becomes ``<= 0`` with its slack basic and
+    feasible.  There is no other presolve.  The rows form a
     ``_Tableau``, so no ``Fraction`` is formed until the optimum is read
     off.  The starting rows are not divided: their basic coefficients are
     1, so they are primitive already.  Phase 1 runs on every program
@@ -243,14 +241,13 @@ def solve_exact(lp: LinearProgram) -> SolveResult:
     ``MAX_PIVOTS`` pivots over both phases raise ``IterationLimitError``.
     Every row starts with one +1 basic column, its ``<=`` slack or its
     artificial; the dual value of the row is the final reduced cost of
-    that column (0 if it ends basic) times the row's signed integer
-    scale.  The certificate is ``check_point`` on the primal point, over
-    the lcm of the basic coefficients of the rows whose basic column is a
-    variable, and ``check_dual`` on the dual, over ``zden * L`` with zden
-    the reduced-cost row's scale and L the objective's integer scale;
-    both read ``lp.rows`` and ``lp.objective`` themselves, and their
-    objectives must agree.  The reported value is that objective, and
-    the result keeps the certified dual.
+    that column (0 if it ends basic) times the row's sign.  The
+    certificate is ``check_point`` on the primal point, over the lcm of
+    the basic coefficients of the rows whose basic column is a variable,
+    and ``check_dual`` on the dual, over the reduced-cost row's scale
+    ``zden``; both read ``lp.rows`` and ``lp.objective`` themselves, and
+    their objectives must agree.  The reported value is that objective,
+    and the result keeps the certified dual.
     """
     nv = lp.num_vars
 
@@ -261,16 +258,16 @@ def solve_exact(lp: LinearProgram) -> SolveResult:
     # variables and the -1 surplus columns of ">=" rows.
     art_start = nv + sum(row.relation != "=" for row in lp.rows)
     slack, art = nv, art_start
-    scale = []  # each row times its signed integer scale, rhs included, is integer
+    sign = []  # +-1 per row: the tableau row is the program's row times its sign
     T = []
     unit = []
     surplus = []  # row of each -1 surplus column, in slot order
     nonbasic = list(range(nv))
     for i, row in enumerate(lp.rows):
-        ints, s = integer_form(row.coeffs + (row.rhs,))
+        ints, s = [*row.coeffs, row.rhs], 1
         rel = row.relation
-        if ints[-1] < 0 or (ints[-1] == 0 and rel == ">="):
-            ints, s = [-a for a in ints], -s
+        if row.rhs < 0 or (row.rhs == 0 and rel == ">="):
+            ints, s = [-a for a in ints], -1
             rel = {">=": "<=", "<=": ">=", "=": "="}[rel]
         if rel == ">=":
             surplus.append(i)
@@ -280,7 +277,7 @@ def solve_exact(lp: LinearProgram) -> SolveResult:
         if rel != "<=":
             art += 1
         unit.append(slack - 1 if rel == "<=" else art - 1)
-        scale.append(s)
+        sign.append(s)
         T.append(ints)
     ncols = art
     T = [t[:-1] + [-1 if k == i else 0 for k in surplus] + t[-1:] for i, t in enumerate(T)]
@@ -308,38 +305,34 @@ def solve_exact(lp: LinearProgram) -> SolveResult:
             if target is not None:
                 tab.pivot(i, target[1])
 
-    # Phase 2 on the real objective, scaled by L to integers; artificial
-    # columns may not re-enter.
-    cost, cost_scale = integer_form(lp.objective)
-    tab.price(cost + [0] * (ncols - nv))
+    # Phase 2 on the real objective; artificial columns may not re-enter.
+    tab.price([*lp.objective] + [0] * (ncols - nv))
     status = _run_phase(tab, art_start)
     if status == "unbounded":
         return SolveResult("unbounded", None, None, tab.pivots, True)
 
     # Certificate: x = xnum / den, with den the lcm of the basic
-    # coefficients of the variables' rows, and y = ynum / (zden * L) from
-    # the final reduced cost of each row's +1 column (0 while basic),
-    # times the row's signed scale, which reads it back on the row as
-    # lp.rows states it.
+    # coefficients of the variables' rows, and y = ynum / zden from the
+    # final reduced cost of each row's +1 column (0 while basic), times
+    # the row's sign, which reads it back on the row as lp.rows states it.
     xrows = [i for i, bi in enumerate(tab.basis) if bi < nv]
     den = lcm(*(tab.dens[i] for i in xrows))
     xnum = [0] * nv
     for i in xrows:
         xnum[tab.basis[i]] = tab.rows[i][-1] * (den // tab.dens[i])
     slot = {j: k for k, j in enumerate(tab.nonbasic)}
-    ynum = [tab.obj[slot[u]] * s if u in slot else 0 for u, s in zip(unit, scale)]
-    yden = tab.zden * cost_scale
+    ynum = [tab.obj[slot[u]] * s if u in slot else 0 for u, s in zip(unit, sign)]
     point = check_point(lp, [(j, v) for j, v in enumerate(xnum) if v], den)
     if not point.feasible:
         raise SelfCheckError(f"optimal point violates {point.detail}")
-    dual = check_dual(lp, [(i, v) for i, v in enumerate(ynum) if v], yden)
+    dual = check_dual(lp, [(i, v) for i, v in enumerate(ynum) if v], tab.zden)
     if not dual.feasible:
         raise SelfCheckError(f"dual certificate fails: {dual.detail}")
     if dual.objective != point.objective:
         raise SelfCheckError("strong duality does not close; result discarded")
 
     primal = tuple(Fraction(v, den) for v in xnum)
-    y = tuple(Fraction(v, yden) for v in ynum)
+    y = tuple(Fraction(v, tab.zden) for v in ynum)
     return SolveResult("optimal", point.objective, primal, tab.pivots, True, y)
 
 

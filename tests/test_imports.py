@@ -1,10 +1,10 @@
-"""Every name a library module imports is used in that module, every
-private helper is used somewhere in the package, private names are
-imported only from ``configs``, only ``configs`` builds a configuration
-unchecked, JSON is encoded only by ``errors.canonical_json``, and every
-memo cache is typed, every ``krawlp`` name the ``perfbench/`` scripts
-reach exists in the package, and every call they make into it binds to
-its signature.
+"""Every name a library module or test file imports is used in that
+file, every private helper is used somewhere in the package, private
+names are imported only from ``configs``, only ``configs`` builds a
+configuration unchecked, JSON is encoded only by
+``errors.canonical_json``, and every memo cache is typed, every
+``krawlp`` name the ``perfbench/`` scripts reach exists in the package,
+and every call they make into it binds to its signature.
 
 No linter ships with the project, so these are stdlib-``ast`` stand-ins
 for an unused-import check, a dead-code check, two layering checks, a
@@ -23,6 +23,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "krawlp"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -42,7 +43,7 @@ def test_modules_are_found():
     assert {"lp.py", "configs.py", "oracle.py"} <= {p.name for p in MODULES}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _unused_imports(tree) == []

@@ -2,6 +2,7 @@
 
 import json
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -25,7 +26,6 @@ from krawlp.lp import (
     check_dual,
     check_feasibility,
     export_lp,
-    integer_form,
     lp_from_json,
     lp_to_json,
     profile_of_code,
@@ -132,20 +132,13 @@ def test_fully_constrained_program_value_one():
     ids=["delsarte", "krawtchouk", "krawtchouk-one-var", "fourier"],
 )
 def test_builders_emit_plain_ints(build):
-    # Every family's data is integral; the builders keep it as plain ints
-    # and leave any scaling to lp.integer_form.
+    # Every family's data is integral, and the builders keep it as plain ints.
     lp = build()
     assert all(type(c) is int for c in lp.objective)
     for row in lp.rows:
         assert type(row.coeffs) is tuple
         assert all(type(c) is int for c in row.coeffs)
         assert type(row.rhs) is int
-
-
-def test_integer_form():
-    assert integer_form([Fraction(1, 2), 3, Fraction(-2, 3)]) == ([3, 18, -4], 6)
-    assert integer_form((4, -1)) == ([4, -1], 1)
-    assert integer_form(()) == ([], 1)
 
 
 # ---------------------------------------------------------------------------
@@ -269,37 +262,36 @@ def test_feasibility_unit_profile_on_hierarchy():
 
 
 def _one_row_program(relation, rhs):
-    # Variables are the two (n=1, l=1) configurations.
-    one = Fraction(1)
-    row = LPRow("R", (one, one), relation, Fraction(rhs))
-    return LinearProgram("krawtchouk", 1, 1, 1, False, (0, 1), (one, one), (row,))
+    # Variables are the two (n=1, l=1) configurations; the row is 20 x0 + 20 x1.
+    row = LPRow("R", (20, 20), relation, rhs)
+    return LinearProgram("krawtchouk", 1, 1, 1, False, (0, 1), (1, 1), (row,))
 
 
 @pytest.mark.parametrize(
     "relation,rhs,near",
     [
-        ("=", Fraction(21, 10), True),
-        ("=", Fraction(39, 20), True),
-        ("=", Fraction(43, 20), False),
-        ("=", Fraction(37, 20), False),
-        (">=", Fraction(41, 20), True),
-        (">=", Fraction(43, 20), False),
-        ("<=", Fraction(39, 20), True),
-        ("<=", Fraction(37, 20), False),
-        ("=", Fraction(2), True),
-        (">=", Fraction(2), True),
-        ("<=", Fraction(2), True),
+        ("=", 42, True),
+        ("=", 39, True),
+        ("=", 43, False),
+        ("=", 37, False),
+        (">=", 41, True),
+        (">=", 43, False),
+        ("<=", 39, True),
+        ("<=", 37, False),
+        ("=", 40, True),
+        (">=", 40, True),
+        ("<=", 40, True),
     ],
 )
 def test_feasibility_tolerance(relation, rhs, near):
-    # The profile of {0, 1} at n=1 puts mass 1 on both variables: lhs = 2.
-    # The check is exact: a row that misses by at most 1/10 (near) fails
-    # just as a farther miss does, and only rhs = 2 holds.
-    assert (abs(rhs - 2) <= Fraction(1, 10)) == near
+    # The profile of {0, 1} at n=1 puts mass 1 on both variables: lhs = 40.
+    # The check is exact: a row that misses by at most 2 (near, 1/20 of
+    # the lhs) fails just as a farther miss does, and only rhs = 40 holds.
+    assert (abs(rhs - 40) <= 2) == near
     prof = profile_of_code([0, 1], 1, 1)
     verdict = check_feasibility(_one_row_program(relation, rhs), prof)
-    assert verdict.feasible == (rhs == 2)
-    assert verdict.status == ("feasible" if rhs == 2 else "row-violation")
+    assert verdict.feasible == (rhs == 40)
+    assert verdict.status == ("feasible" if rhs == 40 else "row-violation")
     assert verdict.objective == 2
 
 
@@ -393,31 +385,16 @@ def test_lp_text_structure():
     assert text.endswith("End\n")
 
 
-def _rational_delsarte_text(third: str) -> str:
-    # build_delsarte(2, 2) with fractional coefficients and an all-zero row.
-    data = json.loads(lp_to_json(build_delsarte(2, 2)))
-    coeffs = {"MW_0": [third, "0"], "MW_1": ["0", "0"]}
-    for row in data["rows"]:
-        row["coeffs"] = coeffs.get(row["name"], row["coeffs"])
-    data["objective"] = ["1/2", "1"]
-    return export_lp(lp_from_json(json.dumps(data)), "lp-text").decode()
-
-
-def test_lp_text_of_rational_coefficients():
-    lines = _rational_delsarte_text("1/3").splitlines()
-    assert "\\ exact-decimals=no" in lines
-    assert " obj: + 0.5 a_0 + 1 a_2" in lines
-    assert " MW_0: + 0.3333333333333333 a_0 >= 0" in lines
-    assert " MW_1: + 0 a_0 >= 0" in lines  # an all-zero row names its first variable
-    assert "\\ exact-decimals=yes" in _rational_delsarte_text("1/4").splitlines()
-
-
-def test_lp_text_refuses_a_rational_beyond_the_float_range():
-    # Fraction(10**400, 3) has no float; an integer that size prints exactly.
-    huge = "1" + "0" * 400
-    with pytest.raises(InvalidInputError, match=f"LP number {huge}/3 is beyond the float range"):
-        _rational_delsarte_text(huge + "/3")
-    assert f" MW_0: + {huge} a_0 >= 0" in _rational_delsarte_text(huge).splitlines()
+def test_lp_text_prints_every_int_in_full():
+    # An all-zero row names its first variable, and an int of any size
+    # prints exactly, with no float in between.
+    huge = 10**400
+    lp = build_delsarte(2, 2)
+    rows = (LPRow("MW_0", (huge, 0), ">=", 0), LPRow("MW_1", (0, 0), ">=", -huge))
+    lines = export_lp(replace(lp, rows=rows), "lp-text").decode().splitlines()
+    assert f" MW_0: + {huge} a_0 >= 0" in lines
+    assert f" MW_1: + 0 a_0 >= -{huge}" in lines
+    assert "\\ exact-decimals=yes" in lines
 
 
 def test_exports_are_deterministic():
@@ -434,6 +411,24 @@ def test_json_roundtrip_identity():
         again = lp_from_json(text)
         assert again == lp
         assert lp_to_json(again) == text
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_delsarte(4, 2),
+        lambda: build_hierarchy_lp(3, 2, 2, linear=False),
+        lambda: build_fourier_lp(2, 2, 2, linear=True),
+    ],
+    ids=["delsarte", "krawtchouk", "fourier"],
+)
+def test_json_roundtrip_keeps_ints(build):
+    lp = build()
+    again = lp_from_json(lp_to_json(lp))
+    assert again == lp
+    numbers = [*again.objective, *(r.rhs for r in again.rows)]
+    numbers += [c for r in again.rows for c in r.coeffs]
+    assert {type(x) for x in numbers} == {int}
 
 
 def test_lp_json_reads_int_numbers():

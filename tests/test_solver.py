@@ -29,15 +29,18 @@ from krawlp.oracle import build_fourier_lp
 from krawlp.simplex import root_value, solve_exact, solve_float
 
 
-def _custom(var_indices, objective, rows, n=1, d=1, ell=1):
+def _custom(var_indices, objective, rows, n=None, d=1, ell=1):
+    # A delsarte program's indices are weights 0..n, so n defaults to the
+    # largest index (at least 1).
+    var_indices = tuple(var_indices)
     return LinearProgram(
         kind="delsarte",
-        n=n,
+        n=n or max(1, *var_indices),
         d=d,
         ell=ell,
         linear=None,
-        var_indices=tuple(var_indices),
-        objective=tuple(Fraction(c) for c in objective),
+        var_indices=var_indices,
+        objective=tuple(objective),
         rows=tuple(rows),
     )
 
@@ -77,40 +80,36 @@ def test_exact_integer_program_reports_fractions():
 
 
 def test_exact_normalization_only_program():
-    lp = _custom([0], [1], [LPRow("NORM", (Fraction(1),), "=", Fraction(1))])
+    lp = _custom([0], [1], [LPRow("NORM", (1,), "=", 1)])
     res = solve_exact(lp)
     assert res.status == "optimal" and res.value == 1
 
 
 def test_exact_certificate_reads_the_program_rows(monkeypatch):
-    # A scaling bug that turns row A (x0 + x1 <= 1) into x0 + x1 <= 2 in
-    # the tableau must not pass: the primal check reads lp.rows itself.
-    real = simplex.integer_form
+    # A bug that turns row A (x0 + x1 <= 1) into x0 + x1 <= 2 in the
+    # tableau must not pass: the primal check reads lp.rows itself.
+    real = simplex._Tableau.__init__
 
-    def loosened(values):
-        ints, s = real(values)
-        if len(values) == 3:  # row A with its rhs; the objective has 2 entries
-            ints[-1] *= 2
-        return ints, s
+    def loosened(self, rows, basis, nonbasic):
+        rows[0][-1] *= 2  # row A's rhs
+        real(self, rows, basis, nonbasic)
 
-    monkeypatch.setattr(simplex, "integer_form", loosened)
+    monkeypatch.setattr(simplex._Tableau, "__init__", loosened)
     lp = _custom([0, 1], [1, 1], [LPRow("A", (1, 1), "<=", 1)])
     with pytest.raises(SelfCheckError, match="violates row A"):
         solve_exact(lp)
 
 
 def test_exact_certificate_reads_the_dual_scale(monkeypatch):
-    # A scaling bug that doubles the objective's integer scale L halves the
-    # dual read off the tableau; the dual check must catch it.
-    real = simplex.integer_form
+    # A scaling bug that doubles the reduced-cost row's scale zden halves
+    # the dual read off the tableau; the dual check must catch it.
+    real = simplex._Tableau.price
 
-    def doubled(values):
-        ints, s = real(values)
-        if len(values) == 2:  # the objective; row A with its rhs has 3 entries
-            s *= 2
-        return ints, s
+    def doubled(self, cost):
+        real(self, cost)
+        self.zden *= 2
 
-    monkeypatch.setattr(simplex, "integer_form", doubled)
+    monkeypatch.setattr(simplex._Tableau, "price", doubled)
     lp = _custom([0, 1], [1, 1], [LPRow("A", (1, 1), "<=", 1)])
     with pytest.raises(SelfCheckError, match="dual certificate fails"):
         solve_exact(lp)
@@ -131,7 +130,7 @@ def test_exact_certificate_needs_strong_duality(monkeypatch):
 
 def test_exact_infeasible_detection():
     base = build_delsarte(2, 2)
-    clash = LPRow("CLASH", base.rows[0].coeffs, "=", Fraction(2))
+    clash = LPRow("CLASH", base.rows[0].coeffs, "=", 2)
     lp = _custom(
         base.var_indices,
         base.objective,
@@ -171,7 +170,7 @@ def test_result_json_without_a_point():
 
 
 def _row(name, coeffs, rel, rhs):
-    return LPRow(name, tuple(Fraction(c) for c in coeffs), rel, Fraction(rhs))
+    return LPRow(name, tuple(coeffs), rel, rhs)
 
 
 def test_exact_pivots_survive_redundant_row():
@@ -295,14 +294,15 @@ def test_exact_pivot_cap_is_enforced(monkeypatch):
 
 
 def test_exact_rational_coefficients():
-    # (1/3) x0 + (2/5) x1 <= 1, x0 <= 3/2, x1 >= 1/7, max x0 + x1.
-    # x0 earns 3 per unit of the first row and x1 earns 5/2, so x0 goes to
-    # its bound 3/2 and x1 takes the remaining 1/2: x1 = 5/4, value 11/4.
-    # Dual: y = (5/2, 1/6, 0), and 5/2 + (1/6)(3/2) = 11/4.
+    # 5 x0 + 6 x1 <= 15, 2 x0 <= 3, 7 x1 >= 1, max x0 + x1: integer rows
+    # with a rational optimum.  x0 earns 1/5 per unit of the first row and
+    # x1 earns 1/6, so x0 goes to its bound 3/2 and x1 takes the rest:
+    # x1 = 5/4, value 11/4.  Dual: y = (1/6, 1/12, 0), and
+    # 15/6 + 3/12 = 11/4.
     rows = [
-        _row("A", (Fraction(1, 3), Fraction(2, 5)), "<=", 1),
-        _row("B", (1, 0), "<=", Fraction(3, 2)),
-        _row("C", (0, 1), ">=", Fraction(1, 7)),
+        _row("A", (5, 6), "<=", 15),
+        _row("B", (2, 0), "<=", 3),
+        _row("C", (0, 7), ">=", 1),
     ]
     res = solve_exact(_custom([0, 1], [1, 1], rows))
     assert res.status == "optimal"
@@ -311,10 +311,10 @@ def test_exact_rational_coefficients():
 
 
 def test_exact_rational_objective():
-    # x0 + x1 <= 1, max (2/3) x0 + (3/7) x1: x0 = 1, value 2/3.
+    # x0 + x1 <= 1, max 14 x0 + 9 x1: x0 = 1, value 14.
     rows = [_row("A", (1, 1), "<=", 1)]
-    res = solve_exact(_custom([0, 1], [Fraction(2, 3), Fraction(3, 7)], rows))
-    assert res.value == Fraction(2, 3) and res.primal == (1, 0)
+    res = solve_exact(_custom([0, 1], [14, 9], rows))
+    assert res.value == 14 and res.primal == (1, 0)
 
 
 def test_exact_positive_rhs_ge_needs_phase_one():
@@ -338,9 +338,9 @@ def test_exact_zero_rhs_ge_starts_feasible():
 
 
 def test_exact_negative_rhs_le():
-    # -x0 - x1 <= -2 (x0 + x1 >= 2), x0 <= 3/2, min x0 + 2 x1:
+    # -x0 - x1 <= -2 (x0 + x1 >= 2), 2 x0 <= 3, min x0 + 2 x1:
     # x0 = 3/2, x1 = 1/2, value -5/2.
-    rows = [_row("A", (-1, -1), "<=", -2), _row("B", (1, 0), "<=", Fraction(3, 2))]
+    rows = [_row("A", (-1, -1), "<=", -2), _row("B", (2, 0), "<=", 3)]
     res = solve_exact(_custom([0, 1], [-1, -2], rows))
     assert res.status == "optimal"
     assert res.value == Fraction(-5, 2)
@@ -535,10 +535,10 @@ def test_exact_agrees_with_float_on_random_programs():
         nv = random.randint(1, 5)
         rows = []
         for i in range(random.randint(1, 5)):
-            coeffs = tuple(Fraction(random.randint(-4, 4)) for _ in range(nv))
+            coeffs = tuple(random.randint(-4, 4) for _ in range(nv))
             rel = random.choice([">=", "=", "<="])
-            rows.append(LPRow(f"R{i}", coeffs, rel, Fraction(random.randint(-6, 6))))
-        obj = tuple(Fraction(random.randint(-3, 3)) for _ in range(nv))
+            rows.append(LPRow(f"R{i}", coeffs, rel, random.randint(-6, 6)))
+        obj = tuple(random.randint(-3, 3) for _ in range(nv))
         lp = _custom(range(nv), obj, rows)
         exact = solve_exact(lp)
         screened = solve_float(lp)

@@ -1,11 +1,14 @@
 """Malformed inputs and out-of-range parameters raise their typed errors."""
 
+import json
 import re
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
 from krawlp.configs import (
+    MAX_SUBSET_ELL,
     SDConfig,
     VennConfig,
     WordTuple,
@@ -35,6 +38,8 @@ from krawlp.lp import (
     build_hierarchy_lp,
     check_feasibility,
     check_program_args,
+    lp_from_json,
+    lp_to_json,
     profile_of_code,
 )
 from krawlp.oracle import build_fourier_lp, iter_linear_codes, max_code, max_linear_code
@@ -45,6 +50,15 @@ L1, L2 = SDConfig((0, 1)), SDConfig((0, 1, 1, 0))
 # Three nonzero weights need n >= 2: at n = 1 the empty Venn cell would be -1/2.
 BAD = SDConfig((0, 1, 1, 1))
 NOT_AT_N1 = re.escape("weight vector (0, 1, 1, 1) is not a configuration at n=1")
+
+
+def _lp_json(objective=("1", "1"), name="NORM"):
+    # build_delsarte(1, 1)'s JSON with this objective and first row name.
+    data = json.loads(lp_to_json(build_delsarte(1, 1)))
+    data["objective"] = list(objective)
+    data["rows"][0]["name"] = name
+    return json.dumps(data)
+
 
 # call, error type, message fragment
 CASES = [
@@ -93,26 +107,50 @@ CASES = [
     (lambda: eval_direct(L1, L2, 2), InvalidInputError, "mixed levels"),
     (lambda: eval_explicit(L1, L2, 2), InvalidInputError, "mixed levels"),
     (lambda: LPRow("R", (1,), "<", 1), InvalidInputError, "unsupported relation"),
-    # A program's numbers are exactly ints or Fractions.
+    # A program's numbers are exactly ints.
     (
         lambda: replace(build_delsarte(1, 1), objective=(1, 0.5)),
         InvalidInputError,
-        r"ints or Fractions, got \['float'\]",
+        r"ints, got \['float'\]",
     ),
     (
         lambda: replace(build_delsarte(1, 1), rows=(LPRow("R", (1, 0.1), "<=", 1),)),
         InvalidInputError,
-        r"ints or Fractions, got \['float'\]",
+        r"ints, got \['float'\]",
     ),
     (
         lambda: replace(build_delsarte(1, 1), rows=(LPRow("R", (1, 1), "<=", 1.0),)),
         InvalidInputError,
-        r"ints or Fractions, got \['float'\]",
+        r"ints, got \['float'\]",
     ),
     (
         lambda: replace(build_delsarte(1, 1), rows=(LPRow("R", (True, 1), "<=", 1),)),
         InvalidInputError,
-        r"ints or Fractions, got \['bool'\]",
+        r"ints, got \['bool'\]",
+    ),
+    (
+        lambda: replace(build_delsarte(1, 1), rows=(LPRow("R", (Fraction(1, 3), 1), "<=", 1),)),
+        InvalidInputError,
+        r"ints, got \['Fraction'\]",
+    ),
+    (lambda: lp_from_json(_lp_json(objective=["1/3", "1"])), InvalidInputError, "'1/3'"),
+    (lambda: lp_from_json(_lp_json(objective=["0.5", "1"])), InvalidInputError, "'0.5'"),
+    (lambda: lp_from_json(_lp_json(objective=["1e3", "1"])), InvalidInputError, "'1e3'"),
+    # A row name is an ASCII identifier, one token in lp-text.
+    (
+        lambda: lp_from_json(_lp_json(name={"x": 1})),
+        InvalidInputError,
+        r"row name must be an ASCII identifier, got \{'x': 1\}",
+    ),
+    (
+        lambda: lp_from_json(_lp_json(name="A\nEnd")),
+        InvalidInputError,
+        r"row name must be an ASCII identifier, got 'A\\nEnd'",
+    ),
+    (
+        lambda: lp_from_json(_lp_json(name="MWé")),
+        InvalidInputError,
+        "row name must be an ASCII identifier, got 'MWé'",
     ),
     (
         lambda: replace(build_delsarte(3, 2), objective=build_delsarte(3, 2).objective[:-1]),
@@ -187,20 +225,28 @@ CASES = [
     (lambda: run_suite("collapse", "3"), InvalidInputError, "n_cap must be an int"),
     (lambda: run_suite("census", True), InvalidInputError, "n_cap must be an int"),
     (lambda: run_suite("census", 0), ParameterError, "need caps >= 1, got n_cap=0"),
-    # A variable index names a configuration: never negative, and below the
-    # (n, l) count before a profile is read against it; (2, 1) has 3.
+    # A variable index names a point of its family: never negative, below
+    # the (n, l) configuration count, (2, 1) has 3, at a level whose count
+    # is bounded, and within n*l bits for a word tuple.
     (
         lambda: replace(build_delsarte(1, 1), var_indices=(-1, 0)),
         InvalidInputError,
         "variable index must be an int >= 0, got -1",
     ),
     (
-        lambda: check_feasibility(
-            replace(build_hierarchy_lp(2, 1, 1, False), var_indices=(0, 1, 5)),
-            profile_of_code([0, 3], 2, 1),
-        ),
+        lambda: replace(build_hierarchy_lp(2, 1, 1, False), var_indices=(0, 1, 5)),
         InvalidInputError,
         r"variable index 5 names no configuration: \(n=2, l=1\) has 3",
+    ),
+    (
+        lambda: replace(build_hierarchy_lp(1, 1, 1, False), ell=MAX_SUBSET_ELL + 1),
+        InvalidInputError,
+        f"a krawtchouk program needs l <= {MAX_SUBSET_ELL}, got l={MAX_SUBSET_ELL + 1}",
+    ),
+    (
+        lambda: replace(build_fourier_lp(1, 1, 2, False), var_indices=(0, 1, 2, 4)),
+        InvalidInputError,
+        r"variable index 4 names no word tuple: \(n=1, l=2\) has 2\^2",
     ),
 ]
 
