@@ -256,6 +256,8 @@ class WordTuple:
         if len(lengths) != 1:
             raise InvalidInputError(f"mismatched word lengths {sorted(lengths)}")
         (n,) = lengths
+        if not n:
+            raise InvalidInputError("empty word")
         words = []
         for s in bits:
             if set(s) - {"0", "1"}:

@@ -62,7 +62,7 @@ def parsing(what: str) -> Iterator[None]:
         yield
     except KrawlpError:
         raise
-    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed {what}: {exc!r}") from exc
 
 

@@ -8,7 +8,9 @@ program's variables, then its slacks and artificials; the tableau stores
 only the nonbasic ones (integer pivoting as in Avis's ``lrs``).  One
 pass over the program's integer rows builds the tableau, each row made
 rhs >= 0 by a sign of +-1, so a ``>= 0`` row becomes ``<= 0`` with its
-slack basic; there is no other presolve.  One pricing loop serves both
+slack basic; there is no other presolve.  Both phases' reduced costs
+are two more tableau rows, read off the starting basis and updated by
+every pivot like the constraint rows.  One pricing loop serves both
 pivot rules: largest coefficient for a bounded number of pivots, then
 Bland's rule, so termination is guaranteed; both choose by column
 label, never by slot.  This module only pivots and reads x and y;
@@ -91,56 +93,42 @@ class SolveResult:
 class _Tableau:
     """Condensed integer tableau over the nonbasic columns, one primitive row each.
 
-    Row i reads ``dens[i]*x[basis[i]] + sum_k rows[i][k]*x[nonbasic[k]] =
-    rows[i][-1]`` with ``dens[i] > 0``: the basic columns, which are
-    ``dens[i]`` times a unit vector, are not stored, and ``nonbasic[k]``
-    is the column label of slot k.  There is no common denominator.  The
-    reduced-cost row ``obj`` holds ``zden > 0`` times the reduced costs
-    z_j - c_j of the slots, and zden times the objective value last.
+    Constraint row i < len(basis) reads ``dens[i]*x[basis[i]] + sum_k
+    rows[i][k]*x[nonbasic[k]] = rows[i][-1]`` with ``dens[i] > 0``: the
+    basic columns, which are ``dens[i]`` times a unit vector, are not
+    stored, and ``nonbasic[k]`` is the column label of slot k.  Each row
+    below them is a reduced-cost row: ``dens[i] > 0`` times the reduced
+    costs z_j - c_j of the slots, and dens[i] times the objective value
+    last; it reads as a row whose basic column is the objective.  There
+    is no common denominator.
 
-    A pivot on entry p = rows[r][c] swaps ``basis[r]`` and
-    ``nonbasic[c]``.  Row r keeps its entries, takes basic coefficient p
-    and gets s = dens[r] in slot c, the leaving column's coefficient (the
-    row is negated first if p < 0); it holds the same numbers up to sign,
-    so it stays primitive.  A row with f = 0 in slot c is not touched.
-    Every other row, and ``obj``, becomes ``p*a - f*q`` entry by entry,
-    which leaves ``-f*s`` in slot c, with basic coefficient p times its
-    old one, and is then divided by its content: the gcd of its basic
-    coefficient and its entries.  So every row is gcd 1 after every
-    pivot, and each is a positive multiple of the same row of the
-    fraction-free (Bareiss) tableau, which holds every row over the one
-    denominator det(B).  Pricing compares entries of ``obj``, the ratio
-    test compares rhs/entry ratios each read within one row, and the
-    tie-breaks go by label, so the pivots, points and values are the
-    Bareiss tableau's; the rows only drop the bits of its shared factor.
+    A pivot on entry p = rows[r][c] of a constraint row swaps
+    ``basis[r]`` and ``nonbasic[c]``.  Row r keeps its entries, takes
+    basic coefficient p and gets s = dens[r] in slot c, the leaving
+    column's coefficient (the row is negated first if p < 0); it holds
+    the same numbers up to sign, so it stays primitive.  A row with f = 0
+    in slot c is not touched.  Every other row, reduced-cost rows alike,
+    becomes ``p*a - f*q`` entry by entry, which leaves ``-f*s`` in slot
+    c, with basic coefficient p times its old one, and is then divided by
+    its content: the gcd of its basic coefficient and its entries.  So
+    every row is gcd 1 after every pivot, and each is a positive multiple
+    of the same row of the fraction-free (Bareiss) tableau, which holds
+    every row over the one denominator det(B).  Pricing compares entries
+    of one reduced-cost row, the ratio test compares rhs/entry ratios
+    each read within one constraint row, and the tie-breaks go by label,
+    so the pivots, points and values are the Bareiss tableau's; the rows
+    only drop the bits of its shared factor.
     """
 
     def __init__(self, rows, basis, nonbasic):
         self.rows = rows          # list[list[int]], one entry per slot, rhs last
         self.dens = [1] * len(rows)  # positive basic coefficient per row
-        self.basis = basis        # basic column label per row
+        self.basis = basis        # basic column label per constraint row
         self.nonbasic = nonbasic  # column label per slot
-        self.obj = None           # reduced-cost row, rhs last; set by price
-        self.zden = 1             # its positive scale
         self.pivots = 0
 
-    def price(self, cost) -> None:
-        """Set ``obj`` to the reduced costs of the integer costs ``cost``."""
-        # Over L, the lcm of the basic coefficients of the rows whose
-        # basic column has a cost, z_j - c_j is the sum of
-        # cost[basis[i]] * (L / dens[i]) * rows[i][k] less L * cost[j];
-        # every basic column's reduced cost is 0.
-        terms = [(cost[bi], i) for i, bi in enumerate(self.basis) if cost[bi]]
-        zden = lcm(*(self.dens[i] for _, i in terms))
-        obj = [-zden * cost[j] for j in self.nonbasic] + [0]
-        for cb, i in terms:
-            m = cb * (zden // self.dens[i])
-            obj = [o + m * a for o, a in zip(obj, self.rows[i])]
-        g = gcd(zden, *obj)
-        self.obj, self.zden = [o // g for o in obj], zden // g
-
     def pivot(self, r: int, c: int) -> None:
-        """Pivot on (r, c), carrying the reduced-cost row along."""
+        """Pivot on (r, c), eliminating slot c from every other row."""
         rows, dens = self.rows, self.dens
         prow = rows[r]
         p = prow[c]
@@ -154,35 +142,31 @@ class _Tableau:
         # With q = p + s in slot c, p*f - f*q is -f*s.
         prow[c] = p + s
         for i, row in enumerate(rows):
-            if row[c] and i != r:
-                rows[i], dens[i] = _eliminate(row, dens[i], prow, p, c)
-        if self.obj[c]:
-            self.obj, self.zden = _eliminate(self.obj, self.zden, prow, p, c)
+            f = row[c]
+            if f and i != r:
+                # p*row - f*prow over basic coefficient p*dens[i], divided
+                # by its content.
+                row = [p * a - f * q for a, q in zip(row, prow)]
+                den = p * dens[i]
+                g = gcd(den, *row)
+                if g > 1:
+                    row, den = [a // g for a in row], den // g
+                rows[i], dens[i] = row, den
         prow[c] = s
         dens[r] = p
         self.basis[r], self.nonbasic[c] = self.nonbasic[c], self.basis[r]
         self.pivots += 1
 
 
-def _eliminate(row, den, prow, p, c):
-    # p*row - f*prow over basic coefficient p*den, divided by its content.
-    f = row[c]
-    row = [p * a - f * q for a, q in zip(row, prow)]
-    den *= p
-    g = gcd(den, *row)
-    if g == 1:
-        return row, den
-    return [a // g for a in row], den // g
-
-
 def _run_phase(tab, ncols):
     # Pivot until optimal (all reduced costs >= 0) or unbounded; only
     # columns labelled below ncols may enter.  Reduced costs share the
-    # row obj, so they compare directly, and each ratio b_i / a_i is
-    # read within row i, so ratios compare by cross-multiplying.  Choices
-    # go by column label, never by slot, so ties break as on the full
-    # tableau.
+    # first row below the constraint rows, so they compare directly, and
+    # each ratio b_i / a_i is read within constraint row i, so ratios
+    # compare by cross-multiplying.  Choices go by column label, never by
+    # slot, so ties break as on the full tableau.
     nonbasic = tab.nonbasic
+    m = len(tab.basis)
     while True:
         # Largest coefficient first; after DANTZIG_PIVOTS pivots every
         # negative cost counts as -1, so the tie-break alone decides:
@@ -190,7 +174,7 @@ def _run_phase(tab, ncols):
         bland = tab.pivots >= DANTZIG_PIVOTS
         enter = -1
         best, label = 0, ncols
-        for k, (o, j) in enumerate(zip(tab.obj, nonbasic)):
+        for k, (o, j) in enumerate(zip(tab.rows[m], nonbasic)):
             if o < 0 and j < ncols:
                 if bland:
                     o = -1
@@ -200,7 +184,7 @@ def _run_phase(tab, ncols):
             return "optimal"
         leave = -1
         best_b = best_a = 0
-        for i, row in enumerate(tab.rows):
+        for i, row in enumerate(tab.rows[:m]):
             a = row[enter]
             if a > 0:
                 lhs, rhs = row[-1] * best_a, best_b * a
@@ -230,9 +214,12 @@ def solve_exact(lp: LinearProgram) -> SolveResult:
     feasible.  There is no other presolve.  The rows form a
     ``_Tableau``, so no ``Fraction`` is formed until the optimum is read
     off.  The starting rows are not divided: their basic coefficients are
-    1, so they are primitive already.  Phase 1 runs on every program
-    (with no artificial it makes no pivot), and the reported pivot count
-    covers both phases.
+    1, so they are primitive already.  Below them sit the reduced-cost
+    rows of phase 1 (costs -1 on the artificials) and phase 2 (the
+    objective), read off the starting basis.  Phase 1 runs on every
+    program (with no artificial it makes no pivot); the program is
+    infeasible if phase 1's optimal value is nonzero, and otherwise its
+    row is dropped.  The reported pivot count covers both phases.
 
     The pivot rule is fixed and chooses by column label: largest
     coefficient (ties to the smallest label) for the first
@@ -244,10 +231,10 @@ def solve_exact(lp: LinearProgram) -> SolveResult:
     that column (0 if it ends basic) times the row's sign.  The
     certificate is ``check_point`` on the primal point, over the lcm of
     the basic coefficients of the rows whose basic column is a variable,
-    and ``check_dual`` on the dual, over the reduced-cost row's scale
-    ``zden``; both read ``lp.rows`` and ``lp.objective`` themselves, and
-    their objectives must agree.  The reported value is that objective,
-    and the result keeps the certified dual.
+    and ``check_dual`` on the dual, over the phase-2 row's scale; both
+    read ``lp.rows`` and ``lp.objective`` themselves, and their
+    objectives must agree.  The reported value is that objective, and the
+    result keeps the certified dual.
     """
     nv = lp.num_vars
 
@@ -281,20 +268,29 @@ def solve_exact(lp: LinearProgram) -> SolveResult:
         T.append(ints)
     ncols = art
     T = [t[:-1] + [-1 if k == i else 0 for k in surplus] + t[-1:] for i, t in enumerate(T)]
-    tab = _Tableau(T, list(unit), nonbasic)
+    # The reduced-cost rows of the starting basis, whose basic
+    # coefficients are 1 and whose basic columns all cost 0 in phase 2.
+    # Phase 1's costs are -1 on the artificials and 0 elsewhere, so its
+    # row is minus the sum of the artificials' rows; phase 2's is -c_j
+    # over the slots.
+    arts = [t for t, u in zip(T, unit) if u >= art_start]
+    phase1 = [-sum(col) for col in zip([0] * (len(nonbasic) + 1), *arts)]
+    phase2 = [-lp.objective[j] if j < nv else 0 for j in nonbasic] + [0]
+    m = len(T)
+    tab = _Tableau([*T, phase1, phase2], list(unit), nonbasic)
 
     # Phase 1: drive the artificials to zero, then pivot each zero-level
     # artificial out on a non-artificial entry of its row, the one with
     # the smallest label.  One whose row has none stays basic: that row is
     # zero in every column phase 2 may pivot on, so it never leaves the
-    # basis and adds 0 to the objective.  With no artificials every cost
-    # is 0, and phase 1 ends at once.
-    cost1 = [0] * art_start + [-1] * (ncols - art_start)
-    tab.price(cost1)
+    # basis and adds 0 to the objective.  With no artificials the phase-1
+    # row is 0, and phase 1 ends at once.  Its value is minus the sum of
+    # the artificials, so the program is feasible only if it is 0.
     if _run_phase(tab, ncols) != "optimal":
         raise SelfCheckError("phase 1 cannot be unbounded")
-    if any(row[-1] for row, bi in zip(tab.rows, tab.basis) if bi >= art_start):
+    if tab.rows[m][-1]:
         return SolveResult("infeasible", None, None, tab.pivots, True)
+    del tab.rows[m], tab.dens[m]
     for i, bi in enumerate(tab.basis):
         if bi >= art_start:
             row = tab.rows[i]
@@ -306,33 +302,34 @@ def solve_exact(lp: LinearProgram) -> SolveResult:
                 tab.pivot(i, target[1])
 
     # Phase 2 on the real objective; artificial columns may not re-enter.
-    tab.price([*lp.objective] + [0] * (ncols - nv))
     status = _run_phase(tab, art_start)
     if status == "unbounded":
         return SolveResult("unbounded", None, None, tab.pivots, True)
 
     # Certificate: x = xnum / den, with den the lcm of the basic
     # coefficients of the variables' rows, and y = ynum / zden from the
-    # final reduced cost of each row's +1 column (0 while basic), times
-    # the row's sign, which reads it back on the row as lp.rows states it.
+    # phase-2 row: the final reduced cost of each row's +1 column (0 while
+    # basic), times the row's sign, which reads it back on the row as
+    # lp.rows states it.
     xrows = [i for i, bi in enumerate(tab.basis) if bi < nv]
     den = lcm(*(tab.dens[i] for i in xrows))
     xnum = [0] * nv
     for i in xrows:
         xnum[tab.basis[i]] = tab.rows[i][-1] * (den // tab.dens[i])
+    obj, zden = tab.rows[m], tab.dens[m]
     slot = {j: k for k, j in enumerate(tab.nonbasic)}
-    ynum = [tab.obj[slot[u]] * s if u in slot else 0 for u, s in zip(unit, sign)]
+    ynum = [obj[slot[u]] * s if u in slot else 0 for u, s in zip(unit, sign)]
     point = check_point(lp, [(j, v) for j, v in enumerate(xnum) if v], den)
     if not point.feasible:
         raise SelfCheckError(f"optimal point violates {point.detail}")
-    dual = check_dual(lp, [(i, v) for i, v in enumerate(ynum) if v], tab.zden)
+    dual = check_dual(lp, [(i, v) for i, v in enumerate(ynum) if v], zden)
     if not dual.feasible:
         raise SelfCheckError(f"dual certificate fails: {dual.detail}")
     if dual.objective != point.objective:
         raise SelfCheckError("strong duality does not close; result discarded")
 
     primal = tuple(Fraction(v, den) for v in xnum)
-    y = tuple(Fraction(v, tab.zden) for v in ynum)
+    y = tuple(Fraction(v, zden) for v in ynum)
     return SolveResult("optimal", point.objective, primal, tab.pivots, True, y)
 
 

@@ -51,21 +51,29 @@ def test_no_unused_imports(path):
 
 def test_no_dead_private_helpers():
     # A top-level ``_name`` function or class must be referenced by name
-    # (``_name``) or attribute (``module._name``) in some module.
+    # (``_name``) or attribute (``module._name``) in some module, and each
+    # method of a private class, dunders aside, by attribute
+    # (``obj.method``).
     defined = {}
-    referenced = set()
+    methods = {}
+    names, attrs = set(), set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
                 defined[node.name] = f"{path.name}:{node.lineno}"
+                for item in node.body if isinstance(node, ast.ClassDef) else ():
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                        methods[node.name, item.name] = f"{path.name}:{item.lineno}"
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                referenced.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
+                attrs.add(node.attr)
     assert defined, "no private helpers found"
-    dead = [f"{where}: {name}" for name, where in defined.items() if name not in referenced]
+    assert methods, "no private-class methods found"
+    dead = [f"{where}: {name}" for name, where in defined.items() if name not in names | attrs]
+    dead += [f"{where}: {c}.{name}" for (c, name), where in methods.items() if name not in attrs]
     assert dead == []
 
 

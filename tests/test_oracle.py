@@ -469,6 +469,24 @@ def test_packed_macwilliams_matches_row_sums_on_wrong_tables(monkeypatch, n, ell
     assert kinds == {"identity", "inequality"}
 
 
+def test_packed_macwilliams_sees_a_transform_digit_just_under_its_bound(monkeypatch):
+    # Row 2 of the (2,1) table set to -15 makes the packing bound
+    # 15 * 2^(2 l n) = 240, whose 8 bits fill a whole byte, so only the two
+    # spare bits of pack_columns keep the digits apart.  The nonlinear
+    # code {0, 1, 2} has its 9 pairs on all three weights, so its
+    # transform at h = 2 is -135, below -2^7: in 8-bit digits, adding the
+    # tops would borrow from the digit above and read it as non-negative.
+    true = build_table(2, 1)
+    table = _with_values(true, [*true.values[:2], [-15] * 3])
+    bound = 15 << 4
+    assert bound.bit_length() % 8 == 0 and -135 < -(1 << (bound.bit_length() - 1))
+    monkeypatch.setattr(oracle, "cached_table", lambda n_, ell_: table)
+    code = CodeSet(frozenset({0, 1, 2}), 2)
+    want = _macwilliams_by_rows(code, 1)
+    assert want.violations == ("inequality at h=2: transform -135 < 0",)
+    assert verify_macwilliams(code, 1) == want
+
+
 # ---------------------------------------------------------------------------
 # word-tuple LP
 # ---------------------------------------------------------------------------

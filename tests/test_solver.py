@@ -101,15 +101,15 @@ def test_exact_certificate_reads_the_program_rows(monkeypatch):
 
 
 def test_exact_certificate_reads_the_dual_scale(monkeypatch):
-    # A scaling bug that doubles the reduced-cost row's scale zden halves
+    # A scaling bug that doubles the starting phase-2 row's scale halves
     # the dual read off the tableau; the dual check must catch it.
-    real = simplex._Tableau.price
+    real = simplex._Tableau.__init__
 
-    def doubled(self, cost):
-        real(self, cost)
-        self.zden *= 2
+    def doubled(self, rows, basis, nonbasic):
+        real(self, rows, basis, nonbasic)
+        self.dens[-1] *= 2  # the phase-2 reduced-cost row is last
 
-    monkeypatch.setattr(simplex._Tableau, "price", doubled)
+    monkeypatch.setattr(simplex._Tableau, "__init__", doubled)
     lp = _custom([0, 1], [1, 1], [LPRow("A", (1, 1), "<=", 1)])
     with pytest.raises(SelfCheckError, match="dual certificate fails"):
         solve_exact(lp)
@@ -436,31 +436,40 @@ def _lp_suite_programs():
 
 
 @pytest.mark.parametrize(
-    "dantzig_pivots,pivots,digest",
+    "dantzig_pivots,pivots,digest,dual_digest",
     [
         (
             simplex.DANTZIG_PIVOTS,
             1111,
             "ac6fb3fb69b156472b070b89ef3f332a33deb89b3b66e48170b4a1ff07df5a2e",
+            "76f78482a75680530132eb801d3e046e97f95ab973ab65dcbf65a140ca10af57",
         ),
-        (0, 1114, "f72bf705ee0ad77a190f47eba84d5700b3ae41b9be11730fa5de0bd763b10762"),
+        (
+            0,
+            1114,
+            "f72bf705ee0ad77a190f47eba84d5700b3ae41b9be11730fa5de0bd763b10762",
+            "aa4e2fc583d114a414c334a94b13c96f936d8c81fe5139fe0917370dda6a51d9",
+        ),
     ],
     ids=["default-rule", "bland-from-the-start"],
 )
-def test_every_lp_suite_solve_is_pinned(monkeypatch, dantzig_pivots, pivots, digest):
+def test_every_lp_suite_solve_is_pinned(monkeypatch, dantzig_pivots, pivots, digest, dual_digest):
     # One SHA-256 over each program and its status, value, pivot count and
     # primal point: a change to the tableau, the pricing or a tie-break
-    # that moves any pivot on any of the 99 programs changes it.
+    # that moves any pivot on any of the 99 programs changes it.  A second
+    # one over the certified duals pins how they are read off the tableau.
     monkeypatch.setattr(simplex, "DANTZIG_PIVOTS", dantzig_pivots)
     programs = list(_lp_suite_programs())
     assert len(programs) == 99
     h = hashlib.sha256()
+    h_dual = hashlib.sha256()
     total = 0
     for lp in programs:
         res = solve_exact(lp)
         total += res.pivots
         h.update(lp_to_json(lp).encode() + b"\n" + res.to_json().encode() + b"\n")
-    assert (total, h.hexdigest()) == (pivots, digest)
+        h_dual.update(" ".join(map(str, res.dual)).encode() + b"\n")
+    assert (total, h.hexdigest(), h_dual.hexdigest()) == (pivots, digest, dual_digest)
 
 
 @pytest.mark.parametrize(
@@ -474,14 +483,15 @@ def test_solves_beyond_the_suite_grids_are_pinned(n, d, ell, linear, value, pivo
 
 
 def test_every_pivot_leaves_each_row_primitive(monkeypatch):
-    # After every pivot each row, and the reduced-cost row, has a positive
-    # basic coefficient whose gcd with the row's entries is 1.
+    # After every pivot each row, the reduced-cost rows among them, has a
+    # positive basic coefficient whose gcd with the row's entries is 1.
     real = simplex._Tableau.pivot
     pivots = []
 
     def checked(tab, r, c):
         real(tab, r, c)
-        for den, row in [*zip(tab.dens, tab.rows), (tab.zden, tab.obj)]:
+        assert len(tab.rows) == len(tab.dens) > len(tab.basis)
+        for den, row in zip(tab.dens, tab.rows):
             assert den > 0 and gcd(den, *row) == 1, (tab.pivots, row)
         pivots.append(tab.pivots)
 

@@ -78,6 +78,8 @@ CASES = [
     (lambda: VennConfig((1, True), 2), InvalidInputError, "must be a tuple of ints"),
     (lambda: VennConfig([1, 1], 2), InvalidInputError, "must be a tuple of ints"),
     (lambda: WordTuple.from_strings([]), InvalidInputError, "empty"),
+    (lambda: WordTuple.from_strings([""]), InvalidInputError, "empty word"),
+    (lambda: WordTuple.from_strings(["", ""]), InvalidInputError, "empty word"),
     (lambda: WordTuple.from_strings(["012"]), InvalidInputError, "0/1 string"),
     (lambda: CodeSet(frozenset({0}), 0), InvalidInputError, "blocklength"),
     (lambda: CodeSet(frozenset(), 3), InvalidInputError, "nonempty"),
