@@ -28,9 +28,6 @@ from .errors import (
     InvalidInputError,
     IterationLimitError,
     KrawlpError,
-    NotAConfigurationError,
-    NotLinearError,
-    ParameterError,
     SelfCheckError,
     SolverNumericsError,
 )

@@ -8,11 +8,12 @@ runs.  ``build-lp`` and ``solve`` build their program and the record
 fields that name it in one helper.  Numeric output defaults to exact
 fraction strings; ``--decimal`` opts into rounded display.
 
-Exit codes: 0 success, 1 verification violation, 2 invalid parameters
-(an ``OSError`` counts as one: every file path comes from the command
-line or ``$KRAWLP_CACHE_DIR``), 3 capacity budget exceeded, 4 internal
-failure (a self-check, the pivot cap or the floating-point solver failed;
-stdout then holds one record with the error's class name and message).
+Exit codes: 0 success; 1 verification violation; 2 invalid parameters,
+an ``InvalidInputError`` or an ``OSError`` (every file path comes from the
+command line or ``$KRAWLP_CACHE_DIR``); 3 capacity budget exceeded, a
+``CapacityError``; 4 internal failure, a ``SelfCheckError``,
+``IterationLimitError`` or ``SolverNumericsError`` (stdout then holds one
+record with the error's class name and message).
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .errors import (
     CapacityError,
     InvalidInputError,
     IterationLimitError,
-    ParameterError,
     SelfCheckError,
     SolverNumericsError,
     canonical_json,
@@ -114,7 +114,7 @@ def _build_program(args):
     """The program the arguments name, and the record fields that name it."""
     if args.family == "delsarte":
         if args.l != 1 or args.linear:
-            raise ParameterError("the delsarte family takes --l 1 and no --linear")
+            raise InvalidInputError("the delsarte family takes --l 1 and no --linear")
         lp = build_delsarte(args.n, args.d)
     elif args.family == "fourier":
         lp = build_fourier_lp(args.n, args.d, args.l, args.linear)
@@ -310,7 +310,7 @@ def main(argv: list[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         code = args.fn(args)
-    except (ParameterError, InvalidInputError, OSError) as exc:
+    except (InvalidInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMS
     except CapacityError as exc:

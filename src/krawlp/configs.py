@@ -21,7 +21,7 @@ Walsh-Hadamard transform H(sd)(J) = sum over T of (-1)^|T & J| sd(T):
 2^(l-1) venn = (n 2^(l-1) - H(0), -H(1), ..., -H(2^l - 1)), which
 ``sd_to_venn`` evaluates by the fast butterfly (Fino and Algazi 1976) in
 l 2^l additions and subtractions.  ``_venn_cells`` is that inversion with
-its n gate and ``NotAConfigurationError``; ``orbit_size``,
+its n gate and its not-a-configuration refusal; ``orbit_size``,
 ``representative_tuple``, ``config_to_json`` and the Krawtchouk routes read
 its cells directly, and ``sd_to_venn`` wraps them in a ``VennConfig``.
 
@@ -106,8 +106,6 @@ from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequenc
 from .errors import (
     CapacityError,
     InvalidInputError,
-    NotAConfigurationError,
-    ParameterError,
     canonical_json,
     parsing,
     require_int,
@@ -132,7 +130,7 @@ def check_config_args(n: int, ell: int) -> int:
     require_int(n, "blocklength n")
     require_int(ell, "level l")
     if n < 1 or ell < 1:
-        raise ParameterError(f"need n >= 1 and l >= 1, got n={n}, l={ell}")
+        raise InvalidInputError(f"need n >= 1 and l >= 1, got n={n}, l={ell}")
     if ell > MAX_SUBSET_ELL:
         raise CapacityError(f"l={ell} exceeds the configuration budget l <= {MAX_SUBSET_ELL}")
     count = config_count(n, ell)
@@ -250,6 +248,8 @@ class WordTuple:
     @classmethod
     def from_strings(cls, bits: Sequence[str]) -> "WordTuple":
         """Build a tuple from 0/1 strings; all strings must share one length."""
+        if type(bits) is str or not all(type(s) is str for s in bits):
+            raise InvalidInputError(f"a word tuple is a sequence of strings, got {bits!r}")
         if not bits:
             raise InvalidInputError("empty word tuple")
         lengths = {len(s) for s in bits}
@@ -482,12 +482,10 @@ def _venn_cells(g: SDConfig, n: int) -> tuple[int, ...]:
     """The Venn cells of ``sd_to_venn(g, n)``, without building a ``VennConfig``."""
     require_int(n, "blocklength n")
     if n < 1:
-        raise ParameterError("blocklength must be positive")
+        raise InvalidInputError("blocklength must be positive")
     cells = _KERNELS[len(g.entries)].inverse(g.entries, n)
     if cells is None:
-        raise NotAConfigurationError(
-            f"weight vector {g.entries} is not a configuration at n={n}"
-        )
+        raise InvalidInputError(f"weight vector {g.entries} is not a configuration at n={n}")
     return cells
 
 
@@ -577,8 +575,10 @@ def too_close(entries: Sequence[int], d: int, linear: bool) -> bool:
 
 def forbidden_configs(n: int, d: int, ell: int, linear: bool = False) -> frozenset[SDConfig]:
     """Configurations that ``too_close`` excludes at distance d."""
+    if type(linear) is not bool:
+        raise InvalidInputError(f"linear must be a bool, got {linear!r}")
     if not 0 <= require_int(d, "distance d") <= require_int(n, "blocklength n") + 1:
-        raise ParameterError(f"need 0 <= d <= n+1, got d={d} at n={n}")
+        raise InvalidInputError(f"need 0 <= d <= n+1, got d={d} at n={n}")
     return frozenset(g for g in enumerate_configs(n, ell) if too_close(g.entries, d, linear))
 
 

@@ -2,7 +2,9 @@
 the JSON contract: ``canonical_json`` is the one encoder of every record,
 artifact and cache payload (sorted keys, no spaces, so equal values give
 equal bytes), and ``parsing`` turns the built-in errors of reading one
-back into ``InvalidInputError``."""
+back into ``InvalidInputError``.  Each error class has one ``krawlp``
+exit code: ``InvalidInputError`` 2, ``CapacityError`` 3, and the three
+internal failures 4 (their stdout record names the class)."""
 
 import json
 from contextlib import contextmanager
@@ -14,23 +16,14 @@ class KrawlpError(Exception):
 
 
 class InvalidInputError(KrawlpError, ValueError):
-    """Malformed or mutually inconsistent inputs (mismatched lengths, bad indices)."""
-
-
-class ParameterError(KrawlpError, ValueError):
-    """A parameter is outside its documented range."""
-
-
-class NotAConfigurationError(KrawlpError, ValueError):
-    """A weight vector is not the configuration of any tuple of words."""
-
-
-class NotLinearError(KrawlpError, ValueError):
-    """A code failed the linearity (XOR closure) check."""
+    """A refused argument or input (exit 2): malformed (a wrong type, bad
+    JSON, mismatched lengths), out of range (a parameter outside its
+    documented range, an unknown name), a weight vector that is not a
+    configuration, or a code that is not linear where a linear one is needed."""
 
 
 class CapacityError(KrawlpError, RuntimeError):
-    """A requested computation exceeds its size budget.
+    """A requested computation exceeds its size budget (exit 3).
 
     The message always states the budget that was exceeded so callers can
     report it.
@@ -38,15 +31,15 @@ class CapacityError(KrawlpError, RuntimeError):
 
 
 class IterationLimitError(KrawlpError, RuntimeError):
-    """An iterative solver hit its pivot/iteration cap without an answer."""
+    """An iterative solver hit its pivot/iteration cap without an answer (exit 4)."""
 
 
 class SolverNumericsError(KrawlpError, RuntimeError):
-    """The floating-point solver reported numerical trouble."""
+    """The floating-point solver reported numerical trouble (exit 4)."""
 
 
 class SelfCheckError(KrawlpError, RuntimeError):
-    """An internal re-verification pass failed; the result was discarded."""
+    """An internal re-verification pass failed; the result was discarded (exit 4)."""
 
 
 def canonical_json(value: object) -> str:

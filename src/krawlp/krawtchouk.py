@@ -100,7 +100,6 @@ from .configs import (
 from .errors import (
     CapacityError,
     InvalidInputError,
-    ParameterError,
     canonical_json,
     parsing,
     require_int,
@@ -126,7 +125,7 @@ def classical_krawtchouk(i: int, j: int, n: int) -> int:
     require_int(j, "index j")
     require_int(n, "blocklength n")
     if not (0 <= i <= n and 0 <= j <= n):
-        raise ParameterError(f"need 0 <= i, j <= n, got i={i}, j={j}, n={n}")
+        raise InvalidInputError(f"need 0 <= i, j <= n, got i={i}, j={j}, n={n}")
     lo = max(0, i - (n - j))
     hi = min(i, j)
     return sum((-1) ** t * comb(j, t) * comb(n - j, i - t) for t in range(lo, hi + 1))

@@ -19,9 +19,10 @@ generated for every character, including those of eliminated points,
 because they still constrain the surviving variables.
 
 Every number a program holds is an int: the builders' rows are integer
-character sums, and ``lp_from_json`` reads each number from an integer
-string or a JSON int.  ``LinearProgram`` refuses a number of any other
-type (a ``Fraction``, a float, a bool), a row name that is not an ASCII
+character sums, and ``lp_from_json`` reads each number from an ASCII
+``-?[0-9]+`` string, as ``lp_to_json`` writes it, or a JSON int.
+``LinearProgram`` refuses a number of any other type (a ``Fraction``, a
+float, a bool), a row name that is not an ASCII
 identifier, and a variable index that names no point of its family.
 ``CodeSet`` is the one code type, linear when |C| = 2^rank(C) (the rank
 from ``configs._basis``).  ``code_census`` is the one count of a
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -60,7 +62,6 @@ from .configs import (
 )
 from .errors import (
     InvalidInputError,
-    ParameterError,
     canonical_json,
     parsing,
     require_int,
@@ -69,6 +70,9 @@ from .errors import (
 from .krawtchouk import cached_table, classical_krawtchouk
 
 LP_SCHEMA_VERSION = 1
+# The number texts ``lp_to_json`` and ``CodeSet.to_json`` write: the only ones read.
+_INT_TEXT = re.compile(r"-?[0-9]+")
+_HEX_WORD = re.compile(r"[0-9a-f]+")
 
 
 @dataclass(frozen=True)
@@ -131,10 +135,7 @@ class LinearProgram:
             require_int(i, "variable index", 0)
         if len(set(self.var_indices)) != nv:
             raise InvalidInputError("variable indices repeat")
-        try:
-            check_program_args(self.n, self.d, self.ell)
-        except ParameterError as exc:
-            raise InvalidInputError(str(exc)) from exc
+        check_program_args(self.n, self.d, self.ell)
         if self.kind == "delsarte":
             if self.ell != 1 or self.linear is not None:
                 raise InvalidInputError(
@@ -190,13 +191,13 @@ class LinearProgram:
 
 
 def check_program_args(n: int, d: int, ell: int = 1) -> None:
-    """Raise ``InvalidInputError`` unless n, d and l are ints, and
-    ``ParameterError`` unless n >= 1, l >= 1 and 1 <= d <= n+1."""
+    """Raise ``InvalidInputError`` unless n, d and l are ints with n >= 1,
+    l >= 1 and 1 <= d <= n+1."""
     require_int(n, "blocklength n")
     require_int(d, "distance d")
     require_int(ell, "level l")
     if n < 1 or ell < 1 or not 1 <= d <= n + 1:
-        raise ParameterError(f"need n, l >= 1 and 1 <= d <= n+1, got n={n}, d={d}, l={ell}")
+        raise InvalidInputError(f"need n, l >= 1 and 1 <= d <= n+1, got n={n}, d={d}, l={ell}")
 
 
 def packing_lp(
@@ -258,6 +259,9 @@ class CodeSet:
     linear: bool = field(init=False, default=False)
 
     def __post_init__(self) -> None:
+        # A list could repeat a word, and a set is unhashable.
+        if type(self.words) is not frozenset:
+            raise InvalidInputError(f"code words must be a frozenset, got {self.words!r}")
         if not self.words:
             raise InvalidInputError("code must be nonempty")
         check_words(self.words, self.n)
@@ -283,8 +287,10 @@ class CodeSet:
     def from_json(cls, text: str) -> "CodeSet":
         with parsing("code JSON"):
             data = json.loads(text)
-            words = frozenset(int(w, 16) for w in require_list(data["words"], "words"))
-            return cls(words, require_int(data["n"], "n"))
+            words = require_list(data["words"], "words")
+            if not all(type(w) is str and _HEX_WORD.fullmatch(w) for w in words):
+                raise InvalidInputError(f"code words must be hex digit strings, got {words!r}")
+            return cls(frozenset(int(w, 16) for w in words), require_int(data["n"], "n"))
 
 
 @dataclass(frozen=True)
@@ -490,11 +496,11 @@ def lp_to_json(lp: LinearProgram) -> str:
 
 
 def _read_number(value: object) -> int:
-    # ``lp_to_json`` writes every number as an integer string; a JSON int
-    # is read too.  A JSON float or bool, or a string such as "1/3" or
-    # "0.5", is not read as a number.
-    if type(value) not in (str, int):
-        raise InvalidInputError(f"LP numbers must be strings or ints, got {value!r}")
+    # ``lp_to_json`` writes every number as an ASCII integer string; a JSON
+    # int is read too.  A JSON float or bool, or any other string ("1/3",
+    # "0.5", "+1", " 1", "1_0", a non-ASCII digit), is not read as a number.
+    if type(value) is not int and not (type(value) is str and _INT_TEXT.fullmatch(value)):
+        raise InvalidInputError(f"LP numbers must be integer strings or ints, got {value!r}")
     return int(value)
 
 
@@ -558,4 +564,4 @@ def export_lp(lp: LinearProgram, fmt: str) -> bytes:
         return (lp_to_json(lp) + "\n").encode("ascii")
     if fmt == "lp-text":
         return _to_lp_text(lp).encode("ascii")
-    raise ParameterError(f"unknown export format {fmt!r}")
+    raise InvalidInputError(f"unknown export format {fmt!r}")

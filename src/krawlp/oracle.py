@@ -54,7 +54,7 @@ import itertools
 from typing import Iterator
 
 from .configs import _basis, _sd_entries, _subset_xors, row_sums, too_close
-from .errors import CapacityError, NotLinearError, ParameterError, SelfCheckError, require_int
+from .errors import CapacityError, InvalidInputError, SelfCheckError, require_int
 from .krawtchouk import CheckReport, cached_table, digits_nonnegative
 from .lp import CodeSet, LinearProgram, check_program_args, code_census, packing_lp
 
@@ -120,7 +120,7 @@ def _check_search_args(n: int, d: int, linear: bool = False) -> None:
     require_int(n, "blocklength n")
     require_int(d, "distance d")
     if n < 1 or d < 0:
-        raise ParameterError(f"need n >= 1 and d >= 0, got n={n}, d={d}")
+        raise InvalidInputError(f"need n >= 1 and d >= 0, got n={n}, d={d}")
     if linear and n > MAX_LINEAR_N:
         raise CapacityError(f"n={n} exceeds the enumeration budget n <= {MAX_LINEAR_N}")
 
@@ -204,7 +204,7 @@ def dual_code(c: CodeSet) -> CodeSet:
     bit of every row holding bit j, and the dual is their span.
     """
     if not c.linear:
-        raise NotLinearError("dual codes are defined for linear codes")
+        raise InvalidInputError("dual codes are defined for linear codes")
     rows = _basis(c.words)
     pivots = {r & -r: r for r in rows}
     dual_basis = [

@@ -34,8 +34,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import (
+    InvalidInputError,
     IterationLimitError,
-    ParameterError,
     SelfCheckError,
     SolverNumericsError,
     canonical_json,
@@ -404,10 +404,10 @@ def _int_nthroot(x: int, k: int) -> int:
 def root_value(value: Fraction | int, ell: int) -> float:
     """value**(1/l) as a float within 1 ulp of the exact real root."""
     if require_int(ell, "root order") < 1:
-        raise ParameterError("root order must be >= 1")
+        raise InvalidInputError("root order must be >= 1")
     frac = Fraction(value)
     if frac < 0:
-        raise ParameterError("negative values have no real root here")
+        raise InvalidInputError("negative values have no real root here")
     if frac == 0:
         return 0.0
     if ell == 1:

@@ -31,7 +31,7 @@ from .configs import (
     sd_to_venn,
     venn_to_sd,
 )
-from .errors import ParameterError, require_int
+from .errors import InvalidInputError, require_int
 from .krawtchouk import (
     CheckReport,
     cached_table,
@@ -322,10 +322,10 @@ def check_suite_args(names: list[str], n_cap: int | None, l_cap: int | None) -> 
     """The suites' gate: every name in ``SUITES``, each cap None or an int >= 1."""
     for name in names:
         if name not in SUITES:
-            raise ParameterError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+            raise InvalidInputError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     for cap, what in ((n_cap, "n_cap"), (l_cap, "l_cap")):
         if cap is not None and require_int(cap, what) < 1:
-            raise ParameterError(f"need caps >= 1, got n_cap={n_cap}, l_cap={l_cap}")
+            raise InvalidInputError(f"need caps >= 1, got n_cap={n_cap}, l_cap={l_cap}")
 
 
 def run_suite(name: str, n_cap: int | None = None, l_cap: int | None = None) -> SuiteResult:

@@ -34,8 +34,6 @@ from krawlp.configs import (
 from krawlp.errors import (
     CapacityError,
     InvalidInputError,
-    NotAConfigurationError,
-    ParameterError,
 )
 
 
@@ -114,10 +112,10 @@ def test_venn_to_sd_by_hand():
 
 def test_sd_to_venn_rejects_invalid_vectors():
     # weight vector violating the triangle structure: not in the image
-    with pytest.raises(NotAConfigurationError):
+    with pytest.raises(InvalidInputError):
         sd_to_venn(SDConfig((0, 1, 1, 3)), 3)
     # too much weight for the blocklength
-    with pytest.raises(NotAConfigurationError):
+    with pytest.raises(InvalidInputError):
         sd_to_venn(SDConfig((0, 3)), 2)
 
 
@@ -177,7 +175,7 @@ def test_transforms_at_level1():
     assert [g.entries for g in enumerate_configs(3, 1)] == [(0, 0), (0, 1), (0, 2), (0, 3)]
     assert sd_to_venn(SDConfig((0, 2)), 3).entries == (1, 2)
     assert venn_to_sd(VennConfig((1, 2), 3)).entries == (0, 2)
-    with pytest.raises(NotAConfigurationError):
+    with pytest.raises(InvalidInputError):
         sd_to_venn(SDConfig((0, 4)), 3)
 
 
@@ -208,7 +206,7 @@ def test_enumeration_capacity_errors():
         enumerate_configs(3, 7)
     with pytest.raises(CapacityError):
         enumerate_configs(2000, 4)
-    with pytest.raises(ParameterError):
+    with pytest.raises(InvalidInputError):
         enumerate_configs(0, 1)
 
 
@@ -223,7 +221,7 @@ def test_iter_configs_walks_the_enumeration(n, ell):
 
 @pytest.mark.parametrize(
     "args,error",
-    [((0, 1), ParameterError), ((3, 7), CapacityError), ((2000, 4), CapacityError),
+    [((0, 1), InvalidInputError), ((3, 7), CapacityError), ((2000, 4), CapacityError),
      ((1.0, 1), InvalidInputError)],
 )
 def test_iter_configs_gate_runs_at_the_call(args, error):
@@ -318,7 +316,7 @@ def test_forbidden_flag_witness():
 
 def test_forbidden_accepts_full_range():
     assert forbidden_configs(3, 4, 1)  # d = n+1 forbids weights 1..n
-    with pytest.raises(ParameterError):
+    with pytest.raises(InvalidInputError):
         forbidden_configs(3, 5, 1)
 
 

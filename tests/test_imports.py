@@ -2,14 +2,15 @@
 file, every private helper is used somewhere in the package, private
 names are imported only from ``configs``, only ``configs`` builds a
 configuration unchecked, JSON is encoded only by
-``errors.canonical_json``, and every memo cache is typed, every
-``krawlp`` name the ``perfbench/`` scripts reach exists in the package,
-and every call they make into it binds to its signature.
+``errors.canonical_json``, every memo cache is typed, every
+class a library module raises has an ``except`` clause in ``cli.main``,
+every ``krawlp`` name the ``perfbench/`` scripts reach exists in the
+package, and every call they make into it binds to its signature.
 
 No linter ships with the project, so these are stdlib-``ast`` stand-ins
 for an unused-import check, a dead-code check, two layering checks, a
-one-encoder check, a typed-cache check and two checks of the benchmark's
-entry points.
+one-encoder check, a typed-cache check, a closed exit-code map and two
+checks of the benchmark's entry points.
 ``__init__.py`` is exempt from the import check (its imports are the
 package's re-exports), and so are ``__future__`` imports.
 """
@@ -150,6 +151,39 @@ def test_every_lru_cache_is_typed():
                 uses.append((id(node), f"{path.name}:{node.lineno}"))
     assert uses, "no lru_cache found"
     assert [where for key, where in uses if key not in typed] == []
+
+
+def _raised_names(tree: ast.Module) -> list[tuple[str, int]]:
+    # (name, line) of the class each ``raise X(...)`` or ``raise X`` names;
+    # a bare ``raise`` re-raises what a handler caught and names none.
+    raised = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = getattr(exc, "id", getattr(exc, "attr", ast.dump(exc)))
+            raised.append((name, node.lineno))
+    return raised
+
+
+def test_every_raised_class_has_an_exit_code():
+    # Each error kind has its own exit code, so every class a library
+    # module raises is named by an ``except`` clause of ``cli.main``; one
+    # that is not would leave the CLI as a traceback with exit 1, the code
+    # of a verification violation.
+    tree = ast.parse((SRC / "cli.py").read_text())
+    (main,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main"]
+    handled = set()
+    for node in ast.walk(main):
+        if isinstance(node, ast.ExceptHandler):
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            handled.update(t.id for t in types)
+    assert {"InvalidInputError", "CapacityError", "SelfCheckError"} <= handled
+    unhandled = []
+    for path in sorted(SRC.glob("*.py")):
+        for name, line in _raised_names(ast.parse(path.read_text(), filename=str(path))):
+            if name not in handled:
+                unhandled.append(f"{path.name}:{line}: {name}")
+    assert unhandled == []
 
 
 BENCH = SRC.parent.parent / "perfbench"

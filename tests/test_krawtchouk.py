@@ -17,7 +17,7 @@ from krawlp.configs import (
     orbit_size,
     representative_tuple,
 )
-from krawlp.errors import CapacityError, ParameterError, canonical_json
+from krawlp.errors import CapacityError, InvalidInputError, canonical_json
 from krawlp.krawtchouk import (
     KrawtchoukTable,
     build_table,
@@ -134,7 +134,7 @@ def test_direct_capacity_budget(monkeypatch):
 
 
 def test_direct_rejects_a_negative_blocklength():
-    with pytest.raises(ParameterError):
+    with pytest.raises(InvalidInputError):
         eval_direct(SDConfig((0, 1)), SDConfig((0, 1)), -1)
 
 
@@ -207,7 +207,7 @@ def test_table_budget_errors():
         build_table(4, 5)
     with pytest.raises(CapacityError):
         build_table(300, 2)
-    with pytest.raises(ParameterError):
+    with pytest.raises(InvalidInputError):
         build_table(0, 1)
 
 

@@ -16,7 +16,7 @@ from krawlp.configs import (
     forbidden_configs,
     tuple_census,
 )
-from krawlp.errors import InvalidInputError, ParameterError
+from krawlp.errors import InvalidInputError
 from krawlp.lp import (
     CodeProfile,
     LinearProgram,
@@ -60,9 +60,9 @@ def test_delsarte_eliminates_forbidden_weights():
 
 
 def test_delsarte_parameter_range():
-    with pytest.raises(ParameterError):
+    with pytest.raises(InvalidInputError):
         build_delsarte(3, 0)
-    with pytest.raises(ParameterError):
+    with pytest.raises(InvalidInputError):
         build_delsarte(3, 5)
     build_delsarte(3, 4)  # d = n + 1 is allowed
 
@@ -401,7 +401,7 @@ def test_exports_are_deterministic():
     lp = build_hierarchy_lp(3, 2, 2, linear=True)
     assert export_lp(lp, "lp-text") == export_lp(lp, "lp-text")
     assert export_lp(lp, "json") == export_lp(lp, "json")
-    with pytest.raises(ParameterError):
+    with pytest.raises(InvalidInputError):
         export_lp(lp, "mps")
 
 

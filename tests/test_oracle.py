@@ -20,7 +20,7 @@ from krawlp.configs import (
     config_of_tuple,
     tuple_census,
 )
-from krawlp.errors import CapacityError, InvalidInputError, NotLinearError
+from krawlp.errors import CapacityError, InvalidInputError
 from krawlp.krawtchouk import CheckReport, KrawtchoukTable, build_table
 from krawlp.lp import build_hierarchy_lp, profile_of_code, row_sums
 from krawlp.oracle import (
@@ -319,7 +319,7 @@ def test_basis_is_the_rref_the_enumeration_yields():
 
 
 def test_dual_rejects_nonlinear():
-    with pytest.raises(NotLinearError):
+    with pytest.raises(InvalidInputError):
         dual_code(CodeSet(frozenset({1, 2}), 2))
 
 

@@ -12,8 +12,8 @@ import pytest
 
 from krawlp import simplex
 from krawlp.errors import (
+    InvalidInputError,
     IterationLimitError,
-    ParameterError,
     SelfCheckError,
     SolverNumericsError,
 )
@@ -600,9 +600,9 @@ def test_int_nthroot_is_the_floor_root(k):
 
 
 def test_root_value_domain_errors():
-    with pytest.raises(ParameterError):
+    with pytest.raises(InvalidInputError):
         root_value(Fraction(-1), 2)
-    with pytest.raises(ParameterError):
+    with pytest.raises(InvalidInputError):
         root_value(Fraction(4), 0)
 
 

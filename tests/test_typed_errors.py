@@ -22,7 +22,7 @@ from krawlp.configs import (
     sd_to_venn,
     tuple_census,
 )
-from krawlp.errors import CapacityError, InvalidInputError, NotAConfigurationError, ParameterError
+from krawlp.errors import CapacityError, InvalidInputError
 from krawlp.krawtchouk import (
     KrawtchoukTable,
     cached_table,
@@ -81,8 +81,17 @@ CASES = [
     (lambda: WordTuple.from_strings([""]), InvalidInputError, "empty word"),
     (lambda: WordTuple.from_strings(["", ""]), InvalidInputError, "empty word"),
     (lambda: WordTuple.from_strings(["012"]), InvalidInputError, "0/1 string"),
+    (lambda: WordTuple.from_strings("0101"), InvalidInputError, "sequence of strings"),
+    (lambda: WordTuple.from_strings([1, 0]), InvalidInputError, "sequence of strings"),
     (lambda: CodeSet(frozenset({0}), 0), InvalidInputError, "blocklength"),
     (lambda: CodeSet(frozenset(), 3), InvalidInputError, "nonempty"),
+    (lambda: CodeSet([0, 1], 1), InvalidInputError, "must be a frozenset"),
+    (lambda: CodeSet([1, 1], 2), InvalidInputError, "must be a frozenset"),
+    # The code reader takes the writer's lowercase hex digits only.
+    *(
+        (lambda w=w: CodeSet.from_json(f'{{"n":8,"words":["{w}"]}}'), InvalidInputError, "hex")
+        for w in ("0x3", "-0", "+3", "3_0", "\u0663")
+    ),
     (lambda: CodeSet(frozenset({2.5}), 3), InvalidInputError, "3-bit integers"),
     (lambda: CodeSet(frozenset({0, 2.5}), 3), InvalidInputError, "3-bit integers"),
     (lambda: CodeSet(frozenset({True}), 1), InvalidInputError, "1-bit integers"),
@@ -90,22 +99,22 @@ CASES = [
     (lambda: profile_of_code([0, 2.7], 3, 1), InvalidInputError, "3-bit integers"),
     (lambda: profile_of_code(["0", "7"], 3, 1), InvalidInputError, "3-bit integers"),
     (lambda: KrawtchoukTable(1, -1, ()), InvalidInputError, "n, l >= 1"),
-    (lambda: check_config_args(0, 2), ParameterError, "need n >= 1 and l >= 1"),
-    (lambda: check_config_args(2, 0), ParameterError, "need n >= 1 and l >= 1"),
-    (lambda: sd_to_venn(L1, 0), ParameterError, "blocklength must be positive"),
-    (lambda: orbit_size(L2, -1), ParameterError, "blocklength must be positive"),
-    (lambda: representative_tuple(L2, 0), ParameterError, "blocklength must be positive"),
-    (lambda: config_to_json(L2, 0), ParameterError, "blocklength must be positive"),
+    (lambda: check_config_args(0, 2), InvalidInputError, "need n >= 1 and l >= 1"),
+    (lambda: check_config_args(2, 0), InvalidInputError, "need n >= 1 and l >= 1"),
+    (lambda: sd_to_venn(L1, 0), InvalidInputError, "blocklength must be positive"),
+    (lambda: orbit_size(L2, -1), InvalidInputError, "blocklength must be positive"),
+    (lambda: representative_tuple(L2, 0), InvalidInputError, "blocklength must be positive"),
+    (lambda: config_to_json(L2, 0), InvalidInputError, "blocklength must be positive"),
     (lambda: tuple_census([]), InvalidInputError, "level l=0 is below 1"),
     # Every reader of the Venn cells refuses a weight vector that has none.
-    (lambda: sd_to_venn(BAD, 1), NotAConfigurationError, NOT_AT_N1),
-    (lambda: orbit_size(BAD, 1), NotAConfigurationError, NOT_AT_N1),
-    (lambda: representative_tuple(BAD, 1), NotAConfigurationError, NOT_AT_N1),
-    (lambda: config_to_json(BAD, 1), NotAConfigurationError, NOT_AT_N1),
-    (lambda: eval_explicit(L2, BAD, 1), NotAConfigurationError, NOT_AT_N1),
-    (lambda: eval_explicit(BAD, L2, 1), NotAConfigurationError, NOT_AT_N1),
-    (lambda: eval_direct(BAD, L2, 1), NotAConfigurationError, NOT_AT_N1),
-    (lambda: classical_krawtchouk(4, 0, 3), ParameterError, "0 <= i, j <= n"),
+    (lambda: sd_to_venn(BAD, 1), InvalidInputError, NOT_AT_N1),
+    (lambda: orbit_size(BAD, 1), InvalidInputError, NOT_AT_N1),
+    (lambda: representative_tuple(BAD, 1), InvalidInputError, NOT_AT_N1),
+    (lambda: config_to_json(BAD, 1), InvalidInputError, NOT_AT_N1),
+    (lambda: eval_explicit(L2, BAD, 1), InvalidInputError, NOT_AT_N1),
+    (lambda: eval_explicit(BAD, L2, 1), InvalidInputError, NOT_AT_N1),
+    (lambda: eval_direct(BAD, L2, 1), InvalidInputError, NOT_AT_N1),
+    (lambda: classical_krawtchouk(4, 0, 3), InvalidInputError, "0 <= i, j <= n"),
     (lambda: eval_direct(L1, L2, 2), InvalidInputError, "mixed levels"),
     (lambda: eval_explicit(L1, L2, 2), InvalidInputError, "mixed levels"),
     (lambda: LPRow("R", (1,), "<", 1), InvalidInputError, "unsupported relation"),
@@ -138,6 +147,11 @@ CASES = [
     (lambda: lp_from_json(_lp_json(objective=["1/3", "1"])), InvalidInputError, "'1/3'"),
     (lambda: lp_from_json(_lp_json(objective=["0.5", "1"])), InvalidInputError, "'0.5'"),
     (lambda: lp_from_json(_lp_json(objective=["1e3", "1"])), InvalidInputError, "'1e3'"),
+    # The LP reader takes the writer's ASCII -?[0-9]+ only.
+    *(
+        (lambda s=s: lp_from_json(_lp_json([s, "1"])), InvalidInputError, re.escape(repr(s)))
+        for s in ("+1", " 1", "1_0", "\u0663")
+    ),
     # A row name is an ASCII identifier, one token in lp-text.
     (
         lambda: lp_from_json(_lp_json(name={"x": 1})),
@@ -174,13 +188,13 @@ CASES = [
         InvalidInputError,
         "word tuples",
     ),
-    (lambda: max_code(3, -1), ParameterError, "d >= 0"),
-    (lambda: max_code(0, 1), ParameterError, "n >= 1"),
-    (lambda: max_linear_code(3, -1), ParameterError, "d >= 0"),
-    (lambda: max_linear_code(0, 1), ParameterError, "n >= 1"),
+    (lambda: max_code(3, -1), InvalidInputError, "d >= 0"),
+    (lambda: max_code(0, 1), InvalidInputError, "n >= 1"),
+    (lambda: max_linear_code(3, -1), InvalidInputError, "d >= 0"),
+    (lambda: max_linear_code(0, 1), InvalidInputError, "n >= 1"),
     # The linear enumeration passes max_linear_code's gate before its first code.
     (lambda: next(iter_linear_codes(11)), CapacityError, "enumeration budget n <= 10"),
-    (lambda: next(iter_linear_codes(0)), ParameterError, "n >= 1"),
+    (lambda: next(iter_linear_codes(0)), InvalidInputError, "n >= 1"),
     (lambda: next(iter_linear_codes(1.5)), InvalidInputError, "must be an int"),
     # A float or bool n, d or l stops at its function's typed gate.
     (lambda: max_code(2.5, 3), InvalidInputError, "must be an int"),
@@ -193,6 +207,7 @@ CASES = [
     (lambda: build_fourier_lp(2.0, 2, 1, False), InvalidInputError, "must be an int"),
     (lambda: forbidden_configs(3, 2.5, 1), InvalidInputError, "must be an int"),
     (lambda: forbidden_configs("3", 2, 1), InvalidInputError, "must be an int"),
+    (lambda: forbidden_configs(3, 2, 1, "yes"), InvalidInputError, "linear must be a bool"),
     (lambda: classical_krawtchouk(1.0, 0, 3), InvalidInputError, "must be an int"),
     (lambda: classical_krawtchouk(1, 0, True), InvalidInputError, "must be an int"),
     (lambda: root_value(4, 2.0), InvalidInputError, "must be an int"),
@@ -216,17 +231,17 @@ CASES = [
         "must be an int",
     ),
     (lambda: (max_code(3, 2), max_code(3, 2.0)), InvalidInputError, "must be an int"),
-    # Out-of-range values keep their ParameterError and message.
-    (lambda: build_delsarte(3, 5), ParameterError, r"1 <= d <= n\+1"),
-    (lambda: forbidden_configs(3, 5, 1), ParameterError, r"0 <= d <= n\+1"),
-    (lambda: root_value(4, 0), ParameterError, "root order must be >= 1"),
+    # Out-of-range values are refused with their message.
+    (lambda: build_delsarte(3, 5), InvalidInputError, r"1 <= d <= n\+1"),
+    (lambda: forbidden_configs(3, 5, 1), InvalidInputError, r"0 <= d <= n\+1"),
+    (lambda: root_value(4, 0), InvalidInputError, "root order must be >= 1"),
     # The suites' one gate: a name in SUITES, caps exactly ints >= 1.
-    (lambda: run_suite("nope"), ParameterError, "unknown suite 'nope'; choose from"),
+    (lambda: run_suite("nope"), InvalidInputError, "unknown suite 'nope'; choose from"),
     (lambda: run_suite("census", 2.5), InvalidInputError, "n_cap must be an int"),
     (lambda: run_suite("census", None, 1.0), InvalidInputError, "l_cap must be an int"),
     (lambda: run_suite("collapse", "3"), InvalidInputError, "n_cap must be an int"),
     (lambda: run_suite("census", True), InvalidInputError, "n_cap must be an int"),
-    (lambda: run_suite("census", 0), ParameterError, "need caps >= 1, got n_cap=0"),
+    (lambda: run_suite("census", 0), InvalidInputError, "need caps >= 1, got n_cap=0"),
     # A variable index names a point of its family: never negative, below
     # the (n, l) configuration count, (2, 1) has 3, at a level whose count
     # is bounded, and within n*l bits for a word tuple.
