@@ -235,6 +235,9 @@ class WordTuple:
     n: int
 
     def __post_init__(self) -> None:
+        # A list would leave the frozen value unhashable.
+        if type(self.words) is not tuple:
+            raise InvalidInputError(f"tuple words must be a tuple, got {self.words!r}")
         ell = len(self.words)
         # config_of_tuple and venn_of_tuple allocate dense 2^l vectors.
         if not 1 <= ell <= MAX_SUBSET_ELL:
@@ -273,7 +276,7 @@ class WordTuple:
 
 
 def _gather(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
-    """A C-level gather of ``seq[i] for i in indices`` that always returns a tuple.
+    """A C-level gather of ``seq[i] for i in indices``, a tuple for a tuple ``seq``.
 
     ``itemgetter`` returns a bare item for one index and raises for none.
     """

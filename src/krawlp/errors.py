@@ -8,7 +8,7 @@ internal failures 4 (their stdout record names the class)."""
 
 import json
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Iterable, Iterator
 
 
 class KrawlpError(Exception):
@@ -66,6 +66,14 @@ def require_int(value: object, what: str, low: int | None = None) -> int:
         floor = "" if low is None else f" >= {low}"
         raise InvalidInputError(f"{what} must be an int{floor}, got {value!r}")
     return value
+
+
+def require_ints(values: Iterable[object], what: str) -> None:
+    """``InvalidInputError`` naming the types of ``values`` that are not
+    exactly int (a float, a bool, a ``Fraction``), if any."""
+    kinds = set(map(type, values)) - {int}
+    if kinds:
+        raise InvalidInputError(f"{what} must be ints, got {sorted(k.__name__ for k in kinds)}")
 
 
 def require_list(value: object, what: str) -> list:

@@ -30,7 +30,9 @@ Three independent evaluation routes are implemented:
 
 At l = 1 the product is the classical (1 + z)^(n-j) (1 - z)^j.
 
-All values are arbitrary-precision integers: entries reach 2^(l*n).
+All values are arbitrary-precision integers: entries reach 2^(l*n).  As
+``LinearProgram`` does, ``KrawtchoukTable`` refuses any entry that is not
+exactly an int (a float, a bool, a ``Fraction``) and any non-tuple row.
 
 Two sweeps pack the table by Kronecker substitution: column g becomes one
 integer with K_b(g) as its signed digit b in base 2^w, so the sums of
@@ -103,6 +105,7 @@ from .errors import (
     canonical_json,
     parsing,
     require_int,
+    require_ints,
     require_list,
 )
 
@@ -235,6 +238,10 @@ class KrawtchoukTable:
         size = config_count(self.n, self.ell)
         if len(self.values) != size or any(len(r) != size for r in self.values):
             raise InvalidInputError(f"table must be {size}x{size} for n={self.n}, l={self.ell}")
+        # Non-int entries break the byte packing and the CSV; list rows, equality.
+        if type(self.values) is not tuple or any(type(r) is not tuple for r in self.values):
+            raise InvalidInputError("table values must be a tuple of row tuples")
+        require_ints(chain.from_iterable(self.values), "table entries")
 
     @property
     def size(self) -> int:
@@ -489,7 +496,7 @@ def load_table(n: int, ell: int, cache_dir: str | Path) -> KrawtchoukTable | Non
 
     A missing or undecodable file (a bad gzip header or a garbled deflate
     body included), another format version, another (n, l), an entry that
-    is not an int (a float or a JSON boolean, which compare equal to ints),
+    ``KrawtchoukTable`` refuses (a float or a JSON boolean, equal to an int),
     a table whose columns do not sum to 2^(l n) [g = 0], or one whose rows
     weighted by the orbit sizes do not sum to 2^(l n) [h = 0], or whose
     unit rows and columns J = 1 .. 2^l - 1 break their closed forms is a
@@ -511,8 +518,6 @@ def load_table(n: int, ell: int, cache_dir: str | Path) -> KrawtchoukTable | Non
                 values[i] = tuple(row)
             table = KrawtchoukTable(n, ell, tuple(values))
     except (gzip.BadGzipFile, zlib.error, EOFError, InvalidInputError):
-        return None
-    if set(map(type, chain.from_iterable(table.values))) != {int}:
         return None
     want = [1 << (ell * n)] + [0] * (table.size - 1)
     if list(map(sum, zip(*table.values))) != want:

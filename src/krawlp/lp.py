@@ -30,10 +30,11 @@ code's l-tuples (``configs.tuple_census``), keyed by canonical config
 index (as in ``var_indices``); the code's linearity picks what it counts.
 One profile per code: that census over one shared denominator, 1 for a
 linear code and |C|^l for any other.  ``check_point`` checks x = counts / denom
-exactly against every bound and row, and ``check_dual`` checks y the
-same way against every dual sign and column: the two are the whole
-certificate of an optimum.  Profiles and simplex optima go through them.
-Both sum rows at a sparse ``(index, count)`` point by ``configs.row_sums``.
+against every bound and row, and ``check_dual`` checks y against every
+dual sign and column, each an integer sum (``configs.row_sums``) against
+its bound times denom: the two are the whole certificate of an optimum,
+and form a ``Fraction`` only for the objective and a failure's message.
+Profiles and simplex optima go through them.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import inf
+from operator import eq, ge, le
 from typing import Iterable, Sequence
 
 from .configs import (
@@ -65,6 +67,7 @@ from .errors import (
     canonical_json,
     parsing,
     require_int,
+    require_ints,
     require_list,
 )
 from .krawtchouk import cached_table, classical_krawtchouk
@@ -73,6 +76,8 @@ LP_SCHEMA_VERSION = 1
 # The number texts ``lp_to_json`` and ``CodeSet.to_json`` write: the only ones read.
 _INT_TEXT = re.compile(r"-?[0-9]+")
 _HEX_WORD = re.compile(r"[0-9a-f]+")
+# Each row relation as the int comparison ``check_point`` decides it by.
+_RELATIONS = {"=": eq, ">=": ge, "<=": le}
 
 
 @dataclass(frozen=True)
@@ -88,16 +93,8 @@ class LPRow:
         # lp-text prints the name as one ASCII token before a colon.
         if not (type(self.name) is str and self.name.isascii() and self.name.isidentifier()):
             raise InvalidInputError(f"row name must be an ASCII identifier, got {self.name!r}")
-        if self.relation not in (">=", "=", "<="):
+        if self.relation not in _RELATIONS:
             raise InvalidInputError(f"unsupported relation {self.relation!r}")
-
-    def holds(self, lhs: Fraction) -> bool:
-        """Whether ``lhs (relation) rhs`` holds exactly."""
-        if self.relation == "=":
-            return lhs == self.rhs
-        if self.relation == ">=":
-            return lhs >= self.rhs
-        return lhs <= self.rhs
 
 
 @dataclass(frozen=True)
@@ -171,10 +168,7 @@ class LinearProgram:
         numbers = itertools.chain(
             self.objective, *(row.coeffs for row in self.rows), (row.rhs for row in self.rows)
         )
-        kinds = set(map(type, numbers)) - {int}
-        if kinds:
-            names = sorted(k.__name__ for k in kinds)
-            raise InvalidInputError(f"program numbers must be ints, got {names}")
+        require_ints(numbers, "program numbers")
 
     @property
     def num_vars(self) -> int:
@@ -365,10 +359,13 @@ def profile_of_code(words: Iterable[int], n: int, ell: int) -> CodeProfile:
 
 @dataclass(frozen=True)
 class FeasibilityVerdict:
-    feasible: bool
     status: str  # "feasible" | "distance-violation" | "bound-violation" | "row-violation"
     detail: str | None
     objective: Fraction | None
+
+    @property
+    def feasible(self) -> bool:
+        return self.status == "feasible"
 
 
 def check_point(
@@ -377,30 +374,22 @@ def check_point(
     """Check x = count / denom exactly against every bound and row of an LP.
 
     ``support`` lists the ``(slot, count)`` pairs of x in slot order, and
-    x is zero in every other slot; ``denom`` is positive.  The verdict
-    names the first failed bound or row, with x's objective value when
-    every bound holds.
+    x is zero in every other slot; ``denom`` is positive.  A row holds
+    when its integer sum stands in its relation to rhs * denom.  The
+    verdict names the first failed bound or row, with x's objective value
+    when every bound holds.
     """
     for i, c in support:
         if c < 0:
-            return FeasibilityVerdict(
-                False,
-                "bound-violation",
-                f"variable {lp.variable_names[i]} = {Fraction(c, denom)} < 0",
-                None,
-            )
+            detail = f"variable {lp.variable_names[i]} = {Fraction(c, denom)} < 0"
+            return FeasibilityVerdict("bound-violation", detail, None)
     sums = row_sums([lp.objective, *(r.coeffs for r in lp.rows)], support)
     objective = Fraction(next(sums), denom)
     for row, s in zip(lp.rows, sums):
-        lhs = Fraction(s, denom)
-        if not row.holds(lhs):
-            return FeasibilityVerdict(
-                False,
-                "row-violation",
-                f"row {row.name}: lhs {lhs} {row.relation} {row.rhs} fails",
-                objective,
-            )
-    return FeasibilityVerdict(True, "feasible", None, objective)
+        if not _RELATIONS[row.relation](s, row.rhs * denom):
+            detail = f"row {row.name}: lhs {Fraction(s, denom)} {row.relation} {row.rhs} fails"
+            return FeasibilityVerdict("row-violation", detail, objective)
+    return FeasibilityVerdict("feasible", None, objective)
 
 
 def check_dual(
@@ -419,7 +408,7 @@ def check_dual(
         if (row.relation == "<=" and c < 0) or (row.relation == ">=" and c > 0):
             y = Fraction(c, denom)
             detail = f"row {row.name}: dual {y} has the wrong sign for {row.relation}"
-            return FeasibilityVerdict(False, "bound-violation", detail, None)
+            return FeasibilityVerdict("bound-violation", detail, None)
     # Column 0 is the rhs, so the first sum is y . b; a program without
     # rows has empty columns, each summing to 0.
     columns = list(zip(*((r.rhs, *r.coeffs) for r in lp.rows))) or [()] * (lp.num_vars + 1)
@@ -428,8 +417,8 @@ def check_dual(
     for name, c, s in zip(lp.variable_names, lp.objective, sums):
         if s < c * denom:
             detail = f"variable {name}: dual sum {Fraction(s, denom)} < objective coefficient {c}"
-            return FeasibilityVerdict(False, "row-violation", detail, objective)
-    return FeasibilityVerdict(True, "feasible", None, objective)
+            return FeasibilityVerdict("row-violation", detail, objective)
+    return FeasibilityVerdict("feasible", None, objective)
 
 
 def check_feasibility(lp: LinearProgram, point: CodeProfile) -> FeasibilityVerdict:
@@ -455,7 +444,6 @@ def check_feasibility(lp: LinearProgram, point: CodeProfile) -> FeasibilityVerdi
             if count != 0:
                 entries = enumerate_configs(lp.n, lp.ell)[g].entries
                 return FeasibilityVerdict(
-                    False,
                     "distance-violation",
                     f"eliminated configuration {entries} "
                     f"has mass {Fraction(count, point.denom)}",

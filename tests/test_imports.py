@@ -4,13 +4,15 @@ names are imported only from ``configs``, only ``configs`` builds a
 configuration unchecked, JSON is encoded only by
 ``errors.canonical_json``, every memo cache is typed, every
 class a library module raises has an ``except`` clause in ``cli.main``,
+floats and true division stay in the few scopes that may use them,
 every ``krawlp`` name the ``perfbench/`` scripts reach exists in the
 package, and every call they make into it binds to its signature.
 
 No linter ships with the project, so these are stdlib-``ast`` stand-ins
 for an unused-import check, a dead-code check, two layering checks, a
-one-encoder check, a typed-cache check, a closed exit-code map and two
-checks of the benchmark's entry points.
+one-encoder check, a typed-cache check, a closed exit-code map, a
+no-float rule for exact code and two checks of the benchmark's entry
+points.
 ``__init__.py`` is exempt from the import check (its imports are the
 package's re-exports), and so are ``__future__`` imports.
 """
@@ -18,6 +20,7 @@ package's re-exports), and so are ``__future__`` imports.
 import ast
 import importlib
 import inspect
+from collections.abc import Iterator
 from pathlib import Path
 
 import pytest
@@ -184,6 +187,60 @@ def test_every_raised_class_has_an_exit_code():
             if name not in handled:
                 unhandled.append(f"{path.name}:{line}: {name}")
     assert unhandled == []
+
+
+# The only scopes of the package that may hold a float literal, a
+# ``float(...)`` call, the name ``inf`` or a true division ``/``: the
+# floating-point screen, the record's and the root's float readings of
+# exact values, a singleton code's infinite distance, the suites' seconds
+# and a path join.
+FLOAT_SCOPES = {
+    "simplex.solve_float",
+    "simplex.format_value",
+    "simplex.root_value",
+    "lp.CodeSet.min_distance",
+    "suites.SuiteResult",
+    "krawtchouk.table_cache_path",
+}
+
+
+def _float_uses(node: ast.AST, scope: str) -> Iterator[tuple[str, int, str]]:
+    # (scope, line, what) for each float literal, float(...) call, name or
+    # attribute ``inf`` and true division below node; scope is the dotted
+    # path of the module and of the enclosing classes and functions.
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{child.name}"
+        what = None
+        if isinstance(child, ast.Constant) and type(child.value) is float:
+            what = repr(child.value)
+        elif isinstance(child, ast.Call) and getattr(child.func, "id", None) == "float":
+            what = "float()"
+        elif getattr(child, "id", getattr(child, "attr", None)) == "inf":
+            what = "inf"
+        elif isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(child.op, ast.Div):
+            what = "/"
+        if what:
+            yield inner, child.lineno, what
+        yield from _float_uses(child, inner)
+
+
+def test_floats_stay_out_of_exact_code():
+    # Floats may guide a solve but never decide one: every check, sweep and
+    # certificate decides on ints, so a float or a true division anywhere
+    # else (``s / denom``, ``Fraction(s, denom) >= 0.5``) is refused.  Each
+    # allowed scope must still use one, so the list names no dead scope.
+    used, stray = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for scope, line, what in _float_uses(tree, path.stem):
+            allowed = {s for s in FLOAT_SCOPES if scope == s or scope.startswith(s + ".")}
+            used |= allowed
+            if not allowed:
+                stray.append(f"{path.name}:{line}: {what} in {scope}")
+    assert used == FLOAT_SCOPES
+    assert stray == []
 
 
 BENCH = SRC.parent.parent / "perfbench"

@@ -20,7 +20,7 @@ from krawlp.configs import (
     config_of_tuple,
     tuple_census,
 )
-from krawlp.errors import CapacityError, InvalidInputError
+from krawlp.errors import CapacityError, InvalidInputError, SelfCheckError
 from krawlp.krawtchouk import CheckReport, KrawtchoukTable, build_table
 from krawlp.lp import build_hierarchy_lp, profile_of_code, row_sums
 from krawlp.oracle import (
@@ -112,6 +112,14 @@ def test_max_code_witness_has_distance():
         size, witness = max_code(n, d)
         assert witness.size == size
         assert witness.min_distance() >= d
+
+
+def test_max_code_checks_its_witness_distance(monkeypatch):
+    # A search that returns two adjacent words (0 and 1, distance 1 < 2)
+    # must not pass as a witness.
+    monkeypatch.setattr(oracle, "_max_independent_set", lambda adj: (2, 0b11))
+    with pytest.raises(SelfCheckError, match="witness has too small a distance"):
+        max_code(3, 2)
 
 
 def test_max_code_capacity():
@@ -321,6 +329,23 @@ def test_basis_is_the_rref_the_enumeration_yields():
 def test_dual_rejects_nonlinear():
     with pytest.raises(InvalidInputError):
         dual_code(CodeSet(frozenset({1, 2}), 2))
+
+
+def test_dual_checks_orthogonality_to_the_basis(monkeypatch):
+    # 011 and 110 span the even code but are not reduced: 011 holds bit 1,
+    # the pivot of 110.  The dual vector built for free bit 2 is then 110,
+    # which meets 011 in one bit.
+    monkeypatch.setattr(oracle, "_basis", lambda words: [0b011, 0b110])
+    even = CodeSet(frozenset({0b000, 0b011, 0b101, 0b110}), 3)
+    with pytest.raises(SelfCheckError, match="not orthogonal to the code basis"):
+        dual_code(even)
+
+
+def test_dual_checks_the_size_identity(monkeypatch):
+    # A full-rank basis for a 2-word code leaves the dual {0}: 2 * 1 != 2^3.
+    monkeypatch.setattr(oracle, "_basis", lambda words: [0b001, 0b010, 0b100])
+    with pytest.raises(SelfCheckError, match=r"\|C\| \* \|C\^perp\| = 2\^n failed"):
+        dual_code(CodeSet(frozenset({0b000, 0b001}), 3))
 
 
 def test_dual_involution_and_size():

@@ -128,6 +128,14 @@ def test_exact_certificate_needs_strong_duality(monkeypatch):
         solve_exact(build_delsarte(2, 2))
 
 
+def test_exact_phase_one_is_never_unbounded(monkeypatch):
+    # Phase 1 maximizes minus a sum of non-negative artificials, so a
+    # phase that reports it unbounded is a solver fault, not a verdict.
+    monkeypatch.setattr(simplex, "_run_phase", lambda tab, ncols: "unbounded")
+    with pytest.raises(SelfCheckError, match="phase 1 cannot be unbounded"):
+        solve_exact(build_delsarte(3, 2))
+
+
 def test_exact_infeasible_detection():
     base = build_delsarte(2, 2)
     clash = LPRow("CLASH", base.rows[0].coeffs, "=", 2)

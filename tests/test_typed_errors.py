@@ -96,9 +96,29 @@ CASES = [
     (lambda: CodeSet(frozenset({0, 2.5}), 3), InvalidInputError, "3-bit integers"),
     (lambda: CodeSet(frozenset({True}), 1), InvalidInputError, "1-bit integers"),
     (lambda: WordTuple((2.5,), 3), InvalidInputError, "3-bit integers"),
+    # A list of words would leave the frozen tuple unhashable.
+    (lambda: WordTuple([1, 2, 1], 2), InvalidInputError, "tuple words must be a tuple"),
     (lambda: profile_of_code([0, 2.7], 3, 1), InvalidInputError, "3-bit integers"),
     (lambda: profile_of_code(["0", "7"], 3, 1), InvalidInputError, "3-bit integers"),
     (lambda: KrawtchoukTable(1, -1, ()), InvalidInputError, "n, l >= 1"),
+    # A table holds a tuple of row tuples of exact ints, as a program does.
+    (
+        lambda: KrawtchoukTable(1, 1, ((1, 1), (1, -1.0))),
+        InvalidInputError,
+        r"table entries must be ints, got \['float'\]",
+    ),
+    (
+        lambda: KrawtchoukTable(1, 1, ((True, 1), (1, -1))),
+        InvalidInputError,
+        r"table entries must be ints, got \['bool'\]",
+    ),
+    (
+        lambda: KrawtchoukTable(1, 1, ((1, 1), (1, Fraction(-1)))),
+        InvalidInputError,
+        r"table entries must be ints, got \['Fraction'\]",
+    ),
+    (lambda: KrawtchoukTable(1, 1, ((1, 1), [1, -1])), InvalidInputError, "tuple of row tuples"),
+    (lambda: KrawtchoukTable(1, 1, [(1, 1), (1, -1)]), InvalidInputError, "tuple of row tuples"),
     (lambda: check_config_args(0, 2), InvalidInputError, "need n >= 1 and l >= 1"),
     (lambda: check_config_args(2, 0), InvalidInputError, "need n >= 1 and l >= 1"),
     (lambda: sd_to_venn(L1, 0), InvalidInputError, "blocklength must be positive"),
