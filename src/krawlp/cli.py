@@ -177,19 +177,21 @@ def cmd_verify(args) -> int:
     check_suite_args(names, args.n, args.l)
     failed = False
     for name in names:
-        result = run_suite(name, n_cap=args.n, l_cap=args.l)
+        start = time.perf_counter()
+        report = run_suite(name, n_cap=args.n, l_cap=args.l)
+        seconds = time.perf_counter() - start
         _emit(
             {
                 "command": "verify",
                 "suite": name,
-                "params": result.params,
-                "checked": result.checked,
-                "violations": result.violations,
-                "passed": result.passed,
+                "params": dict(report.params),
+                "checked": report.checked,
+                "violations": report.violations,
+                "passed": report.passed,
             }
         )
-        _timing(f"verify:{name}", result.elapsed)
-        if not result.passed:
+        _timing(f"verify:{name}", seconds)
+        if not report.passed:
             failed = True
     return EXIT_VIOLATION if failed else EXIT_OK
 

@@ -51,10 +51,10 @@ Each level l gets one kernel bundle, generated as straight-line code by
 ``_build_kernels``: the forward transform, the inverse with its
 divisibility check, and the inner loop of ``tuple_census``.  One dict,
 ``_KERNELS``, serves all three, keyed by the entry count 2^l: a conversion
-finds its bundle as ``_KERNELS[len(entries)]``, and ``_kernels(ell)`` is the
-same lookup by level.  It compiles each level on its first use: a process
-compiles only the levels it uses (``krawlp solve --l 2`` never compiles
-level 3), and as a dict has no ``cache_clear``, emptying the
+finds its bundle as ``_KERNELS[len(entries)]``, and a walk or census of
+level l as ``_KERNELS[1 << l]``.  It compiles each level on its first
+use: a process compiles only the levels it uses (``krawlp solve --l 2``
+never compiles level 3), and as a dict has no ``cache_clear``, emptying the
 ``lru_cache``s never compiles a level again.  Above ``MAX_SUBSET_ELL``
 every conversion and census raises ``CapacityError`` before compiling
 anything.
@@ -408,11 +408,6 @@ class _KernelTable(dict):
 _KERNELS = _KernelTable()
 
 
-def _kernels(ell: int) -> _Kernels:
-    """The kernel bundle of level ``ell`` >= 0; see ``_KernelTable`` and ``_build_kernels``."""
-    return _KERNELS[1 << ell]
-
-
 def _subset_xors(words: Sequence[int]) -> list[int]:
     # The XOR of the words each subset bitmask selects, in bitmask order:
     # word j appends the XORs with bit j set.  Over a basis, its span.
@@ -447,7 +442,7 @@ def tuple_census(positions: Sequence[Sequence[tuple[int, int]]]) -> Counter:
     Position j lists the ``(u_j, m_j)`` pairs it draws from; the subset XORs
     of the first l-1 words are built once and shared by every last word.
     """
-    census_tail = _kernels(len(positions)).census
+    census_tail = _KERNELS[1 << len(positions)].census
     prefixes = [([0], 1)]
     for items in positions[:-1]:
         prefixes = [
@@ -539,7 +534,7 @@ def iter_configs(n: int, ell: int) -> Iterator[SDConfig]:
     ``check_config_args`` runs at the call, before the first configuration.
     """
     check_config_args(n, ell)
-    return map(_proved_sd, map(_kernels(ell).forward, _compositions_desc(n, 1 << ell)))
+    return map(_proved_sd, map(_KERNELS[1 << ell].forward, _compositions_desc(n, 1 << ell)))
 
 
 # typed: 3.0 and True hash like 3 and 1, and must reach the gate, not the cache.

@@ -376,11 +376,16 @@ def digits_nonnegative(s: int, tops: int) -> bool:
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Outcome of an exhaustive identity sweep."""
+    """Outcome of an exhaustive identity sweep or of a whole suite.
+
+    ``params`` is a suite's grid as ``(name, value)`` pairs, so the report
+    stays hashable; a single sweep has none.
+    """
 
     name: str
     checked: int
     violations: tuple[str, ...]
+    params: tuple[tuple[str, int], ...] = ()
 
     @property
     def passed(self) -> bool:
@@ -495,12 +500,14 @@ def load_table(n: int, ell: int, cache_dir: str | Path) -> KrawtchoukTable | Non
     """Load a cached table, or None on a miss.
 
     A missing or undecodable file (a bad gzip header or a garbled deflate
-    body included), another format version, another (n, l), an entry that
-    ``KrawtchoukTable`` refuses (a float or a JSON boolean, equal to an int),
-    a table whose columns do not sum to 2^(l n) [g = 0], or one whose rows
-    weighted by the orbit sizes do not sum to 2^(l n) [h = 0], or whose
-    unit rows and columns J = 1 .. 2^l - 1 break their closed forms is a
-    miss, so the caller rebuilds the table and overwrites the file.
+    body included), a format, n or l that is not exactly the wanted int
+    (another version or (n, l), or a float or JSON boolean equal to it),
+    an entry that ``KrawtchoukTable`` refuses (a float or a JSON boolean,
+    equal to an int), a table whose columns do not sum to 2^(l n) [g = 0],
+    or one whose rows weighted by the orbit sizes do not sum to 2^(l n)
+    [h = 0], or whose unit rows and columns J = 1 .. 2^l - 1 break their
+    closed forms is a miss, so the caller rebuilds the table and
+    overwrites the file.
     """
     path = table_cache_path(cache_dir, n, ell)
     if not path.is_file():
@@ -509,7 +516,8 @@ def load_table(n: int, ell: int, cache_dir: str | Path) -> KrawtchoukTable | Non
         with parsing("table cache"):
             with gzip.open(path, "rt", encoding="ascii") as fh:
                 payload = json.load(fh)
-            if (payload["format"], payload["n"], payload["l"]) != (TABLE_FORMAT_VERSION, n, ell):
+            header = tuple(require_int(payload[k], f"table {k}") for k in ("format", "n", "l"))
+            if header != (TABLE_FORMAT_VERSION, n, ell):
                 return None
             # Each row list is replaced by its tuple as it is read, so the
             # JSON lists are freed as the conversion goes.

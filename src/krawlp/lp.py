@@ -495,8 +495,9 @@ def _read_number(value: object) -> int:
 def lp_from_json(text: str) -> LinearProgram:
     with parsing("LP JSON"):
         data = json.loads(text)
-        if data.get("schema") != LP_SCHEMA_VERSION:
-            raise InvalidInputError(f"unsupported LP schema {data.get('schema')!r}")
+        schema = require_int(data.get("schema"), "LP schema")
+        if schema != LP_SCHEMA_VERSION:
+            raise InvalidInputError(f"unsupported LP schema {schema}")
         rows = tuple(
             LPRow(
                 r["name"],

@@ -1,13 +1,13 @@
 """End-to-end verification suites.
 
 Each suite sweeps one family of identities, inequalities or exact values
-over its full grid and reports every violation; a sweep that returns a
-``krawtchouk.CheckReport`` is folded in by ``SuiteResult.merge``, its
-violations led by the grid point.  The grids default to the
-largest sizes the package commits to (the acceptance grid); callers can
-shrink them with ``n_cap``/``l_cap``.  The CLI ``verify`` command runs the
-suites and exits nonzero on any violation; the acceptance tests run the
-same functions.
+over its full grid and returns one ``krawtchouk.CheckReport`` that counts
+every check, lists every violation and holds the grid as its ``params``;
+a sweep's own report is folded in with its violations led by the grid
+point.  The grids default to the largest sizes the package commits to
+(the acceptance grid); callers can shrink them with ``n_cap``/``l_cap``.
+The CLI ``verify`` command runs the suites, times each, and exits nonzero
+on any violation; the acceptance tests run the same functions.
 
 All checks are exact: rational LP values are compared as rationals, and
 soundness of the l-th root bound is checked as ``value >= bound**l``
@@ -17,8 +17,6 @@ rather than through floating point.
 from __future__ import annotations
 
 import itertools
-import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
@@ -51,24 +49,6 @@ from .oracle import (
 from .simplex import solve_exact
 
 
-@dataclass
-class SuiteResult:
-    name: str
-    params: dict
-    checked: int = 0
-    violations: list[str] = field(default_factory=list)
-    elapsed: float = 0.0
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-    def merge(self, report: CheckReport, prefix: str) -> None:
-        """Fold one sweep's report in, each of its violations led by ``prefix``."""
-        self.checked += report.checked
-        self.violations.extend(prefix + v for v in report.violations)
-
-
 # ---------------------------------------------------------------------------
 # Exact LP values
 # ---------------------------------------------------------------------------
@@ -91,15 +71,25 @@ def _cap(default: int, cap: int | None) -> int:
     return default if cap is None else min(default, cap)
 
 
+def _report(name: str, checked: int, violations: list[str], **params: int) -> CheckReport:
+    return CheckReport(name, checked, tuple(violations), tuple(params.items()))
+
+
+def _fold(violations: list[str], report: CheckReport, prefix: str) -> int:
+    """Extend ``violations`` by a sweep's, each led by ``prefix``; return its check count."""
+    violations.extend(prefix + v for v in report.violations)
+    return report.checked
+
+
 # ---------------------------------------------------------------------------
 # Suites
 # ---------------------------------------------------------------------------
 
 
-def suite_census(n_cap: int | None = None, l_cap: int | None = None) -> SuiteResult:
+def suite_census(n_cap: int | None = None, l_cap: int | None = None) -> CheckReport:
     """Config count is C(n+2^l-1, 2^l-1) and orbit sizes add up to 2^(nl)."""
     n_max, l_max = _cap(10, n_cap), _cap(3, l_cap)
-    res = SuiteResult("census", {"n_max": n_max, "l_max": l_max})
+    checked, violations = 0, []
     for ell in range(1, l_max + 1):
         for n in range(1, n_max + 1):
             configs = iter_configs(n, ell)
@@ -108,84 +98,82 @@ def suite_census(n_cap: int | None = None, l_cap: int | None = None) -> SuiteRes
             for g in configs:
                 count += 1
                 total += orbit_size(g, n)
-            res.checked += 1
+            checked += 1
             if count != config_count(n, ell):
-                res.violations.append(
+                violations.append(
                     f"(n={n}, l={ell}): {count} configs, want {config_count(n, ell)}"
                 )
             if not first.is_trivial:
-                res.violations.append(f"(n={n}, l={ell}): first config not trivial")
+                violations.append(f"(n={n}, l={ell}): first config not trivial")
             if total != 1 << (n * ell):
-                res.violations.append(
+                violations.append(
                     f"(n={n}, l={ell}): orbit sizes add to {total}, want 2^{n * ell}"
                 )
-    return res
+    return _report("census", checked, violations, n_max=n_max, l_max=l_max)
 
 
-def suite_roundtrip(n_cap: int | None = None, l_cap: int | None = None) -> SuiteResult:
+def suite_roundtrip(n_cap: int | None = None, l_cap: int | None = None) -> CheckReport:
     """venn_to_sd after sd_to_venn is the identity on every configuration."""
     n_max, l_max = _cap(10, n_cap), _cap(3, l_cap)
-    res = SuiteResult("roundtrip", {"n_max": n_max, "l_max": l_max})
+    checked, violations = 0, []
     for ell in range(1, l_max + 1):
         for n in range(1, n_max + 1):
             for g in iter_configs(n, ell):
-                res.checked += 1
+                checked += 1
                 if venn_to_sd(sd_to_venn(g, n)) != g:
-                    res.violations.append(f"(n={n}, l={ell}): round trip moved {g.entries}")
-    return res
+                    violations.append(f"(n={n}, l={ell}): round trip moved {g.entries}")
+    return _report("roundtrip", checked, violations, n_max=n_max, l_max=l_max)
 
 
 def suite_triple_agreement(
     n_cap: int | None = None, l_cap: int | None = None
-) -> SuiteResult:
+) -> CheckReport:
     """Direct sum, explicit formula and generating-function table agree on every entry."""
     n_max, l_max = _cap(4, n_cap), _cap(2, l_cap)
-    res = SuiteResult("triple-agreement", {"n_max": n_max, "l_max": l_max})
+    checked, violations = 0, []
     for ell in range(1, l_max + 1):
         for n in range(1, n_max + 1):
             configs = enumerate_configs(n, ell)
             table = cached_table(n, ell)
             for a, h in enumerate(configs):
                 for b, g in enumerate(configs):
-                    res.checked += 1
+                    checked += 1
                     vd = eval_direct(h, g, n)
                     ve = eval_explicit(h, g, n)
                     vt = table.values[a][b]
                     if not vd == ve == vt:
-                        res.violations.append(
+                        violations.append(
                             f"(n={n}, l={ell}, h={a}, g={b}): "
                             f"direct {vd}, explicit {ve}, table {vt}"
                         )
-    return res
+    return _report("triple-agreement", checked, violations, n_max=n_max, l_max=l_max)
 
 
 def suite_orthogonality_reflection(
     n_cap: int | None = None, l_cap: int | None = None
-) -> SuiteResult:
+) -> CheckReport:
     """Full orthogonality and reflection sweeps on each table."""
     n_max, l_max = _cap(5, n_cap), _cap(2, l_cap)
-    res = SuiteResult("orthogonality-reflection", {"n_max": n_max, "l_max": l_max})
+    checked, violations = 0, []
     for ell in range(1, l_max + 1):
         for n in range(1, n_max + 1):
             table = cached_table(n, ell)
             for report in (verify_orthogonality(table), verify_reflection(table)):
-                res.merge(report, f"(n={n}, l={ell}) {report.name}: ")
-    return res
+                checked += _fold(violations, report, f"(n={n}, l={ell}) {report.name}: ")
+    return _report("orthogonality-reflection", checked, violations, n_max=n_max, l_max=l_max)
 
 
-def suite_macwilliams(n_cap: int | None = None, l_cap: int | None = None) -> SuiteResult:
+def suite_macwilliams(n_cap: int | None = None, l_cap: int | None = None) -> CheckReport:
     """Transform identity on all linear codes; inequality on all small codes."""
     l_max = _cap(2, l_cap)
     id_n_max = _cap(5, n_cap)
     ineq_n_max = _cap(4, n_cap)
-    res = SuiteResult(
-        "macwilliams",
-        {"identity_n_max": id_n_max, "inequality_n_max": ineq_n_max, "l_max": l_max},
-    )
+    checked, violations = 0, []
     for n in range(1, id_n_max + 1):
         for code in iter_linear_codes(n):
             for ell in range(1, l_max + 1):
-                res.merge(verify_macwilliams(code, ell), f"(n={n}, l={ell}, |C|={code.size}): ")
+                prefix = f"(n={n}, l={ell}, |C|={code.size}): "
+                checked += _fold(violations, verify_macwilliams(code, ell), prefix)
     for n in range(1, ineq_n_max + 1):
         space = range(1 << n)
         for size in range(1, 5):
@@ -195,116 +183,117 @@ def suite_macwilliams(n_cap: int | None = None, l_cap: int | None = None) -> Sui
                     continue  # already swept above
                 for ell in range(1, l_max + 1):
                     prefix = f"(n={n}, l={ell}, C={sorted(words)}): "
-                    res.merge(verify_macwilliams(code, ell), prefix)
-    return res
+                    checked += _fold(violations, verify_macwilliams(code, ell), prefix)
+    params = {"identity_n_max": id_n_max, "inequality_n_max": ineq_n_max, "l_max": l_max}
+    return _report("macwilliams", checked, violations, **params)
 
 
-def suite_soundness(n_cap: int | None = None, l_cap: int | None = None) -> SuiteResult:
+def suite_soundness(n_cap: int | None = None, l_cap: int | None = None) -> CheckReport:
     """LP values dominate the true code sizes: value >= A^l, exactly."""
     n_max, l_max = _cap(5, n_cap), _cap(2, l_cap)
-    res = SuiteResult("soundness", {"n_max": n_max, "l_max": l_max})
+    checked, violations = 0, []
     # Named oracle spot values, recomputed from scratch by the oracles.
     for name, search, n, want in (("A_2", max_code, 5, 4), ("A_2^Lin", max_linear_code, 7, 16)):
         if n_cap is None or n_cap >= n:
-            res.checked += 1
+            checked += 1
             size = search(n, 3)[0]
             if size != want:
-                res.violations.append(f"oracle {name}({n},3) = {size}, want {want}")
+                violations.append(f"oracle {name}({n},3) = {size}, want {want}")
     for n in range(1, n_max + 1):
         for d in range(1, n + 1):
             sizes = ((False, max_code(n, d)[0]), (True, max_linear_code(n, d)[0]))
             for ell in range(1, l_max + 1):
                 for linear, size in sizes:
-                    res.checked += 1
+                    checked += 1
                     value = hierarchy_value(n, d, ell, linear)
                     if value < Fraction(size) ** ell:
                         flag = "linear" if linear else "general"
-                        res.violations.append(
+                        violations.append(
                             f"(n={n}, d={d}, l={ell}) {flag}: value {value} < {size}^{ell}"
                         )
-    return res
+    return _report("soundness", checked, violations, n_max=n_max, l_max=l_max)
 
 
-def suite_collapse(n_cap: int | None = None, l_cap: int | None = None) -> SuiteResult:
+def suite_collapse(n_cap: int | None = None, l_cap: int | None = None) -> CheckReport:
     """General-code level-2 value equals the level-1 value squared, exactly."""
     n_max = _cap(5, n_cap)
-    res = SuiteResult("collapse", {"n_max": n_max})
     if l_cap is not None and l_cap < 2:
-        return res
+        return _report("collapse", 0, [], n_max=n_max)
+    checked, violations = 0, []
     for n in range(1, n_max + 1):
         for d in range(1, n + 1):
-            res.checked += 1
+            checked += 1
             base = delsarte_value(n, d)
             lifted = hierarchy_value(n, d, 2, False)
             if lifted != base * base:
-                res.violations.append(
+                violations.append(
                     f"(n={n}, d={d}): level-2 value {lifted} != ({base})^2"
                 )
-    return res
+    return _report("collapse", checked, violations, n_max=n_max)
 
 
-def suite_subadditivity(n_cap: int | None = None, l_cap: int | None = None) -> SuiteResult:
+def suite_subadditivity(n_cap: int | None = None, l_cap: int | None = None) -> CheckReport:
     """Linear-variant level-2 value is at most the level-1 value squared."""
     n_max = _cap(5, n_cap)
-    res = SuiteResult("subadditivity", {"n_max": n_max})
     if l_cap is not None and l_cap < 2:
-        return res
+        return _report("subadditivity", 0, [], n_max=n_max)
+    checked, violations = 0, []
     for n in range(1, n_max + 1):
         for d in range(1, n + 1):
-            res.checked += 1
+            checked += 1
             lvl1 = hierarchy_value(n, d, 1, True)
             lvl2 = hierarchy_value(n, d, 2, True)
             if lvl2 > lvl1 * lvl1:
-                res.violations.append(
+                violations.append(
                     f"(n={n}, d={d}): level-2 value {lvl2} > ({lvl1})^2"
                 )
-    return res
+    return _report("subadditivity", checked, violations, n_max=n_max)
 
 
 def suite_fourier_equivalence(
     n_cap: int | None = None, l_cap: int | None = None
-) -> SuiteResult:
+) -> CheckReport:
     """Word-tuple LP and configuration LP have equal optimal values."""
     n_max, l_max = _cap(3, n_cap), _cap(2, l_cap)
-    res = SuiteResult("fourier-equivalence", {"n_max": n_max, "l_max": l_max})
+    checked, violations = 0, []
     for n in range(1, n_max + 1):
         for d in range(1, n + 1):
             for ell in range(1, l_max + 1):
                 for linear in (False, True):
-                    res.checked += 1
+                    checked += 1
                     vf = fourier_value(n, d, ell, linear)
                     vk = hierarchy_value(n, d, ell, linear)
                     if vf != vk:
-                        res.violations.append(
+                        violations.append(
                             f"(n={n}, d={d}, l={ell}, linear={linear}): "
                             f"word-tuple {vf} != configuration {vk}"
                         )
-    return res
+    return _report("fourier-equivalence", checked, violations, n_max=n_max, l_max=l_max)
 
 
-def suite_level1(n_cap: int | None = None, l_cap: int | None = None) -> SuiteResult:
+def suite_level1(n_cap: int | None = None, l_cap: int | None = None) -> CheckReport:
     """Level-1 programs are row-identical to the classical weight LP."""
     n_max = _cap(8, n_cap)
-    res = SuiteResult("level1", {"n_max": n_max})
+    checked, violations = 0, []
     for n in range(1, n_max + 1):
         for d in range(1, n + 2):
             base = build_delsarte(n, d)
             for linear in (False, True):
                 lifted = build_hierarchy_lp(n, d, 1, linear)
-                res.checked += 1
+                checked += 1
                 same = (
                     lifted.var_indices == base.var_indices
                     and lifted.objective == base.objective
                     and lifted.rows == base.rows
                 )
                 if not same:
-                    res.violations.append(
+                    violations.append(
                         f"(n={n}, d={d}, linear={linear}): rows differ from the weight LP"
                     )
-    return res
+    return _report("level1", checked, violations, n_max=n_max)
 
 
-SUITES: dict[str, Callable[..., SuiteResult]] = {
+SUITES: dict[str, Callable[..., CheckReport]] = {
     "census": suite_census,
     "roundtrip": suite_roundtrip,
     "triple-agreement": suite_triple_agreement,
@@ -328,11 +317,7 @@ def check_suite_args(names: list[str], n_cap: int | None, l_cap: int | None) -> 
             raise InvalidInputError(f"need caps >= 1, got n_cap={n_cap}, l_cap={l_cap}")
 
 
-def run_suite(name: str, n_cap: int | None = None, l_cap: int | None = None) -> SuiteResult:
-    """Run one suite by name with wall-clock timing, after ``check_suite_args``."""
+def run_suite(name: str, n_cap: int | None = None, l_cap: int | None = None) -> CheckReport:
+    """Run one suite by name, after ``check_suite_args``; its caller keeps any clock."""
     check_suite_args([name], n_cap, l_cap)
-    fn = SUITES[name]
-    start = time.perf_counter()
-    result = fn(n_cap=n_cap, l_cap=l_cap)
-    result.elapsed = time.perf_counter() - start
-    return result
+    return SUITES[name](n_cap=n_cap, l_cap=l_cap)

@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -33,11 +34,11 @@ CRITERIA = [
 ]
 
 
-def _report(number: int, result, budget: float) -> None:
+def _report(number: int, result, elapsed: float, budget: float) -> None:
     status = "PASS" if result.passed else "FAIL"
     print(
         f"[acceptance] criterion {number} ({result.name}): {status} "
-        f"checked={result.checked} elapsed={result.elapsed:.2f}s budget={budget:.0f}s"
+        f"checked={result.checked} elapsed={elapsed:.2f}s budget={budget:.0f}s"
     )
     for violation in result.violations[:10]:
         print(f"[acceptance]   violation: {violation}")
@@ -45,11 +46,13 @@ def _report(number: int, result, budget: float) -> None:
 
 @pytest.mark.parametrize("number,suite,checked,budget", CRITERIA, ids=[c[1] for c in CRITERIA])
 def test_acceptance_criterion(number, suite, checked, budget):
+    start = time.perf_counter()
     result = run_suite(suite)
-    _report(number, result, budget)
+    elapsed = time.perf_counter() - start
+    _report(number, result, elapsed, budget)
     assert result.passed, result.violations[:10]
     assert result.checked == checked
-    assert result.elapsed < budget
+    assert elapsed < budget
 
 
 def test_all_criteria_reachable_from_verify_cli():

@@ -15,7 +15,6 @@ from krawlp import cli, configs, krawtchouk, simplex
 from krawlp.errors import IterationLimitError, SelfCheckError, SolverNumericsError
 from krawlp.lp import build_hierarchy_lp
 from krawlp.oracle import build_fourier_lp
-from krawlp.suites import SuiteResult
 
 
 def _run(capsys, argv):
@@ -279,7 +278,7 @@ def test_verify_small_caps(capsys):
 
 def test_verify_reports_violations_with_exit_one(monkeypatch, capsys):
     def failing(n_cap=None, l_cap=None):
-        return SuiteResult("stub", {}, checked=1, violations=["synthetic violation"])
+        return krawtchouk.CheckReport("stub", 1, ("synthetic violation",))
 
     monkeypatch.setitem(cli.SUITES, "stub", failing)
     code, records, _ = _run(capsys, ["verify", "--suite", "stub"])
@@ -462,12 +461,32 @@ PINNED_STDOUT = [
     ),
 ]
 
+# Every suite's record at the n=2, l=2 caps: (suite, checks, params).
+PINNED_VERIFY = [
+    ("census", 4, '{"l_max":2,"n_max":2}'),
+    ("roundtrip", 19, '{"l_max":2,"n_max":2}'),
+    ("triple-agreement", 129, '{"l_max":2,"n_max":2}'),
+    ("orthogonality-reflection", 148, '{"l_max":2,"n_max":2}'),
+    ("macwilliams", 290, '{"identity_n_max":2,"inequality_n_max":2,"l_max":2}'),
+    ("soundness", 12, '{"l_max":2,"n_max":2}'),
+    ("collapse", 3, '{"n_max":2}'),
+    ("subadditivity", 3, '{"n_max":2}'),
+    ("fourier-equivalence", 12, '{"l_max":2,"n_max":2}'),
+    ("level1", 10, '{"n_max":2}'),
+]
+PINNED_STDOUT += [
+    (
+        ["verify", "--suite", suite, "--n", "2", "--l", "2"],
+        f'{{"checked":{checked},"command":"verify","params":{params},"passed":true,'
+        f'"suite":"{suite}","version":"0.1.0","violations":[]}}\n',
+    )
+    for suite, checked, params in PINNED_VERIFY
+]
+PINNED_IDS = ["configs", "oracle", "build-lp", "build-lp-text", "verify"]
+PINNED_IDS += [f"verify-{suite}" for suite, _, _ in PINNED_VERIFY]
 
-@pytest.mark.parametrize(
-    "argv, stdout",
-    PINNED_STDOUT,
-    ids=["configs", "oracle", "build-lp", "build-lp-text", "verify"],
-)
+
+@pytest.mark.parametrize("argv, stdout", PINNED_STDOUT, ids=PINNED_IDS)
 def test_stdout_bytes_are_pinned(capsys, argv, stdout):
     code, _, out = _run(capsys, argv)
     assert code == 0

@@ -411,7 +411,7 @@ def test_kernels_compile_once_on_first_use():
         "configs._build_kernels = build\n"
         "for _ in range(2):\n"
         "    for ell in range(1, configs.MAX_SUBSET_ELL + 1):\n"
-        "        configs._kernels(ell)\n"
+        "        configs._KERNELS[1 << ell]\n"
         "print(built)\n"
     )
     pkg_root = str(Path(krawlp.__file__).resolve().parents[1])

@@ -2,7 +2,8 @@
 file, every private helper is used somewhere in the package, private
 names are imported only from ``configs``, only ``configs`` builds a
 configuration unchecked, JSON is encoded only by
-``errors.canonical_json``, every memo cache is typed, every
+``errors.canonical_json``, every memo cache is typed, every dataclass
+is frozen, only ``cli`` reads the clock, every
 class a library module raises has an ``except`` clause in ``cli.main``,
 floats and true division stay in the few scopes that may use them,
 every ``krawlp`` name the ``perfbench/`` scripts reach exists in the
@@ -10,9 +11,9 @@ package, and every call they make into it binds to its signature.
 
 No linter ships with the project, so these are stdlib-``ast`` stand-ins
 for an unused-import check, a dead-code check, two layering checks, a
-one-encoder check, a typed-cache check, a closed exit-code map, a
-no-float rule for exact code and two checks of the benchmark's entry
-points.
+one-encoder check, a typed-cache check, an immutable-type check, a
+clock-layering check, a closed exit-code map, a no-float rule for exact
+code and two checks of the benchmark's entry points.
 ``__init__.py`` is exempt from the import check (its imports are the
 package's re-exports), and so are ``__future__`` imports.
 """
@@ -156,6 +157,52 @@ def test_every_lru_cache_is_typed():
     assert [where for key, where in uses if key not in typed] == []
 
 
+def test_every_dataclass_is_frozen():
+    # Every record the package returns is immutable and hashable, so no
+    # caller can change a report or a result after it is made: each
+    # ``@dataclass`` decorator must be a call that passes frozen=True.
+    classes, unfrozen = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        decorators = [
+            (node, dec)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            for dec in node.decorator_list
+        ]
+        for node, dec in decorators:
+            call = dec if isinstance(dec, ast.Call) else None
+            func = call.func if call else dec
+            if getattr(func, "id", getattr(func, "attr", None)) != "dataclass":
+                continue
+            classes.append(node.name)
+            if not call or not any(
+                k.arg == "frozen" and isinstance(k.value, ast.Constant) and k.value.value is True
+                for k in call.keywords
+            ):
+                unfrozen.append(f"{path.name}:{node.lineno}: {node.name}")
+    assert classes, "no dataclass found"
+    assert unfrozen == []
+
+
+def test_only_the_cli_reads_the_clock():
+    # Library code returns what it computed; the seconds of a run are the
+    # CLI's ``[timing]`` lines, so only cli.py imports ``time``.
+    importers = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "time" for m in modules):
+                importers.append(path.name)
+    assert importers == ["cli.py"]
+
+
 def _raised_names(tree: ast.Module) -> list[tuple[str, int]]:
     # (name, line) of the class each ``raise X(...)`` or ``raise X`` names;
     # a bare ``raise`` re-raises what a handler caught and names none.
@@ -192,14 +239,12 @@ def test_every_raised_class_has_an_exit_code():
 # The only scopes of the package that may hold a float literal, a
 # ``float(...)`` call, the name ``inf`` or a true division ``/``: the
 # floating-point screen, the record's and the root's float readings of
-# exact values, a singleton code's infinite distance, the suites' seconds
-# and a path join.
+# exact values, a singleton code's infinite distance and a path join.
 FLOAT_SCOPES = {
     "simplex.solve_float",
     "simplex.format_value",
     "simplex.root_value",
     "lp.CodeSet.min_distance",
-    "suites.SuiteResult",
     "krawtchouk.table_cache_path",
 }
 

@@ -531,6 +531,13 @@ SWAPS = {
     "labels-swapped": ("labels", 4, 7),
 }
 
+HEADERS = {
+    "format-true": {"format": True},
+    "format-float": {"format": 1.0},
+    "n-float": {"n": 3.0},
+    "l-float": {"l": 2.0},
+}
+
 
 def _corrupt(kind, path):
     table = build_table(3, 2)
@@ -541,6 +548,10 @@ def _corrupt(kind, path):
         _write_cache(path, _payload(build_table(4, 2)))
     elif kind == "wrong-n-label":
         _write_cache(path, _payload(table, n=4))
+    elif kind in HEADERS:
+        # a header field equal to the right int (1.0 == 1, True == 1) but
+        # not an int
+        _write_cache(path, _payload(table, **HEADERS[kind]))
     elif kind == "row-0":
         values = [list(r) for r in table.values]
         values[0][5] = 2
@@ -603,6 +614,7 @@ CORRUPTIONS = [
     "all-7s",
     "wrong-n",
     "wrong-n-label",
+    *HEADERS,
     "row-0",
     "column-0",
     "row-off",
@@ -631,6 +643,12 @@ def test_load_treats_a_wrong_cache_as_a_miss(tmp_path, kind):
     _corrupt(kind, path)
     assert path.is_file()
     assert load_table(3, 2, tmp_path) is None
+
+
+def test_load_misses_a_true_level(tmp_path):
+    # "l": true loads as True == 1, so only a type check tells it from l=1.
+    _write_cache(table_cache_path(tmp_path, 3, 1), _payload(build_table(3, 1), l=True))
+    assert load_table(3, 1, tmp_path) is None
 
 
 def test_load_misses_every_single_wrong_entry(tmp_path):

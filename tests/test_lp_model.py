@@ -455,6 +455,8 @@ def _malformed_lp_json(edit):
         _malformed_lp_json(lambda data: data["objective"].__setitem__(0, "1/0")),
         _malformed_lp_json(lambda data: data.__setitem__("kind", "bogus")),
         _malformed_lp_json(lambda data: data.__setitem__("schema", 2)),
+        _malformed_lp_json(lambda data: data.__setitem__("schema", True)),
+        _malformed_lp_json(lambda data: data.__setitem__("schema", 1.0)),
         _malformed_lp_json(lambda data: data.__setitem__("var_indices", [1, 1])),
         _malformed_lp_json(lambda data: data.__setitem__("var_indices", ["x", -5])),
         _malformed_lp_json(lambda data: data.__setitem__("var_indices", [0, -5])),
@@ -494,6 +496,8 @@ def _malformed_lp_json(edit):
         "zero-denominator",
         "bogus-kind",
         "schema",
+        "schema-true",
+        "schema-float",
         "repeated-index",
         "string-index",
         "negative-index",
