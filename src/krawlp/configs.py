@@ -135,8 +135,11 @@ def check_config_args(n: int, ell: int) -> int:
         raise CapacityError(f"l={ell} exceeds the configuration budget l <= {MAX_SUBSET_ELL}")
     count = config_count(n, ell)
     if count > MAX_CONFIG_COUNT:
+        # Symbolic: the count itself can be too long to print.
+        cells = (1 << ell) - 1
         raise CapacityError(
-            f"{count} configurations exceed the enumeration budget {MAX_CONFIG_COUNT}"
+            f"C({n + cells}, {cells}) configurations exceed the enumeration budget "
+            f"{MAX_CONFIG_COUNT}"
         )
     return count
 

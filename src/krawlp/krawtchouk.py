@@ -62,17 +62,26 @@ exact for any table:
 then the table's level and cell budgets.  ``build_table`` runs it before
 any work, and ``krawlp table`` on its largest table before any solve.
 
-``load_table`` trusts a cache file through three identities.  Summed over
-all h, K_h(g) is the character sum over every tuple y, so each column g
-sums to 2^(l n) [g = 0]; a single wrong entry breaks its column's sum.
-Orthogonality against the trivial row gives the weighted row sums
-sum_g |g| K_h(g) = 2^(l n) [h = 0]; a swap of two unequal entries of one
-column keeps the column sum but breaks both rows' weighted sums.  Swapped
-rows, columns or labels keep both sums; the unit configuration e_J (one
-coordinate in cell J, n - 1 in cell 0, element J of the canonical order)
-ties them to their labels by its row K_{e_J}(g) = n - 2 sd_g(J) and its
-column n K_h(e_J) = |h| (n - 2 sd_h(J)).  This check and both sweeps read
-``KrawtchoukTable.orbit_sizes``, one per table.
+``load_table`` trusts a cache file by one rule: every column g sums to
+2^(l n) [g = 0], every unit row matches its closed form, and reflection
+holds for every pair.  Summed over all h, K_h(g) is the character sum
+over every tuple y, which gives the column sums; a single wrong entry
+breaks its column's sum.  The unit configuration e_J (one coordinate in
+cell J, n - 1 in cell 0, element J of the canonical order) has the row
+K_{e_J}(g) = n - 2 sd_g(J), which ties rows to their labels.
+``verify_reflection`` runs last, as the suite runs it.  Reflection with
+the column sums gives the weighted row sums sum_g |g| K_h(g) =
+|h| sum_g K_g(h) = 2^(l n) [h = 0], and with the unit rows the unit
+columns n K_h(e_J) = |h| (n - 2 sd_h(J)), so a swap of two unequal
+entries of one column and two swapped rows, columns or labels are
+misses.  What the rule cannot see is a symmetric change: +delta on
+K_a(a) and K_b(b) and -delta on K_a(b) and K_b(a), with |a| = |b| and
+neither a unit row, keeps every column sum, every unit row and
+reflection.  ``verify_orthogonality`` caught every such change tried,
+but it costs more than the rebuild a miss triggers, and the gap grows
+with the table (README gives timings), so the loader does not run it.
+The loader and both sweeps read ``KrawtchoukTable.orbit_sizes``, one
+per table.
 """
 
 from __future__ import annotations
@@ -154,12 +163,10 @@ def eval_direct(h: SDConfig, g: SDConfig, n: int) -> int:
     """K_h(g) by brute force: one 2^(nl)-tuple census per g, cached, read at h."""
     if h.ell != g.ell:
         raise InvalidInputError(f"mixed levels l={h.ell} and l={g.ell}")
-    _venn_cells(h, n)  # validates h and n before the budget's shift by n
-    total = 1 << (n * h.ell)
-    if total > DIRECT_ENUM_BUDGET:
+    _venn_cells(h, n)  # validates h and n before the budget check
+    if n * h.ell >= DIRECT_ENUM_BUDGET.bit_length():
         raise CapacityError(
-            f"2^(n*l) = {total} tuples exceed the direct enumeration budget "
-            f"{DIRECT_ENUM_BUDGET}"
+            f"2^{n * h.ell} tuples exceed the direct enumeration budget {DIRECT_ENUM_BUDGET}"
         )
     return _direct_column(g, n).get(h.entries, 0)  # the column validates g
 
@@ -503,11 +510,13 @@ def load_table(n: int, ell: int, cache_dir: str | Path) -> KrawtchoukTable | Non
     body included), a format, n or l that is not exactly the wanted int
     (another version or (n, l), or a float or JSON boolean equal to it),
     an entry that ``KrawtchoukTable`` refuses (a float or a JSON boolean,
-    equal to an int), a table whose columns do not sum to 2^(l n) [g = 0],
-    or one whose rows weighted by the orbit sizes do not sum to 2^(l n)
-    [h = 0], or whose unit rows and columns J = 1 .. 2^l - 1 break their
-    closed forms is a miss, so the caller rebuilds the table and
-    overwrites the file.
+    equal to an int), or a table that breaks the cache rule is a miss, so
+    the caller rebuilds the table and overwrites the file.  The rule,
+    cheapest check first: every column g sums to 2^(l n) [g = 0], every
+    unit row J = 1 .. 2^l - 1 is n - 2 sd_g(J), and ``verify_reflection``
+    passes.  See the module docstring for why these imply the weighted
+    row sums and the unit columns, and for the symmetric changes they
+    cannot see.
     """
     path = table_cache_path(cache_dir, n, ell)
     if not path.is_file():
@@ -527,16 +536,10 @@ def load_table(n: int, ell: int, cache_dir: str | Path) -> KrawtchoukTable | Non
             table = KrawtchoukTable(n, ell, tuple(values))
     except (gzip.BadGzipFile, zlib.error, EOFError, InvalidInputError):
         return None
-    want = [1 << (ell * n)] + [0] * (table.size - 1)
-    if list(map(sum, zip(*table.values))) != want:
-        return None
-    sizes = table.orbit_sizes
-    if [sum(map(mul, sizes, row)) for row in table.values] != want:
+    if list(map(sum, zip(*table.values))) != [1 << (ell * n)] + [0] * (table.size - 1):
         return None
     configs = enumerate_configs(n, ell)
     for j in range(1, 1 << ell):
-        unit = [n - 2 * g.entries[j] for g in configs]
-        column = [n * row[j] for row in table.values]
-        if list(table.values[j]) != unit or column != list(map(mul, sizes, unit)):
+        if list(table.values[j]) != [n - 2 * g.entries[j] for g in configs]:
             return None
-    return table
+    return table if verify_reflection(table).passed else None

@@ -34,7 +34,10 @@ against every bound and row, and ``check_dual`` checks y against every
 dual sign and column, each an integer sum (``configs.row_sums``) against
 its bound times denom: the two are the whole certificate of an optimum,
 and form a ``Fraction`` only for the objective and a failure's message.
-Profiles and simplex optima go through them.
+Profiles and simplex optima go through them.  Both read their input
+through ``_read_certificate``: a denominator that is not an int >= 1, a
+count that is not an int, or indices that do not increase strictly within
+the program's variables or rows raise ``InvalidInputError``.
 """
 
 from __future__ import annotations
@@ -368,17 +371,38 @@ class FeasibilityVerdict:
         return self.status == "feasible"
 
 
+def _read_certificate(support: Sequence[tuple[int, int]], denom: int, slots: int) -> None:
+    """Raise ``InvalidInputError`` unless ``denom`` is an int >= 1, every
+    count of ``support`` is an int, and its indices are ints that increase
+    strictly within ``range(slots)``.
+
+    A count of either sign passes: a wrong sign is for the verdict to report.
+    """
+    require_int(denom, "certificate denominator", 1)
+    with parsing("certificate support"):
+        indices = [i for i, _ in support]
+        require_ints(indices, "certificate indices")
+        require_ints((c for _, c in support), "certificate counts")
+    # -1 < i_0 < i_1 < ... < slots, one comparison per neighbour pair
+    if any(map(ge, [-1, *indices], [*indices, slots])):
+        raise InvalidInputError(
+            f"certificate indices must increase strictly within 0 .. {slots - 1}"
+        )
+
+
 def check_point(
     lp: LinearProgram, support: Sequence[tuple[int, int]], denom: int
 ) -> FeasibilityVerdict:
     """Check x = count / denom exactly against every bound and row of an LP.
 
     ``support`` lists the ``(slot, count)`` pairs of x in slot order, and
-    x is zero in every other slot; ``denom`` is positive.  A row holds
-    when its integer sum stands in its relation to rhs * denom.  The
-    verdict names the first failed bound or row, with x's objective value
-    when every bound holds.
+    x is zero in every other slot; ``denom`` is positive.  Any other
+    input raises ``InvalidInputError`` (``_read_certificate``).  A row
+    holds when its integer sum stands in its relation to rhs * denom.
+    The verdict names the first failed bound or row, with x's objective
+    value when every bound holds.
     """
+    _read_certificate(support, denom, lp.num_vars)
     for i, c in support:
         if c < 0:
             detail = f"variable {lp.variable_names[i]} = {Fraction(c, denom)} < 0"
@@ -398,11 +422,13 @@ def check_dual(
     """Check y = count / denom exactly as a dual certificate of an LP.
 
     ``support`` lists the ``(row, count)`` pairs of y in row order, and y
-    is zero on every other row; ``denom`` is positive.  y must be >= 0 on
+    is zero on every other row; ``denom`` is positive.  Any other input
+    raises ``InvalidInputError`` (``_read_certificate``).  y must be >= 0 on
     ``<=`` rows and <= 0 on ``>=`` rows, and y . A_j >= c_j must hold for
     every variable j.  The verdict names the first wrong sign or failed
     column, with y's objective y . b when every sign holds.
     """
+    _read_certificate(support, denom, len(lp.rows))
     for i, c in support:
         row = lp.rows[i]
         if (row.relation == "<=" and c < 0) or (row.relation == ">=" and c > 0):

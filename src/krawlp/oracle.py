@@ -128,9 +128,10 @@ def _check_search_args(n: int, d: int, linear: bool = False) -> None:
 def max_code(n: int, d: int) -> tuple[int, CodeSet]:
     """Exact A_2(n, d) with one witness code, which contains the zero word."""
     _check_search_args(n, d)
+    # 2^n > budget iff n >= bits(budget): no 2^n is built past the budget.
+    if n >= MAX_BB_VERTICES.bit_length():
+        raise CapacityError(f"2^{n} vertices exceed the budget {MAX_BB_VERTICES}")
     nverts = 1 << n
-    if nverts > MAX_BB_VERTICES:
-        raise CapacityError(f"2^n = {nverts} vertices exceed the budget {MAX_BB_VERTICES}")
     if d <= 1:
         return nverts, CodeSet(frozenset(range(nverts)), n)
     # A Cayley graph: v is joined to v ^ w for every w in the ball.
@@ -309,11 +310,11 @@ def build_fourier_lp(n: int, d: int, ell: int, linear: bool) -> LinearProgram:
     rows demand non-negativity of every character sum.
     """
     check_program_args(n, d, ell)
-    npoints = 1 << (n * ell)
-    if npoints > MAX_FOURIER_POINTS:
+    if n * ell >= MAX_FOURIER_POINTS.bit_length():
         raise CapacityError(
-            f"2^(n*l) = {npoints} tuple variables exceed the budget {MAX_FOURIER_POINTS}"
+            f"2^{n * ell} tuple variables exceed the budget {MAX_FOURIER_POINTS}"
         )
+    npoints = 1 << (n * ell)
     # Tuple p packs word j into its j-th n-bit block, so the character
     # prod_j (-1)^<alpha_j, p_j> of tuple alpha at p is (-1)^popcount(alpha & p).
     mask = (1 << n) - 1

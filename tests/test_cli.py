@@ -328,6 +328,33 @@ def test_parameter_and_capacity_exit_codes(capsys):
     assert "budget" in out.err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["oracle", "--n", "15000", "--d", "3"], "2^15000 vertices exceed the budget 128"),
+        (
+            ["build-lp", "--n", "20000", "--d", "3", "--family", "fourier"],
+            "2^20000 tuple variables exceed the budget 4096",
+        ),
+        (
+            ["solve", "--n", "20000", "--d", "3", "--family", "fourier"],
+            "2^20000 tuple variables exceed the budget 4096",
+        ),
+        (
+            ["configs", "--n", "1" + "0" * 80, "--l", "6", "--count"],
+            f"C({10**80 + 63}, 63) configurations exceed the enumeration budget 2000000",
+        ),
+    ],
+    ids=["oracle", "build-lp", "solve", "configs"],
+)
+def test_budget_refusals_name_the_size_symbolically(capsys, argv, message):
+    # Each size is past the digits an int prints in decimal.
+    code, records, out = _run(capsys, argv)
+    assert code == 3
+    assert records == [] and out.out == ""
+    assert out.err == f"capacity: {message}\n"
+
+
 DELSARTE = ["--family", "delsarte", "--n", "3", "--d", "2"]
 
 

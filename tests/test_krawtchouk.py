@@ -128,6 +128,9 @@ def test_direct_capacity_budget(monkeypatch):
     h = SDConfig((0, 1))
     with pytest.raises(CapacityError):
         eval_direct(h, h, 30)
+    # 2^20000 has more digits than an int prints, and is never built
+    with pytest.raises(CapacityError, match=r"^2\^20000 tuples exceed .* budget 1048576$"):
+        eval_direct(h, h, 20000)
     # n*l = 21 is the first size past the 2^20-tuple budget
     with pytest.raises(CapacityError):
         eval_direct(h, h, 21)
@@ -524,12 +527,15 @@ def _swapped(values, axes, a, b):
     return rows
 
 
-# Swaps at (3, 2) that keep both sums, as (axes, a, b).
+# Swaps at (3, 2) that keep every column sum, as (axes, a, b).
 SWAPS = {
     "rows-swapped": ("rows", 4, 5),
     "columns-swapped": ("columns", 4, 7),
     "labels-swapped": ("labels", 4, 7),
 }
+
+# The "compensated" change at (3, 2), as (h, g, delta): |4| = |7| = 3.
+COMPENSATED = [(4, 4, 1), (5, 7, 1), (4, 7, -1), (5, 4, -1)]
 
 HEADERS = {
     "format-true": {"format": True},
@@ -571,8 +577,15 @@ def _corrupt(kind, path):
         _write_cache(path, _payload(table, values=values))
     elif kind in SWAPS:
         # whole rows, whole columns or both axes of two configurations
-        # swapped: every column sum and weighted row sum is kept
+        # swapped: every column sum is kept, and reflection breaks
         _write_cache(path, _payload(table, values=_swapped(table.values, *SWAPS[kind])))
+    elif kind == "compensated":
+        # +1 and -1 on each of two non-unit rows and two columns of equal
+        # orbit size: every column sum and unit row is kept, reflection is not
+        values = [list(r) for r in table.values]
+        for a, b, delta in COMPENSATED:
+            values[a][b] += delta
+        _write_cache(path, _payload(table, values=values))
     elif kind == "float-values":
         # 1.0 == 1, so only a type check tells these from a true table
         _write_cache(path, _payload(table, values=[[float(v) for v in r] for r in table.values]))
@@ -621,6 +634,7 @@ CORRUPTIONS = [
     "rows-swapped",
     "columns-swapped",
     "labels-swapped",
+    "compensated",
     "off-sample",
     "diagonal",
     "float-values",
@@ -663,7 +677,7 @@ def test_load_misses_every_single_wrong_entry(tmp_path):
 
 
 def test_load_misses_every_swap_within_a_column(tmp_path):
-    # A swap keeps its column's sum; the weighted row sums catch it.
+    # A swap keeps its column's sum; reflection catches it.
     table = build_table(2, 2)
     swaps = 0
     for g in range(table.size):
@@ -680,7 +694,7 @@ def test_load_misses_every_swap_within_a_column(tmp_path):
 
 @pytest.mark.parametrize("n,ell", [(2, 2), (4, 1)])
 def test_load_misses_every_row_column_and_label_swap(tmp_path, n, ell):
-    # Swaps keep every sum; the unit rows and columns catch them.
+    # Swaps keep every column sum; the unit rows and reflection catch them.
     table = build_table(n, ell)
     swaps = 0
     for axes in ("rows", "columns", "labels"):
@@ -692,6 +706,30 @@ def test_load_misses_every_row_column_and_label_swap(tmp_path, n, ell):
             assert load_table(n, ell, tmp_path) is None, (axes, a, b)
             swaps += 1
     assert swaps > 0
+
+
+def test_load_misses_every_asymmetric_compensation(tmp_path):
+    # +1 at (r, c) and (r2, c2) and -1 at (r, c2) and (r2, c), on non-unit
+    # rows r < r2 and non-unit columns c < c2 of equal orbit size, keeps
+    # every column sum and unit row.  Reflection breaks unless the change
+    # is symmetric, (r, r2) == (c, c2), which the loader cannot see.
+    table = build_table(2, 2)
+    sizes = table.orbit_sizes
+    non_units = range(1 << table.ell, table.size)
+    asymmetric = 0
+    for c, c2 in itertools.combinations(non_units, 2):
+        for r, r2 in itertools.combinations(non_units, 2):
+            if sizes[c] != sizes[c2] or (r, r2) == (c, c2):
+                continue
+            values = [list(row) for row in table.values]
+            values[r][c] += 1
+            values[r2][c2] += 1
+            values[r][c2] -= 1
+            values[r2][c] -= 1
+            save_table(KrawtchoukTable(2, 2, tuple(map(tuple, values))), tmp_path)
+            assert load_table(2, 2, tmp_path) is None, (r, r2, c, c2)
+            asymmetric += 1
+    assert asymmetric == 84
 
 
 def test_unit_configurations_follow_the_trivial_one():

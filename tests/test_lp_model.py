@@ -25,6 +25,7 @@ from krawlp.lp import (
     build_hierarchy_lp,
     check_dual,
     check_feasibility,
+    check_point,
     export_lp,
     lp_from_json,
     lp_to_json,
@@ -350,6 +351,31 @@ def test_check_dual_without_rows(objective, feasible):
     lp = LinearProgram("delsarte", 1, 1, 1, None, (0, 1), objective, ())
     verdict = check_dual(lp, [], 1)
     assert (verdict.feasible, verdict.objective) == (feasible, 0)
+
+
+@pytest.mark.parametrize("check", [check_point, check_dual])
+@pytest.mark.parametrize(
+    "support,denom",
+    [
+        ([(0, 1)], -1),
+        ([(0, 1)], 0),
+        ([(0, 1)], 1.0),
+        ([(0, 1)], True),
+        ([(0, 1), (9, 1)], 1),
+        ([(9, 1)], 1),
+        ([(-1, 1)], 1),
+        ([(1, 1), (0, 1)], 1),
+        ([(0, 1), (0, 1)], 1),
+        ([(0.0, 1)], 1),
+        ([(0, 1.0)], 1),
+        ([(0, True)], 1),
+        ([(0,)], 1),
+    ],
+)
+def test_certificate_checks_refuse_what_they_cannot_certify(check, support, denom):
+    # build_delsarte(2, 1) has 3 variables and 4 rows, so 9 is past both.
+    with pytest.raises(InvalidInputError):
+        check(build_delsarte(2, 1), support, denom)
 
 
 def test_feasibility_index_mismatch_errors():
